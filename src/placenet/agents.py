@@ -129,11 +129,12 @@ def agent1_components(scenario: Scenario, situation: Situation) -> dict[str, flo
     )
     raw_cost = 0.0
     for plant in situation.plants:
-        warehouse = situation.raw_warehouses[plant]
+        w = scenario.sites.raw_warehouses.index(situation.raw_warehouses[plant])
+        p = scenario.sites.plants.index(plant)
         for rid, units in situation.plant_raw_requirements[plant].items():
             if units == 0:
                 continue
-            route = costflow.raw_route_cost(scenario, rid, warehouse, plant)
+            route = float(scenario.raw_costs[rid][w, p])
             raw_cost += (route + rate * scenario.commodities[rid].unit_cost) * units
 
     product_income = sum(

@@ -1,14 +1,20 @@
 """Demand aggregation, raw-chain costing, and the cheapest-first flow rule.
 
-Everything here is a pure function of the scenario and its arguments, so the
-operations can be evaluated concurrently for different placements.
+Route costs are the scenario's site-indexed arrays: ``raw_costs[raw]`` is
+(raw warehouse, plant), ``ship_costs[product]`` is (plant, product warehouse,
+store).  Tie rules: ids compare as strings (``"x10" < "x8"``) for a shipment's
+warehouse and between equal-cost choices; the sweep serves equal-cost cells
+by store, then plant position; the minimum total cost wins.  Sums keep a fixed
+order, so results are bit-reproducible.  Public functions are pure, so
+placements can be evaluated concurrently.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InfeasibleError, ScenarioError, UnreachableRouteError
 from .scenario import Scenario
@@ -77,37 +83,24 @@ def demand_summary(scenario: Scenario) -> DemandSummary:
     return DemandSummary(totals, raw_requirements(totals, scenario.recipes))
 
 
-def raw_route_cost(scenario: Scenario, raw_id: str, warehouse: str, plant: str) -> float:
-    """Unit transport cost extraction -> raw warehouse -> plant for one raw."""
-    source = scenario.sites.extraction[raw_id]
-    leg_in = scenario.distance(raw_id, source, warehouse)
-    leg_out = scenario.distance(raw_id, warehouse, plant)
-    if math.isinf(leg_in) or math.isinf(leg_out):
-        raise UnreachableRouteError(
-            f"no {raw_id} route {source} -> {warehouse} -> {plant}"
-        )
-    return leg_in + leg_out
-
-
 def raw_bundle_cost(
     scenario: Scenario, plant: str, bundle: dict[str, float], warehouse: str
 ) -> float:
     """Cost of buying a raw bundle delivered to a plant through one warehouse.
 
     Per unit of each raw: extraction cost, transport on both legs, and the
-    warehouse storage fee.
+    warehouse storage fee.  An unreachable route costs inf.
     """
-    cost = 0.0
-    for rid, units in bundle.items():
-        if units == 0:
-            continue
-        commodity = scenario.commodities[rid]
-        cost += units * (
-            commodity.unit_cost
-            + raw_route_cost(scenario, rid, warehouse, plant)
-            + commodity.storage_fee
-        )
-    return cost
+    w, p = scenario.sites.raw_warehouses.index(warehouse), scenario.sites.plants.index(plant)
+    c, route = scenario.commodities, scenario.raw_costs
+    return sum(
+        (
+            units * (c[rid].unit_cost + float(route[rid][w, p]) + c[rid].storage_fee)
+            for rid, units in bundle.items()
+            if units != 0
+        ),
+        0.0,
+    )
 
 
 def product_unit_total_cost(scenario: Scenario, plant_unit_price: float, product: str) -> float:
@@ -120,26 +113,41 @@ def product_unit_total_cost(scenario: Scenario, plant_unit_price: float, product
     return plant_unit_price + scenario.commodities[product].storage_fee
 
 
-def ship_unit_cost(
-    scenario: Scenario, plant: str, warehouses: tuple[str, ...], store: str, product: str
-) -> tuple[float, str]:
-    """Cheapest plant -> warehouse -> store unit cost over the given warehouses.
+def _supply_demand(scenario, plants, outputs, product) -> tuple[list[int], list[int]]:
+    supply = [outputs.get(plant, {}).get(product, 0) for plant in plants]
+    return supply, [scenario.demand[store].get(product, 0) for store in scenario.sites.stores]
 
-    Ties between warehouses resolve to the lexicographically smallest id.
-    """
-    best: tuple[float, str] | None = None
-    for warehouse in warehouses:
-        cost = scenario.distance(product, plant, warehouse) + scenario.distance(
-            product, warehouse, store
-        )
-        if best is None or cost < best[0] or (cost == best[0] and warehouse < best[1]):
-            best = (cost, warehouse)
-    assert best is not None
-    if math.isinf(best[0]):
-        raise UnreachableRouteError(
-            f"no {product} route from {plant} to {store} via {warehouses}"
-        )
-    return best
+
+def _cheapest_first(cost: np.ndarray) -> tuple[list, list, list]:
+    """(store, plant, cost) lists in sweep order from (..., store, plant) cell costs."""
+    n_plants = cost.shape[-1]
+    cost = cost.reshape(*cost.shape[:-2], -1)
+    order = np.argsort(cost, axis=-1, kind="stable")  # store-major, so ties keep store, plant
+    costs = np.take_along_axis(cost, order, axis=-1)
+    return (order // n_plants).tolist(), (order % n_plants).tolist(), costs.tolist()
+
+
+def _sweep(total, stores, plants, costs, supply, demand, product, shipped=None) -> float:
+    """Adds the flow cost of serving cells in order to ``total``, consuming
+    ``supply`` and ``demand``; records (plant, store, units, cost) in ``shipped``."""
+    unfilled = len(demand) - demand.count(0)
+    for store, plant, cost in zip(stores, plants, costs):
+        want, have = demand[store], supply[plant]
+        units = want if want < have else have  # min(have, want), result type included
+        if units <= 0:
+            continue
+        supply[plant] = have - units
+        demand[store] = want - units
+        total += units * cost
+        if shipped is not None:
+            shipped.append((plant, store, units, cost))
+        if units == want:
+            unfilled -= 1
+            if not unfilled:
+                break
+    if unfilled:
+        raise InfeasibleError(f"demand for {product} left unfilled after greedy pass")
+    return total
 
 
 def greedy_flow(
@@ -154,44 +162,37 @@ def greedy_flow(
     chosen warehouses of the two route legs.  Cells are served in ascending
     unit-cost order; among equal costs the lowest store position goes first,
     then the lowest plant position.  Shipments conserve units exactly: every
-    store is filled and no plant exceeds its allocated output.
+    store is filled and no plant exceeds its allocated output.  Plants and
+    warehouses must be plant and product-warehouse candidates.
     """
-    store_order = {store: i for i, store in enumerate(scenario.sites.stores)}
-    plant_order = {plant: i for i, plant in enumerate(plants)}
-
+    stores = scenario.sites.stores
+    rows = [scenario.sites.plants.index(plant) for plant in plants]
+    vias = sorted(warehouses)  # argmin keeps the first of equal costs: string order
+    cols = [scenario.sites.product_warehouses.index(w) for w in vias]
     shipments: dict[tuple[str, str], list[Shipment]] = {}
     total_cost = 0.0
     for product in scenario.product_ids:
-        remaining_supply = {plant: outputs.get(plant, {}).get(product, 0) for plant in plants}
-        remaining_demand = {
-            store: scenario.demand[store].get(product, 0) for store in scenario.sites.stores
-        }
-        if sum(remaining_supply.values()) < sum(remaining_demand.values()):
+        supply, demand = _supply_demand(scenario, plants, outputs, product)
+        if sum(supply) < sum(demand):
             raise InfeasibleError(
-                f"outputs of {product} ({sum(remaining_supply.values())}) cannot cover "
-                f"demand ({sum(remaining_demand.values())})"
+                f"outputs of {product} ({sum(supply)}) cannot cover demand ({sum(demand)})"
             )
-        cells = []
-        for plant in plants:
-            for store in scenario.sites.stores:
-                cost, via = ship_unit_cost(scenario, plant, warehouses, store, product)
-                cells.append((cost, store_order[store], plant_order[plant], plant, store, via))
-        cells.sort(key=lambda c: c[:3])
-        for cost, _s, _p, plant, store, via in cells:
-            units = min(remaining_supply[plant], remaining_demand[store])
-            if units <= 0:
-                continue
-            remaining_supply[plant] -= units
-            remaining_demand[store] -= units
-            shipments.setdefault((product, store), []).append(
-                Shipment(plant, units, via, cost)
+        legs = scenario.ship_costs[product][rows][:, cols]
+        via = legs.argmin(axis=1)
+        cost = np.take_along_axis(legs, via[:, None], axis=1)[:, 0]
+        if np.isinf(cost).any():
+            plant, store = np.argwhere(np.isinf(cost))[0]
+            scenario.distances(product)  # a ScenarioError when no edge carries it
+            raise UnreachableRouteError(
+                f"no {product} route from {plants[plant]} to {stores[store]} via {warehouses}"
             )
-            total_cost += units * cost
-        if any(v > 0 for v in remaining_demand.values()):
-            raise InfeasibleError(f"demand for {product} left unfilled after greedy pass")
-    return FlowAssignment(
-        {key: tuple(entries) for key, entries in shipments.items()}, total_cost
-    )
+        shipped: list[tuple[int, int, int, float]] = []
+        total_cost = _sweep(total_cost, *_cheapest_first(cost.T), supply, demand, product, shipped)
+        for plant, store, units, unit_cost in shipped:
+            shipments.setdefault((product, stores[store]), []).append(
+                Shipment(plants[plant], units, vias[via[plant, store]], unit_cost)
+            )
+    return FlowAssignment({key: tuple(v) for key, v in shipments.items()}, total_cost)
 
 
 def select_raw_warehouses(
@@ -213,27 +214,25 @@ def select_raw_warehouses(
         )
     if mode not in (WEIGHTED, UNIT):
         raise ScenarioError(f"unknown raw-warehouse selection mode {mode!r}")
-
-    def assignment_cost(choice: tuple[str, ...]) -> float:
-        cost = 0.0
-        for plant, warehouse in zip(plants, choice):
-            for rid in scenario.raw_ids:
-                weight = (
-                    plant_raw_requirements[plant].get(rid, 0.0) if mode == WEIGHTED else 1.0
-                )
-                if weight == 0.0:
-                    continue
-                cost += raw_route_cost(scenario, rid, warehouse, plant) * weight
-        return cost
-
-    best_choice: tuple[str, ...] | None = None
-    best_cost = math.inf
-    for choice in itertools.permutations(candidates, len(plants)):
-        cost = assignment_cost(choice)
-        if cost < best_cost or (cost == best_cost and choice < best_choice):
-            best_choice, best_cost = choice, cost
-    assert best_choice is not None
-    return dict(zip(plants, best_choice))
+    choices = np.array(list(itertools.permutations(range(len(candidates)), len(plants))))
+    # One route-cost-times-weight array over candidates per score term, in the
+    # score's summation order: plants, then raws.
+    terms = [
+        (i, rid, scenario.raw_costs[rid][:, scenario.sites.plants.index(plant)] * weight)
+        for i, plant in enumerate(plants)
+        for rid in scenario.raw_ids
+        if (weight := plant_raw_requirements[plant].get(rid, 0.0) if mode == WEIGHTED else 1.0)
+    ]
+    scores = np.array([term[choices[:, i]] for i, _rid, term in terms]).reshape(-1, len(choices))
+    if np.isinf(scores).any():
+        c, t = np.argwhere(np.isinf(scores.T))[0]
+        i, rid, _term = terms[t]
+        scenario.distances(rid)  # a ScenarioError when no edge carries it
+        source, warehouse = scenario.sites.extraction[rid], candidates[choices[c, i]]
+        raise UnreachableRouteError(f"no {rid} route {source} -> {warehouse} -> {plants[i]}")
+    cost = sum(scores, np.zeros(len(choices)))
+    ties = choices[cost == cost.min()]
+    return dict(zip(plants, min(tuple(candidates[w] for w in choice) for choice in ties)))
 
 
 def select_product_warehouses(
@@ -244,19 +243,33 @@ def select_product_warehouses(
     """Pick the distinct warehouse pair minimizing the greedy flow cost.
 
     Returns the pair and its flow.  Ties resolve to the lexicographically
-    smallest (id, id) pair, comparing ids as strings.
+    smallest (id, id) pair, comparing ids as strings.  Pairs are swept in
+    order of a lower bound on their cost (each unit costs at least its
+    store's cheapest cell) until the bound passes the best total.
     """
     candidates = scenario.sites.product_warehouses
     if len(candidates) < 2:
         raise InfeasibleError("need at least 2 product warehouse candidates")
-    best: tuple[tuple[str, str], FlowAssignment] | None = None
-    for pair in itertools.combinations(candidates, 2):
-        flow = greedy_flow(scenario, plants, outputs, pair)
-        if (
-            best is None
-            or flow.total_cost < best[1].total_cost
-            or (flow.total_cost == best[1].total_cost and pair < best[0])
-        ):
-            best = (pair, flow)
-    assert best is not None
-    return best
+    pairs = list(itertools.combinations(candidates, 2))
+    first, second = np.array(list(itertools.combinations(range(len(candidates)), 2))).T
+    rows = [scenario.sites.plants.index(plant) for plant in plants]
+    sweeps, bound = [], np.zeros(len(pairs))
+    for product in scenario.product_ids:
+        supply, demand = _supply_demand(scenario, plants, outputs, product)
+        legs = scenario.ship_costs[product][rows]
+        cost = np.minimum(legs[:, first], legs[:, second])  # (plant, pair, store)
+        if sum(supply) < sum(demand) or np.isinf(cost).any():
+            for pair in pairs:  # raises the error the pair loop meets first
+                greedy_flow(scenario, plants, outputs, pair)
+        sweeps.append((product, supply, demand, *_cheapest_first(cost.transpose(1, 2, 0))))
+        bound += (cost.min(axis=0) * demand).sum(axis=1)  # not @: a first BLAS call costs RSS
+    best, best_total = 0, np.inf
+    for j in sorted(range(len(pairs)), key=bound.__getitem__):
+        if bound[j] > best_total * (1 + 1e-9):  # the margin covers rounding in either sum
+            break
+        total = 0.0
+        for product, supply, demand, *cells in sweeps:
+            total = _sweep(total, *(c[j] for c in cells), supply[:], demand[:], product)
+        if (total, pairs[j]) < (best_total, pairs[best]):
+            best, best_total = j, total
+    return pairs[best], greedy_flow(scenario, plants, outputs, pairs[best])

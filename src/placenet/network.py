@@ -51,9 +51,6 @@ class CommodityDistanceMatrix:
     commodity: str
     dist: np.ndarray
 
-    def at(self, i: int, j: int) -> float:
-        return float(self.dist[i, j])
-
 
 class Network:
     """Immutable directed network; built via :func:`build_network`."""

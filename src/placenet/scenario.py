@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .errors import ScenarioError
 from .network import (
     CommodityDistanceMatrix,
@@ -144,6 +146,24 @@ class Scenario:
             commodity: all_pairs_shortest_paths(network, commodity)
             for commodity in sorted(network.commodities)
         }
+        # Route costs by site position; inf where there is no route.
+        # raw_costs[raw][rw, plant] = D[extraction, rw] + D[rw, plant]
+        # ship_costs[product][plant, pw, store] = D[plant, pw] + D[pw, store]
+        self.raw_costs = {
+            rid: self._legs(rid, [sites.extraction[rid]], sites.raw_warehouses, sites.plants)[0]
+            for rid in self.raw_ids
+        }
+        self.ship_costs = {
+            product: self._legs(product, sites.plants, sites.product_warehouses, sites.stores)
+            for product in self.product_ids
+        }
+
+    def _legs(self, commodity: str, *groups: tuple[str, ...]) -> np.ndarray:
+        """D[a, b] + D[b, c] over three label groups, shape (a, b, c)."""
+        a, b, c = ([self.node_index[label] for label in group] for group in groups)
+        matrix = self._distances.get(commodity)
+        dist = matrix.dist if matrix is not None else np.full((len(self.node_labels),) * 2, np.inf)
+        return dist[np.ix_(a, b)][:, :, None] + dist[np.ix_(b, c)][None, :, :]
 
     def distances(self, commodity: str) -> CommodityDistanceMatrix:
         try:
@@ -153,9 +173,8 @@ class Scenario:
 
     def distance(self, commodity: str, from_label: str, to_label: str) -> float:
         """Minimum route cost between two labelled nodes for a commodity."""
-        return self.distances(commodity).at(
-            self.node_index[from_label], self.node_index[to_label]
-        )
+        dist = self.distances(commodity).dist
+        return float(dist[self.node_index[from_label], self.node_index[to_label]])
 
     def node(self, label: str) -> Node:
         return self.network.nodes[self.node_index[label]]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -121,6 +122,22 @@ class TestSolve:
         proc = run_cli("solve", "-s", path)
         assert proc.returncode == 3
         assert "infeasible" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            ((), json.loads((REPO_ROOT / "bench" / "pins.json").read_text())["example_s8"]),
+            # The detailed report shows every warehouse and shipment the tie rules chose.
+            (("--detail",), "2a82e5234fff676f2447a6cc68626e208634b1f2e5f9f6cc3c1015815a563502"),
+        ],
+    )
+    def test_fixture_report_is_byte_identical_to_pin(self, tmp_path, extra, digest):
+        from placenet.cli import main
+
+        out = tmp_path / "report.json"
+        args = ["solve", "-s", str(FIXTURES / "example_s8.json"), "--format", "json"]
+        assert main([*args, "--out", str(out), *extra]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestPaths:

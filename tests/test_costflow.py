@@ -1,9 +1,16 @@
+import itertools
+import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from placenet import (
     InfeasibleError,
+    Scenario,
+    UnreachableRouteError,
     build_situation,
     greedy_flow,
     product_unit_total_cost,
@@ -13,6 +20,8 @@ from placenet import (
     select_raw_warehouses,
     total_demand,
 )
+from placenet.cli import main as placenet_main
+from placenet.costflow import FlowAssignment, Shipment
 from conftest import leg_scenario
 
 
@@ -327,3 +336,315 @@ class TestWarehouseSelection:
         for pair in itertools.combinations(s8.sites.product_warehouses, 2):
             flow = greedy_flow(s8, ("x7", "x12"), outputs, pair)
             assert best_flow.total_cost <= flow.total_cost
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracle: the per-cell route-cost code the array-backed costflow
+# replaced, kept verbatim in behaviour (scenario.distance per leg, the same
+# loops, tie rules and error messages).
+
+
+def oracle_raw_route_cost(scenario, raw_id, warehouse, plant):
+    source = scenario.sites.extraction[raw_id]
+    leg_in = scenario.distance(raw_id, source, warehouse)
+    leg_out = scenario.distance(raw_id, warehouse, plant)
+    if math.isinf(leg_in) or math.isinf(leg_out):
+        raise UnreachableRouteError(f"no {raw_id} route {source} -> {warehouse} -> {plant}")
+    return leg_in + leg_out
+
+
+def oracle_ship_unit_cost(scenario, plant, warehouses, store, product):
+    best = None
+    for warehouse in warehouses:
+        cost = scenario.distance(product, plant, warehouse) + scenario.distance(
+            product, warehouse, store
+        )
+        if best is None or cost < best[0] or (cost == best[0] and warehouse < best[1]):
+            best = (cost, warehouse)
+    if math.isinf(best[0]):
+        raise UnreachableRouteError(f"no {product} route from {plant} to {store} via {warehouses}")
+    return best
+
+
+def oracle_greedy_flow(scenario, plants, outputs, warehouses):
+    store_order = {store: i for i, store in enumerate(scenario.sites.stores)}
+    plant_order = {plant: i for i, plant in enumerate(plants)}
+    shipments = {}
+    total_cost = 0.0
+    for product in scenario.product_ids:
+        supply = {plant: outputs.get(plant, {}).get(product, 0) for plant in plants}
+        demand = {store: scenario.demand[store].get(product, 0) for store in scenario.sites.stores}
+        if sum(supply.values()) < sum(demand.values()):
+            raise InfeasibleError(
+                f"outputs of {product} ({sum(supply.values())}) cannot cover "
+                f"demand ({sum(demand.values())})"
+            )
+        cells = []
+        for plant in plants:
+            for store in scenario.sites.stores:
+                cost, via = oracle_ship_unit_cost(scenario, plant, warehouses, store, product)
+                cells.append((cost, store_order[store], plant_order[plant], plant, store, via))
+        cells.sort(key=lambda c: c[:3])
+        for cost, _s, _p, plant, store, via in cells:
+            units = min(supply[plant], demand[store])
+            if units <= 0:
+                continue
+            supply[plant] -= units
+            demand[store] -= units
+            shipments.setdefault((product, store), []).append(Shipment(plant, units, via, cost))
+            total_cost += units * cost
+        if any(v > 0 for v in demand.values()):
+            raise InfeasibleError(f"demand for {product} left unfilled after greedy pass")
+    return FlowAssignment({key: tuple(v) for key, v in shipments.items()}, total_cost)
+
+
+def oracle_select_raw_warehouses(scenario, plants, requirements, mode="weighted"):
+    candidates = scenario.sites.raw_warehouses
+    if len(candidates) < len(plants):
+        raise InfeasibleError(f"{len(candidates)} raw warehouse candidates for {len(plants)} plants")
+    best_choice, best_cost = None, math.inf
+    for choice in itertools.permutations(candidates, len(plants)):
+        cost = 0.0
+        for plant, warehouse in zip(plants, choice):
+            for rid in scenario.raw_ids:
+                weight = requirements[plant].get(rid, 0.0) if mode == "weighted" else 1.0
+                if weight == 0.0:
+                    continue
+                cost += oracle_raw_route_cost(scenario, rid, warehouse, plant) * weight
+        if cost < best_cost or (cost == best_cost and choice < best_choice):
+            best_choice, best_cost = choice, cost
+    return dict(zip(plants, best_choice))
+
+
+def oracle_select_product_warehouses(scenario, plants, outputs):
+    candidates = scenario.sites.product_warehouses
+    if len(candidates) < 2:
+        raise InfeasibleError("need at least 2 product warehouse candidates")
+    best = None
+    for pair in itertools.combinations(candidates, 2):
+        flow = oracle_greedy_flow(scenario, plants, outputs, pair)
+        if (
+            best is None
+            or flow.total_cost < best[1].total_cost
+            or (flow.total_cost == best[1].total_cost and pair < best[0])
+        ):
+            best = (pair, flow)
+    return best
+
+
+def network_doc(
+    cost,
+    *,
+    plants,
+    raws=("r1",),
+    products=("p1",),
+    raw_warehouses=("R8", "R9", "R10"),
+    warehouses=("W8", "W9", "W10"),
+    stores=("S8", "S10"),
+    demand=None,
+    capacity=None,
+):
+    """A scenario whose only edges are the site legs; ``cost(commodity, tail,
+    head)`` prices each leg, None leaving the commodity off that leg."""
+    legs = [(f"X{rid}", rw) for rid in raws for rw in raw_warehouses]
+    legs += [(rw, plant) for rw in raw_warehouses for plant in plants]
+    legs += [(plant, w) for plant in plants for w in warehouses]
+    legs += [(w, store) for w in warehouses for store in stores]
+    edges = []
+    for tail, head in legs:
+        costs = {c: cost(c, tail, head) for c in raws + products}
+        costs = {c: v for c, v in costs.items() if v is not None}
+        if costs:
+            edges.append({"from": tail, "to": head, "cost": costs})
+    nodes = [f"X{rid}" for rid in raws] + [*raw_warehouses, *plants, *warehouses, *stores]
+    production = {
+        "factors": {plant: {p: 1.0 for p in products} for plant in plants},
+        "exponents": {p: {rid: 1.0 for rid in raws} for p in products},
+    }
+    if capacity:
+        production["capacity"] = capacity
+    return {
+        "name": "routes",
+        "nodes": [{"id": n, "x": i, "y": 0} for i, n in enumerate(nodes)],
+        "edges": edges,
+        "commodities": [
+            {"id": rid, "kind": "raw", "unit_cost": 1, "purchase_price": 1, "storage_fee": 1}
+            for rid in raws
+        ]
+        + [{"id": p, "kind": "product", "storage_fee": 1} for p in products],
+        "recipes": {p: {rid: 1 for rid in raws} for p in products},
+        "sites": {
+            "extraction": {rid: f"X{rid}" for rid in raws},
+            "raw_warehouses": list(raw_warehouses),
+            "plants": list(plants),
+            "product_warehouses": list(warehouses),
+            "stores": list(stores),
+        },
+        "demand": {
+            "stores": demand or {s: {p: 2 for p in products} for s in stores},
+            "retail_prices": {p: 10 for p in products},
+        },
+        "production": production,
+    }
+
+
+def outcome(call, *args):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        result = call(*args)
+    except (InfeasibleError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, tuple):  # (pair, flow): keep the shipment order too
+        return result[0], list(result[1].shipments.items()), result[1].total_cost
+    if isinstance(result, FlowAssignment):
+        return list(result.shipments.items()), result.total_cost
+    return result
+
+
+@st.composite
+def leg_cases(draw):
+    """Small leg scenarios with integer costs, so equal costs are common.
+
+    Candidate orders are drawn, so string order (W10 < W8 < W9) and site
+    order disagree; some draws leave commodities off legs (inf routes) or
+    give plants too little output.
+    """
+
+    def order(ids, n):
+        return draw(st.permutations(ids))[:n]
+
+    plants = order(["P8", "P9", "P10"], draw(st.integers(1, 2)))
+    raws = order(["r1", "r2"], draw(st.integers(1, 2)))
+    products = order(["p1", "p2"], draw(st.integers(1, 2)))
+    raw_warehouses = order(["R8", "R9", "R10"], draw(st.integers(len(plants), 3)))
+    warehouses = order(["W8", "W9", "W10"], draw(st.sampled_from([1, 2, 3, 3])))
+    stores = order(["S8", "S9", "S10"], draw(st.integers(1, 3)))
+    leg = st.sampled_from([None, 0, 1, 2, 3]) if draw(st.booleans()) else st.integers(0, 3)
+    doc = network_doc(
+        lambda c, t, h: draw(leg),
+        plants=plants,
+        raws=tuple(raws),
+        products=tuple(products),
+        raw_warehouses=raw_warehouses,
+        warehouses=warehouses,
+        stores=stores,
+        demand={s: {p: draw(st.integers(0, 3)) for p in products} for s in stores},
+    )
+    scenario = Scenario.from_dict(doc)
+    outputs = {plant: {p: draw(st.integers(0, 9)) for p in products} for plant in plants}
+    requirements = {plant: {rid: float(draw(st.integers(0, 3))) for rid in raws} for plant in plants}
+    subset = tuple(order(warehouses, draw(st.integers(1, len(warehouses)))))
+    mode = draw(st.sampled_from(["weighted", "unit"]))
+    return scenario, tuple(plants), outputs, requirements, subset, mode
+
+
+class TestOracleEquivalence:
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(leg_cases())
+    def test_matches_scalar_code_exactly(self, case):
+        scenario, plants, outputs, requirements, subset, mode = case
+        assert outcome(greedy_flow, scenario, plants, outputs, subset) == outcome(
+            oracle_greedy_flow, scenario, plants, outputs, subset
+        )
+        assert outcome(select_product_warehouses, scenario, plants, outputs) == outcome(
+            oracle_select_product_warehouses, scenario, plants, outputs
+        )
+        assert outcome(select_raw_warehouses, scenario, plants, requirements, mode) == outcome(
+            oracle_select_raw_warehouses, scenario, plants, requirements, mode
+        )
+
+    def test_fixture_matches_scalar_code(self, s8):
+        for plants in itertools.combinations(s8.sites.plants, 2):
+            situation = build_situation(s8, plants)
+            pair, flow = oracle_select_product_warehouses(s8, plants, situation.outputs)
+            assert situation.product_warehouses == pair
+            assert list(situation.flow.shipments.items()) == list(flow.shipments.items())
+            assert situation.flow.total_cost == flow.total_cost
+            assert situation.raw_warehouses == oracle_select_raw_warehouses(
+                s8, plants, situation.plant_raw_requirements
+            )
+
+
+def only(commodity, tail, heads):
+    """Unit legs, except that ``commodity`` leaves ``tail`` towards ``heads`` only."""
+    return lambda c, t, h: None if (c == commodity and t == tail and h not in heads) else 1
+
+
+class TestErrorPaths:
+    """Skip reasons are part of the report; these strings are pinned."""
+
+    def solve_skipped(self, tmp_path, doc):
+        scenario, report = tmp_path / "scenario.json", tmp_path / "report.json"
+        scenario.write_text(json.dumps(doc))
+        args = ["solve", "-s", str(scenario), "--format", "json", "--out", str(report)]
+        assert placenet_main(args) == 0
+        payload = json.loads(report.read_text())
+        assert payload["selection"]["situations"] == ["P1,P2"]
+        return {s["plants"]: s["reason"] for s in payload["skipped"]}
+
+    def test_unreachable_product_route(self, tmp_path):
+        doc = network_doc(only("p1", "P3", ("W10",)), plants=("P1", "P2", "P3"))
+        assert self.solve_skipped(tmp_path, doc) == {
+            "P1,P3": "no p1 route from P3 to S8 via ('W8', 'W9')",
+            "P2,P3": "no p1 route from P3 to S8 via ('W8', 'W9')",
+        }
+
+    def test_unreachable_raw_route(self, tmp_path):
+        # r1 reaches P3 only through R9, so the first assignment in candidate
+        # order that fails sends P3 through R10 (string order would say R8).
+        doc = network_doc(
+            lambda c, t, h: None if (c == "r1" and h == "P3" and t != "R9") else 1,
+            plants=("P1", "P2", "P3"),
+            demand={"S8": {"p1": 8}, "S10": {"p1": 8}},
+        )
+        assert self.solve_skipped(tmp_path, doc) == {
+            "P1,P3": "no r1 route Xr1 -> R10 -> P3",
+            "P2,P3": "no r1 route Xr1 -> R10 -> P3",
+        }
+
+    def test_shortfall_in_product_after_unreachable_one(self, tmp_path):
+        doc = network_doc(
+            only("p1", "P3", ("W10",)),
+            plants=("P1", "P2", "P3"),
+            products=("p1", "p2"),
+            demand={"S8": {"p1": 6, "p2": 6}, "S10": {"p1": 6, "p2": 6}},
+            capacity={"P3": {"p2": 1}},
+        )
+        assert self.solve_skipped(tmp_path, doc) == {
+            "P1,P3": "allocation of p2 exceeds capacity at P3",
+            "P2,P3": "allocation of p2 exceeds capacity at P3",
+        }
+
+    @pytest.mark.parametrize("commodity", ["r2", "p2"])
+    def test_commodity_no_edge_carries_is_invalid_input(self, tmp_path, capsys, commodity):
+        doc = network_doc(
+            lambda c, t, h: None if c == commodity else 1,
+            plants=("P1", "P2", "P3"),
+            raws=("r1", "r2"),
+            products=("p1", "p2"),
+        )
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        assert placenet_main(["solve", "-s", str(scenario), "--format", "json"]) == 2
+        assert capsys.readouterr().err == f"error: no edge carries commodity {commodity!r}\n"
+
+    @pytest.mark.parametrize(
+        "heads, p2_output, error, message",
+        [
+            # p1 is unreachable in the first pair: it is checked before p2's shortfall
+            ("W10", 1, UnreachableRouteError, "no p1 route from P3 to S8 via ('W8', 'W9')"),
+            # p1 is unreachable in a later pair only: the first pair meets the shortfall
+            ("W8", 1, InfeasibleError, "outputs of p2 (3) cannot cover demand (4)"),
+            ("W8", 2, UnreachableRouteError, "no p1 route from P3 to S8 via ('W9', 'W10')"),
+        ],
+    )
+    def test_pair_search_raises_first_error_of_the_pair_loop(
+        self, heads, p2_output, error, message
+    ):
+        scenario = Scenario.from_dict(
+            network_doc(only("p1", "P3", (heads,)), plants=("P1", "P3"), products=("p1", "p2"))
+        )
+        outputs = {"P1": {"p1": 2, "p2": p2_output}, "P3": {"p1": 2, "p2": 2}}
+        with pytest.raises(error) as caught:
+            select_product_warehouses(scenario, ("P1", "P3"), outputs)
+        assert type(caught.value) is error and str(caught.value) == message
