@@ -47,6 +47,7 @@ from .network import (
     all_pairs_shortest_paths,
     build_network,
     euclidean_distance,
+    shortest_paths,
 )
 from .optimizers import (
     LoadingInstance,

@@ -182,7 +182,7 @@ def greedy_flow(
         cost = np.take_along_axis(legs, via[:, None], axis=1)[:, 0]
         if np.isinf(cost).any():
             plant, store = np.argwhere(np.isinf(cost))[0]
-            scenario.distances(product)  # a ScenarioError when no edge carries it
+            scenario.check_carried(product)
             raise UnreachableRouteError(
                 f"no {product} route from {plants[plant]} to {stores[store]} via {warehouses}"
             )
@@ -227,7 +227,7 @@ def select_raw_warehouses(
     if np.isinf(scores).any():
         c, t = np.argwhere(np.isinf(scores.T))[0]
         i, rid, _term = terms[t]
-        scenario.distances(rid)  # a ScenarioError when no edge carries it
+        scenario.check_carried(rid)
         source, warehouse = scenario.sites.extraction[rid], candidates[choices[c, i]]
         raise UnreachableRouteError(f"no {rid} route {source} -> {warehouse} -> {plants[i]}")
     cost = sum(scores, np.zeros(len(choices)))

@@ -2,10 +2,13 @@
 
 Nodes are dense integer indices with (x, y) coordinates.  Each edge carries a
 cost (and optionally a capacity) per commodity; an edge simply omits the
-commodities it does not carry.  All-pairs shortest-path cost matrices are
-computed with the Floyd recurrence, one matrix per commodity.  Networks and
-distance matrices are immutable after construction, so they can be shared
-freely across workers; distinct commodities may be processed concurrently.
+commodities it does not carry.  Route costs come from two kernels:
+:func:`shortest_paths` gives the rows of a few sources by vectorised
+Bellman-Ford (what the pipeline reads), and :func:`all_pairs_shortest_paths`
+gives a full matrix by the Floyd recurrence (for ``placenet paths``).  Both
+take one commodity at a time.  Networks and distance matrices are immutable
+after construction, so they can be shared freely across workers; distinct
+commodities may be processed concurrently.
 """
 
 from __future__ import annotations
@@ -122,16 +125,10 @@ def build_network(
     return Network(nodes, checked)
 
 
-def all_pairs_shortest_paths(net: Network, commodity: str) -> CommodityDistanceMatrix:
-    """Minimum total cost over directed paths, per the Floyd recurrence.
-
-    Requires nonnegative finite edge costs for the commodity; unreachable
-    pairs come out as inf, never as a large finite stand-in.  Only costs are
-    produced; path reconstruction is out of scope.
-    """
-    n = len(net)
-    dist = np.full((n, n), INF)
-    np.fill_diagonal(dist, 0.0)
+def _carried(net: Network, commodity: str) -> list[tuple[int, int, float]]:
+    """(tail, head, cost) of each edge carrying the commodity, in edge order;
+    the first cost that is negative or not finite raises ScenarioError."""
+    carried = []
     for edge in net.edges:
         if commodity not in edge.cost:
             continue
@@ -140,8 +137,57 @@ def all_pairs_shortest_paths(net: Network, commodity: str) -> CommodityDistanceM
             raise ScenarioError(
                 f"edge ({edge.tail}, {edge.head}) cost for {commodity} must be finite and >= 0"
             )
-        if cost < dist[edge.tail, edge.head]:
-            dist[edge.tail, edge.head] = cost
+        carried.append((edge.tail, edge.head, cost))
+    return carried
+
+
+def shortest_paths(net: Network, commodity: str, sources: Sequence[int]) -> np.ndarray:
+    """Minimum route cost from each source to every node, shape (sources, n).
+
+    Multi-source Bellman-Ford: each round relaxes every edge for every source
+    at once, taking the minimum over the edges into each head, and the loop
+    stops at the first round that improves nothing.  A cost is the sum of
+    its path's edge costs from the source onwards, as Dijkstra adds them, so
+    on non-integer costs a cell may differ from Floyd's in the last bit.
+    Same cost checks as :func:`all_pairs_shortest_paths`; inf where
+    unreachable.
+    """
+    sources = np.asarray(sources, dtype=np.intp)
+    dist = np.full((len(sources), len(net)), INF)
+    dist[np.arange(len(sources)), sources] = 0.0
+    carried = _carried(net, commodity)
+    if not carried:
+        return dist
+    tails, heads, costs = (np.array(column) for column in zip(*carried))
+    order = np.argsort(heads, kind="stable")
+    tails, heads, costs = tails[order], heads[order], costs[order].astype(float)
+    starts = np.flatnonzero(np.diff(heads, prepend=-1))  # np.unique here costs RSS
+    targets = heads[starts]
+    while True:
+        current = dist[:, targets]
+        reached = np.minimum.reduceat(dist[:, tails] + costs, starts, axis=1)
+        if not (reached < current).any():
+            return dist
+        dist[:, targets] = np.minimum(current, reached)
+
+
+def all_pairs_shortest_paths(net: Network, commodity: str) -> CommodityDistanceMatrix:
+    """Minimum total cost over directed paths, per the Floyd recurrence.
+
+    Requires nonnegative finite edge costs for the commodity; unreachable
+    pairs come out as inf, never as a large finite stand-in.  Only costs are
+    produced; path reconstruction is out of scope.  Floyd stays the kernel
+    for a full matrix, which is O(n^2) memory whatever the density: all
+    sources through :func:`shortest_paths` measured 3-4x slower on a
+    529-node, 1938-edge grid (1.2-1.6 s against 0.4 s per commodity), and
+    its per-round temporary is sources x edges floats.
+    """
+    n = len(net)
+    dist = np.full((n, n), INF)
+    np.fill_diagonal(dist, 0.0)
+    for tail, head, cost in _carried(net, commodity):
+        if cost < dist[tail, head]:
+            dist[tail, head] = cost
     for k in range(n):
         np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :], out=dist)
     return CommodityDistanceMatrix(commodity, dist)

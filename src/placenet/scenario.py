@@ -3,7 +3,8 @@
 A scenario is a single JSON document (see docs/formats.md).  String node ids
 are mapped to dense integer indices at load time; everything downstream works
 with the dense indices and the scenario keeps the label mapping for reporting.
-Scenarios are immutable after load, so shared read access is safe.
+Scenarios are immutable after load, so shared read access is safe; the one
+cache, full distance matrices filled on first request, is idempotent.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .network import (
     all_pairs_shortest_paths,
     build_network,
     euclidean_distance,
+    shortest_paths,
 )
 
 DEFAULT_PLANT_CAPACITY = 10.0
@@ -104,7 +106,7 @@ class Violation:
 
 
 class Scenario:
-    """A fully validated problem instance with cached distance matrices."""
+    """A fully validated problem instance with site-indexed route costs."""
 
     def __init__(
         self,
@@ -142,34 +144,38 @@ class Scenario:
         self.digest = digest
         # private deep copy so later mutation of the caller's dict cannot leak in
         self._source = json.loads(json.dumps(source))
-        self._distances: dict[str, CommodityDistanceMatrix] = {
-            commodity: all_pairs_shortest_paths(network, commodity)
-            for commodity in sorted(network.commodities)
-        }
         # Route costs by site position; inf where there is no route.
         # raw_costs[raw][rw, plant] = D[extraction, rw] + D[rw, plant]
         # ship_costs[product][plant, pw, store] = D[plant, pw] + D[pw, store]
-        self.raw_costs = {
-            rid: self._legs(rid, [sites.extraction[rid]], sites.raw_warehouses, sites.plants)[0]
-            for rid in self.raw_ids
-        }
-        self.ship_costs = {
-            product: self._legs(product, sites.plants, sites.product_warehouses, sites.stores)
-            for product in self.product_ids
-        }
+        # Only the rows of the legs' sources are computed, in sorted commodity
+        # order so that the first bad edge cost reported does not depend on kind.
+        raw_legs = (sites.raw_warehouses, sites.plants)
+        ship_legs = (sites.plants, sites.product_warehouses, sites.stores)
+        legs = {rid: ((sites.extraction[rid],), *raw_legs) for rid in self.raw_ids}
+        legs |= {product: ship_legs for product in self.product_ids}
+        costs = {commodity: self._legs(commodity, *legs[commodity]) for commodity in sorted(legs)}
+        self.raw_costs = {rid: costs[rid][0] for rid in self.raw_ids}
+        self.ship_costs = {product: costs[product] for product in self.product_ids}
+        self._distances: dict[str, CommodityDistanceMatrix] = {}
 
     def _legs(self, commodity: str, *groups: tuple[str, ...]) -> np.ndarray:
         """D[a, b] + D[b, c] over three label groups, shape (a, b, c)."""
         a, b, c = ([self.node_index[label] for label in group] for group in groups)
-        matrix = self._distances.get(commodity)
-        dist = matrix.dist if matrix is not None else np.full((len(self.node_labels),) * 2, np.inf)
-        return dist[np.ix_(a, b)][:, :, None] + dist[np.ix_(b, c)][None, :, :]
+        rows = shortest_paths(self.network, commodity, a + b)
+        return rows[: len(a), b][:, :, None] + rows[len(a) :, c][None, :, :]
+
+    def check_carried(self, commodity: str) -> None:
+        """Raise ScenarioError when no edge carries the commodity."""
+        if commodity not in self.network.commodities:
+            raise ScenarioError(f"no edge carries commodity {commodity!r}")
 
     def distances(self, commodity: str) -> CommodityDistanceMatrix:
-        try:
-            return self._distances[commodity]
-        except KeyError:
-            raise ScenarioError(f"no edge carries commodity {commodity!r}") from None
+        """The full matrix for a commodity, computed on first request; the
+        pipeline never asks for one."""
+        self.check_carried(commodity)
+        if commodity not in self._distances:
+            self._distances[commodity] = all_pairs_shortest_paths(self.network, commodity)
+        return self._distances[commodity]
 
     def distance(self, commodity: str, from_label: str, to_label: str) -> float:
         """Minimum route cost between two labelled nodes for a commodity."""
@@ -214,8 +220,16 @@ def _require(data: dict[str, Any], key: str, context: str) -> Any:
     return data[key]
 
 
+def _number(value: Any, what: str, kind: type = float) -> Any:
+    """``kind(value)``, or a ScenarioError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{what} must be a number, got {value!r}") from None
+
+
 def _nonneg(value: float, what: str) -> float:
-    value = float(value)
+    value = _number(value, what)
     if not math.isfinite(value) or value < 0:
         raise ScenarioError(f"{what} must be a finite number >= 0, got {value}")
     return value
@@ -236,7 +250,8 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         if label in node_labels:
             raise ScenarioError(f"nodes: duplicate id {label!r}")
         node_labels.append(label)
-        nodes.append(Node(i, float(spec.get("x", 0.0)), float(spec.get("y", 0.0))))
+        x, y = (_number(spec.get(axis, 0.0), f"nodes[{i}].{axis}") for axis in "xy")
+        nodes.append(Node(i, x, y))
     index = {label: i for i, label in enumerate(node_labels)}
 
     def node_ref(label: Any, context: str) -> str:
@@ -364,7 +379,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         per_product = {}
         for product, units in entries.items():
             commodity_ref(product, f"demand for {store}", PRODUCT)
-            units = int(units)
+            units = _number(units, f"demand for {store}: {product} units", int)
             if units < 0:
                 raise ScenarioError(f"demand for {store}: {product} units must be >= 0")
             per_product[product] = units
@@ -388,7 +403,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         factors[plant] = {}
         for product, j_factor in entries.items():
             commodity_ref(product, f"production factor at {plant}", PRODUCT)
-            j_factor = float(j_factor)
+            j_factor = _number(j_factor, f"production factor at {plant} for {product}")
             if not j_factor > 0:
                 raise ScenarioError(f"production factor at {plant} for {product} must be > 0")
             factors[plant][product] = j_factor
@@ -404,7 +419,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         exponents[product] = {}
         for rid, exponent in entries.items():
             commodity_ref(rid, f"exponents for {product}", RAW)
-            exponent = float(exponent)
+            exponent = _number(exponent, f"exponent for {product}/{rid}")
             if not exponent > 0:
                 raise ScenarioError(f"exponent for {product}/{rid} must be > 0")
             exponents[product][rid] = exponent
@@ -438,7 +453,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
             output[plant] = {}
             for product, units in entries.items():
                 commodity_ref(product, f"split output at {plant}", PRODUCT)
-                units = int(units)
+                units = _number(units, f"split output at {plant} for {product}", int)
                 if units < 0:
                     raise ScenarioError(f"split output at {plant} for {product} must be >= 0")
                 output[plant][product] = units

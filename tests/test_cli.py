@@ -1,5 +1,8 @@
+import copy
 import hashlib
 import json
+import math
+import os
 import re
 import subprocess
 import sys
@@ -10,11 +13,13 @@ from conftest import FIXTURES, REPO_ROOT
 
 
 def run_cli(*args, cwd=REPO_ROOT):
+    path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
         [sys.executable, "-m", "placenet.cli", *map(str, args)],
         cwd=cwd,
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
 
 
@@ -138,6 +143,78 @@ class TestSolve:
         args = ["solve", "-s", str(FIXTURES / "example_s8.json"), "--format", "json"]
         assert main([*args, "--out", str(out), *extra]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+    def test_solve_never_builds_a_full_matrix(self, tmp_path, monkeypatch):
+        import placenet.scenario
+        from placenet.cli import main
+
+        def refuse(net, commodity):
+            raise AssertionError(f"full matrix built for {commodity}")
+
+        monkeypatch.setattr(placenet.scenario, "all_pairs_shortest_paths", refuse)
+        out = tmp_path / "report.json"
+        args = ["solve", "-s", str(FIXTURES / "example_s8.json"), "--format", "json"]
+        assert main([*args, "--out", str(out)]) == 0
+        pin = json.loads((REPO_ROOT / "bench" / "pins.json").read_text())["example_s8"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pin
+
+
+def _set(doc, path, value):
+    *keys, last = path
+    for key in keys:
+        doc = doc[key]
+    doc[last] = value
+
+
+# (path into example_s8, malformed value, field the error names)
+MALFORMED = [
+    (("nodes", 0, "x"), "abc", "nodes[0].x"),
+    (("nodes", 3, "y"), None, "nodes[3].y"),
+    (("edges", 0, "cost", "a1"), "zz", "edges[0] cost for a1"),
+    (("edges", 1, "capacity"), {"a1": [5]}, "edges[1] capacity for a1"),
+    (("commodities", 0, "storage_fee"), "free", "commodity a1: storage_fee"),
+    (("grid_costs",), {"a1": {"horizontal": "h", "vertical": 1}}, "horizontal cost"),
+    (("production", "factors", "x7", "b1"), "j", "production factor at x7 for b1"),
+    (("production", "exponents", "b2", "a1"), [0.5], "exponent for b2/a1"),
+    (("demand", "stores", "x14", "b1"), "five", "demand for x14: b1 units"),
+    (("demand", "stores", "x15", "b3"), math.inf, "demand for x15: b3 units"),
+    (
+        ("production", "splits", 0, "output", "x7", "b1"),
+        "7 units",
+        "split output at x7 for b1",
+    ),
+]
+
+
+class TestMalformedInput:
+    """Malformed numbers end in exit 2 with the field named, not a traceback."""
+
+    @pytest.mark.parametrize("path, value, field", MALFORMED, ids=[c[2] for c in MALFORMED])
+    def test_exits_2_naming_the_field(self, s8_dict, tmp_path, capsys, path, value, field):
+        from placenet.cli import main
+
+        doc = copy.deepcopy(s8_dict)
+        _set(doc, path, value)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        assert main(["solve", "-s", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{field} must be a" in err
+
+    def test_first_bad_commodity_is_reported(self, s8_dict, tmp_path, capsys):
+        # Both a1 and b1 overflow to an inf cost on edge (0, 1); a1 sorts first.
+        from placenet.cli import main
+
+        doc = copy.deepcopy(s8_dict)
+        doc["nodes"][0]["x"] = 1e308
+        doc["grid_costs"] = {c: {"horizontal": 10, "vertical": 1} for c in ("a1", "b1")}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        assert main(["solve", "-s", str(scenario)]) == 2
+        assert capsys.readouterr().err.endswith(
+            ": edge (0, 1) cost for a1 must be finite and >= 0\n"
+        )
 
 
 class TestPaths:

@@ -12,6 +12,7 @@ from placenet import (
     all_pairs_shortest_paths,
     build_network,
     euclidean_distance,
+    shortest_paths,
 )
 
 
@@ -130,6 +131,86 @@ class TestShortestPaths:
         object.__setattr__(net.edges[0], "cost", {"c": -2.0})
         with pytest.raises(ScenarioError, match="finite and >= 0"):
             all_pairs_shortest_paths(net, "c")
+
+
+class TestSourceRows:
+    """shortest_paths against Floyd's rows and the Dijkstra oracle, exactly."""
+
+    def test_rows_equal_floyd_and_dijkstra(self):
+        rng = random.Random(20261018)
+        for _ in range(150):
+            n = rng.randint(2, 12)
+            net, edges = random_graph(rng, n, rng.randint(1, min(3 * n, n * (n - 1))))
+            sources = [rng.randrange(n) for _ in range(rng.randint(1, n))]
+            rows = shortest_paths(net, "c", sources)
+            assert rows.shape == (len(sources), n)
+            full = all_pairs_shortest_paths(net, "c").dist
+            for row, source in zip(rows, sources):
+                assert row.tolist() == full[source].tolist()
+                assert row.tolist() == dijkstra_distances(n, edges, source)
+
+    def test_decimal_costs_equal_dijkstra(self):
+        # Sums run along each path from the source, as Dijkstra adds them;
+        # Floyd's grouping may differ from both in the last bit.
+        rng = random.Random(7)
+        for _ in range(60):
+            n = rng.randint(3, 10)
+            net, edges = random_graph(rng, n, rng.randint(n, 2 * n))
+            edges = [(i, j, w / 7 + 0.1) for i, j, w in edges]
+            net = build_network(net.nodes, [Edge(i, j, {"c": w}) for i, j, w in edges])
+            rows = shortest_paths(net, "c", range(n))
+            for source in range(n):
+                assert rows[source].tolist() == dijkstra_distances(n, edges, source)
+
+    def test_unreachable_is_inf(self):
+        nodes = [Node(i, i, 0) for i in range(4)]
+        net = build_network(nodes, [Edge(0, 1, {"c": 3}), Edge(2, 3, {"c": 1})])
+        assert shortest_paths(net, "c", [0, 3]).tolist() == [
+            [0, 3, math.inf, math.inf],
+            [math.inf, math.inf, math.inf, 0],
+        ]
+
+    def test_parallel_edges_take_the_cheapest(self):
+        nodes = [Node(i, i, 0) for i in range(3)]
+        edges = [Edge(0, 1, {"c": 5}), Edge(0, 1, {"c": 2}), Edge(1, 2, {"c": 1}),
+                 Edge(0, 1, {"c": 4}), Edge(0, 2, {"c": 9})]
+        net = build_network(nodes, edges)
+        assert shortest_paths(net, "c", [0]).tolist() == [[0, 2, 3]]
+
+    def test_zero_cost_edges(self):
+        nodes = [Node(i, i, 0) for i in range(4)]
+        edges = [Edge(0, 1, {"c": 0}), Edge(1, 2, {"c": 0}), Edge(2, 0, {"c": 0}),
+                 Edge(2, 3, {"c": 7})]
+        net = build_network(nodes, edges)
+        assert shortest_paths(net, "c", [1, 3]).tolist() == [
+            [0, 0, 0, 7],
+            [math.inf, math.inf, math.inf, 0],
+        ]
+
+    def test_repeated_sources_give_equal_rows(self):
+        net, _ = random_graph(random.Random(3), 7, 15)
+        rows = shortest_paths(net, "c", [4, 2, 4, 4])
+        assert rows[0].tolist() == rows[2].tolist() == rows[3].tolist()
+        assert rows[1].tolist() == all_pairs_shortest_paths(net, "c").dist[2].tolist()
+
+    def test_commodity_without_edges(self):
+        net, _ = random_graph(random.Random(4), 5, 8)
+        rows = shortest_paths(net, "other", [1, 3])
+        expected = np.full((2, 5), math.inf)
+        expected[0, 1] = expected[1, 3] = 0
+        assert rows.tolist() == expected.tolist()
+
+    def test_no_sources(self):
+        net, _ = random_graph(random.Random(5), 5, 8)
+        assert shortest_paths(net, "c", []).shape == (0, 5)
+
+    @pytest.mark.parametrize("bad", [-2.0, math.inf, math.nan])
+    def test_rejects_bad_edge_cost(self, bad):
+        nodes = [Node(0, 0, 0), Node(1, 1, 0), Node(2, 2, 0)]
+        net = build_network(nodes, [Edge(0, 1, {"c": 1}), Edge(1, 2, {"c": 1})])
+        object.__setattr__(net.edges[1], "cost", {"c": bad})
+        with pytest.raises(ScenarioError, match=r"edge \(1, 2\) cost for c must be finite and >= 0"):
+            shortest_paths(net, "c", [0])
 
 
 class TestEuclidean:
