@@ -9,7 +9,6 @@ classical subproblem solvers (transportation, loading, production planning).
 
 from .agents import (
     Situation,
-    PayoffVector,
     agent1_components,
     agent1_payoff,
     agent2_payoff,
@@ -32,13 +31,12 @@ from .costflow import (
     demand_summary,
     greedy_flow,
     product_unit_total_cost,
-    raw_bundle_cost,
     raw_requirements,
     select_product_warehouses,
     select_raw_warehouses,
     total_demand,
 )
-from .errors import InfeasibleError, ScenarioError, UnreachableRouteError
+from .errors import InfeasibleError, ScenarioError
 from .network import (
     CommodityDistanceMatrix,
     Edge,
@@ -65,10 +63,8 @@ from .production import (
     PlantEconomics,
     allocate_output,
     cobb_douglas,
-    marginal_product,
     output_value,
     plant_economics,
-    plant_net_profit,
 )
 from .scenario import Scenario, Violation, load_scenario, validate_feasibility
 

@@ -38,16 +38,6 @@ class Situation:
         return ",".join(self.plants)
 
 
-@dataclass(frozen=True)
-class PayoffVector:
-    p1: float
-    p2: float
-    p3: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.p1, self.p2, self.p3)
-
-
 def build_situation(
     scenario: Scenario,
     plants: tuple[str, str],
@@ -186,8 +176,8 @@ def agent3_payoff(scenario: Scenario, situation: Situation) -> float:
     return agent3_revenue(scenario) - purchase_cost
 
 
-def payoff_vector(scenario: Scenario, situation: Situation) -> PayoffVector:
-    return PayoffVector(
+def payoff_vector(scenario: Scenario, situation: Situation) -> tuple[float, float, float]:
+    return (
         agent1_payoff(scenario, situation),
         agent2_payoff(scenario, situation),
         agent3_payoff(scenario, situation),
@@ -204,7 +194,7 @@ def evaluate_all(
         situations = enumerate_situations(scenario, warehouse_mode)
     if not situations:
         raise InfeasibleError("no feasible situation to evaluate")
-    columns = [payoff_vector(scenario, situation).as_tuple() for situation in situations]
+    columns = [payoff_vector(scenario, situation) for situation in situations]
     values = np.array(columns, dtype=float).T
     return PayoffMatrix(
         values=values,

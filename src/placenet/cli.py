@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_transport)
     p_transport.set_defaults(func=cmd_transport)
 
-    p_load = sub.add_parser("load", help="solve a loading (bounded knapsack) instance")
+    p_load = sub.add_parser("load", help="solve a loading (unbounded knapsack) instance")
     p_load.add_argument("instance", type=Path)
     p_load.add_argument("--quantum", type=float, default=1.0, help="weight unit for scaling")
     p_load.add_argument("--capacity", type=float, default=None, help="override instance capacity")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ScenarioError, UnreachableRouteError
+from .errors import InfeasibleError, ScenarioError
 from .scenario import Scenario
 
 WEIGHTED = "weighted"
@@ -81,26 +81,6 @@ def raw_requirements(
 def demand_summary(scenario: Scenario) -> DemandSummary:
     totals = total_demand(scenario)
     return DemandSummary(totals, raw_requirements(totals, scenario.recipes))
-
-
-def raw_bundle_cost(
-    scenario: Scenario, plant: str, bundle: dict[str, float], warehouse: str
-) -> float:
-    """Cost of buying a raw bundle delivered to a plant through one warehouse.
-
-    Per unit of each raw: extraction cost, transport on both legs, and the
-    warehouse storage fee.  An unreachable route costs inf.
-    """
-    w, p = scenario.sites.raw_warehouses.index(warehouse), scenario.sites.plants.index(plant)
-    c, route = scenario.commodities, scenario.raw_costs
-    return sum(
-        (
-            units * (c[rid].unit_cost + float(route[rid][w, p]) + c[rid].storage_fee)
-            for rid, units in bundle.items()
-            if units != 0
-        ),
-        0.0,
-    )
 
 
 def product_unit_total_cost(scenario: Scenario, plant_unit_price: float, product: str) -> float:
@@ -183,7 +163,7 @@ def greedy_flow(
         if np.isinf(cost).any():
             plant, store = np.argwhere(np.isinf(cost))[0]
             scenario.check_carried(product)
-            raise UnreachableRouteError(
+            raise InfeasibleError(
                 f"no {product} route from {plants[plant]} to {stores[store]} via {warehouses}"
             )
         shipped: list[tuple[int, int, int, float]] = []
@@ -229,7 +209,7 @@ def select_raw_warehouses(
         i, rid, _term = terms[t]
         scenario.check_carried(rid)
         source, warehouse = scenario.sites.extraction[rid], candidates[choices[c, i]]
-        raise UnreachableRouteError(f"no {rid} route {source} -> {warehouse} -> {plants[i]}")
+        raise InfeasibleError(f"no {rid} route {source} -> {warehouse} -> {plants[i]}")
     cost = sum(scores, np.zeros(len(choices)))
     ties = choices[cost == cost.min()]
     return dict(zip(plants, min(tuple(candidates[w] for w in choice) for choice in ties)))

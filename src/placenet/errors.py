@@ -10,7 +10,3 @@ class ScenarioError(ValueError):
 
 class InfeasibleError(RuntimeError):
     """A well-formed instance admits no solution under its constraints."""
-
-
-class UnreachableRouteError(InfeasibleError):
-    """A required route has infinite cost (no path carries the commodity)."""

@@ -4,11 +4,14 @@ All three are pure solvers over small dense instances:
 
 * transportation -- northwest-corner initial basic plan improved to optimality
   with the potentials method (reduced costs on nonbasic cells, stepping-stone
-  cycle pivots);
-* loading -- bounded integer knapsack by the stage recurrence
-  f_i(x) = max over m_i of (r_i m_i + f_{i+1}(x - w_i m_i));
+  cycle pivots).  The basic cells form a spanning tree over the rows and
+  columns, so the potentials and each pivot cycle come from one walk over it;
+* loading -- unbounded integer knapsack (no per-item count limit) by the stage
+  recurrence f_i(x) = max over m_i of (r_i m_i + f_{i+1}(x - w_i m_i));
 * production planning -- dense simplex on the standard-form augmentation with
   Bland's anti-cycling rule, plus an optional exhaustive integer mode.
+
+Instances read from JSON accept finite numbers only.
 """
 
 from __future__ import annotations
@@ -21,8 +24,19 @@ from typing import Any
 import numpy as np
 
 from .errors import InfeasibleError, ScenarioError
+from .scenario import _expect, _number, _require
 
 _EPS = 1e-9
+
+
+def _numbers(values: Any, what: str) -> tuple[float, ...]:
+    """A JSON list of finite numbers, or a ScenarioError naming the field."""
+    return tuple(_number(v, f"{what}[{k}]") for k, v in enumerate(_expect(values, list, what)))
+
+
+def _matrix(rows: Any, what: str) -> tuple[tuple[float, ...], ...]:
+    """A JSON list of lists of finite numbers, or a ScenarioError naming the field."""
+    return tuple(_numbers(row, f"{what}[{i}]") for i, row in enumerate(_expect(rows, list, what)))
 
 
 # ---------------------------------------------------------------------------
@@ -50,14 +64,12 @@ class TransportInstance:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "TransportInstance":
-        try:
-            return TransportInstance(
-                supply=tuple(float(v) for v in data["supply"]),
-                demand=tuple(float(v) for v in data["demand"]),
-                costs=tuple(tuple(float(c) for c in row) for row in data["costs"]),
-            )
-        except KeyError as exc:
-            raise ScenarioError(f"transport instance: missing key {exc}") from exc
+        supply, demand, costs = (
+            _require(data, key, "transport instance") for key in ("supply", "demand", "costs")
+        )
+        return TransportInstance(
+            _numbers(supply, "supply"), _numbers(demand, "demand"), _matrix(costs, "costs")
+        )
 
 
 @dataclass(frozen=True)
@@ -120,52 +132,53 @@ def _northwest_corner(supply: tuple[float, ...], demand: tuple[float, ...]):
     return cells
 
 
+def _walk(cells, m, root):
+    """Parent of each node reached from root over the basic cells, in visiting
+    order (the root's is None).  Row i is node i, column j is node m + j."""
+    adjacent: dict[int, list[int]] = {}
+    for i, j, _ in cells:
+        adjacent.setdefault(i, []).append(m + j)
+        adjacent.setdefault(m + j, []).append(i)
+    parent, queue = {root: None}, [root]
+    for node in queue:
+        for other in adjacent.get(node, ()):
+            if other not in parent:
+                parent[other] = node
+                queue.append(other)
+    return parent
+
+
+def _edge(a, b, m):
+    """The cell joining nodes a and b."""
+    return min(a, b), max(a, b) - m
+
+
 def _potentials(cells, costs, m, n):
-    u = [None] * m
-    v = [None] * n
-    u[0] = 0.0
-    todo = list(cells)
-    while todo:
-        progressed = False
-        for cell in list(todo):
-            i, j, _ = cell
-            if u[i] is not None and v[j] is None:
-                v[j] = costs[i][j] - u[i]
-            elif v[j] is not None and u[i] is None:
-                u[i] = costs[i][j] - v[j]
-            elif u[i] is None and v[j] is None:
-                continue
-            todo.remove(cell)
-            progressed = True
-        if not progressed:
-            raise RuntimeError("degenerate basis is disconnected")
-    return u, v
+    """u_i + v_j = c_ij on every basic cell, with u_0 = 0: each potential
+    follows from its parent's along the unique tree path from row 0."""
+    parent = _walk(cells, m, 0)
+    if len(parent) < m + n:
+        raise RuntimeError("degenerate basis is disconnected")
+    potential = [0.0] * (m + n)
+    for node, up in parent.items():
+        if up is not None:
+            i, j = _edge(node, up, m)
+            potential[node] = costs[i][j] - potential[up]
+    return potential[:m], potential[m:]
 
 
-def _find_cycle(basis_cells, start):
-    """Unique alternating row/column cycle through the basis from start."""
-    cells = [tuple(c[:2]) for c in basis_cells]
-
-    def extend(path, along_row):
-        last = path[-1]
-        candidates = [
-            c
-            for c in cells
-            if c not in path and (c[0] == last[0] if along_row else c[1] == last[1])
-        ]
-        for nxt in candidates:
-            closes = (nxt[1] == start[1]) if along_row else (nxt[0] == start[0])
-            if closes and len(path) >= 3:
-                return path + [nxt]
-            result = extend(path + [nxt], not along_row)
-            if result:
-                return result
-        return None
-
-    cycle = extend([start], True) or extend([start], False)
-    if cycle is None:
+def _find_cycle(cells, start, m):
+    """The entering cell, then the tree path from its row to its column: the
+    unique alternating row/column cycle the entering cell closes."""
+    parent = _walk(cells, m, start[0])
+    node = m + start[1]
+    if node not in parent:
         raise RuntimeError("no pivot cycle found (basis is not a spanning tree)")
-    return cycle
+    path = []
+    while parent[node] is not None:
+        path.append(_edge(node, parent[node], m))
+        node = parent[node]
+    return [start, *reversed(path)]
 
 
 def solve_transportation(instance: TransportInstance) -> TransportPlan:
@@ -185,24 +198,19 @@ def solve_transportation(instance: TransportInstance) -> TransportPlan:
 
     m, n = len(instance.supply), len(instance.demand)
     costs = instance.costs
+    cost_matrix = np.array(costs, dtype=float)
     cells = _northwest_corner(instance.supply, instance.demand)
 
     for _ in range(10_000):
         u, v = _potentials(cells, costs, m, n)
-        in_basis = {(i, j) for i, j, _ in cells}
-        entering = None
-        most_negative = -_EPS
-        for i in range(m):
-            for j in range(n):
-                if (i, j) in in_basis:
-                    continue
-                delta = costs[i][j] - u[i] - v[j]
-                if delta < most_negative:
-                    most_negative = delta
-                    entering = (i, j)
-        if entering is None:
+        reduced = cost_matrix - np.array(u)[:, None] - np.array(v)
+        rows, cols, _ = zip(*cells)
+        reduced[rows, cols] = 0.0
+        # nanargmin: the first minimum in row-major order, as a strict < scan finds it
+        entering = divmod(int(np.nanargmin(reduced)), n)
+        if not reduced[entering] < -_EPS:
             break
-        cycle = _find_cycle(cells, entering)
+        cycle = _find_cycle(cells, entering, m)
         losing = cycle[1::2]
         by_cell = {(cell[0], cell[1]): cell for cell in cells}
         theta = min(by_cell[c][2] for c in losing)
@@ -222,7 +230,6 @@ def solve_transportation(instance: TransportInstance) -> TransportPlan:
     objective = sum(
         costs[i][j] * allocation[i][j] for i in range(m) for j in range(n)
     )
-    u, v = _potentials(cells, costs, m, n)
     return TransportPlan(
         allocation=tuple(tuple(row) for row in allocation),
         objective=objective,
@@ -234,7 +241,7 @@ def solve_transportation(instance: TransportInstance) -> TransportPlan:
 
 
 # ---------------------------------------------------------------------------
-# Loading (bounded knapsack) problem
+# Loading (unbounded knapsack) problem
 # ---------------------------------------------------------------------------
 
 
@@ -262,20 +269,21 @@ class LoadingInstance:
     @staticmethod
     def from_dict(data: dict[str, Any], quantum: float = 1.0) -> "LoadingInstance":
         """Build an instance, scaling fractional weights down by ``quantum``."""
-        if quantum <= 0:
+        if not quantum > 0:
             raise ScenarioError("quantum must be > 0")
-        try:
-            items = tuple(
-                LoadingItem(
-                    name=str(spec.get("name", f"item{i}")),
-                    weight=int(round(float(spec["weight"]) / quantum)),
-                    profit=float(spec["profit"]),
-                )
-                for i, spec in enumerate(data["items"])
-            )
-            capacity = int(math.floor(float(data["capacity"]) / quantum))
-        except KeyError as exc:
-            raise ScenarioError(f"loading instance: missing key {exc}") from exc
+
+        def scaled(value: Any, what: str) -> float:
+            return _number(_number(value, what) / quantum, f"{what} / quantum")
+
+        def item(i: int, spec: Any) -> LoadingItem:
+            what = f"items[{i}]"
+            weight = scaled(_require(spec, "weight", what), f"{what}.weight")
+            profit = _number(_require(spec, "profit", what), f"{what}.profit")
+            return LoadingItem(str(spec.get("name", f"item{i}")), int(round(weight)), profit)
+
+        specs = _expect(_require(data, "items", "loading instance"), list, "items")
+        items = tuple(item(i, spec) for i, spec in enumerate(specs))
+        capacity = math.floor(scaled(_require(data, "capacity", "loading instance"), "capacity"))
         return LoadingInstance(capacity=capacity, items=items)
 
 
@@ -297,14 +305,12 @@ def solve_loading(instance: LoadingInstance) -> LoadingSolution:
     capacity = instance.capacity
     table = np.zeros((n + 2, capacity + 1))
     for i in range(n, 0, -1):
-        item = instance.items[i - 1]
-        for x in range(capacity + 1):
-            best = 0.0
-            for m_i in range(x // item.weight + 1):
-                candidate = item.profit * m_i + table[i + 1][x - item.weight * m_i]
-                if candidate > best:
-                    best = candidate
-            table[i][x] = best
+        item, rest, row = instance.items[i - 1], table[i + 1], table[i]
+        row[:] = rest  # m_i = 0
+        for m_i in range(1, capacity // item.weight + 1):
+            shift = item.weight * m_i
+            candidate = item.profit * m_i + rest[: capacity + 1 - shift]
+            np.maximum(row[shift:], candidate, out=row[shift:])
 
     counts: dict[str, int] = {}
     x = capacity
@@ -354,16 +360,17 @@ class PlanInstance:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "PlanInstance":
-        try:
-            return PlanInstance(
-                lower=tuple(float(v) for v in data["lower"]),
-                upper=tuple(float(v) for v in data["upper"]),
-                resource_use=tuple(tuple(float(a) for a in row) for row in data["resource_use"]),
-                resource_limits=tuple(float(g) for g in data["resource_limits"]),
-                profit=tuple(float(c) for c in data["profit"]),
-            )
-        except KeyError as exc:
-            raise ScenarioError(f"plan instance: missing key {exc}") from exc
+        lower, upper, use, limits, profit = (
+            _require(data, key, "plan instance")
+            for key in ("lower", "upper", "resource_use", "resource_limits", "profit")
+        )
+        return PlanInstance(
+            lower=_numbers(lower, "lower"),
+            upper=_numbers(upper, "upper"),
+            resource_use=_matrix(use, "resource_use"),
+            resource_limits=_numbers(limits, "resource_limits"),
+            profit=_numbers(profit, "profit"),
+        )
 
 
 def _simplex_max(c: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -384,9 +391,10 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray
 
     while True:
         reduced = objective - objective[basis] @ tableau[:, :-1]
-        entering = next((j for j in range(n_vars + n_rows) if reduced[j] > _EPS), None)
-        if entering is None:
+        positive = np.flatnonzero(reduced > _EPS)
+        if not positive.size:
             break
+        entering = int(positive[0])
         ratios = [
             (tableau[i, -1] / tableau[i, entering], basis[i], i)
             for i in range(n_rows)
@@ -396,9 +404,10 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray
             raise InfeasibleError("linear program is unbounded")
         _, _, pivot_row = min(ratios)
         tableau[pivot_row] /= tableau[pivot_row, entering]
-        for i in range(n_rows):
-            if i != pivot_row and tableau[i, entering] != 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[pivot_row]
+        factor = tableau[:, entering].copy()
+        factor[pivot_row] = 0.0
+        touched = factor != 0.0  # rows left alone keep their values, signed zeros included
+        tableau[touched] -= factor[touched, None] * tableau[pivot_row]
         basis[pivot_row] = entering
 
     y = np.zeros(n_vars + n_rows)
@@ -430,7 +439,7 @@ def solve_production_plan(
 
     if integer:
         ranges = [range(int(lo), int(hi) + 1) for lo, hi in zip(instance.lower, instance.upper)]
-        size = math.prod(len(r) for r in ranges)
+        size = math.prod(r.stop - r.start for r in ranges)  # len() overflows on huge boxes
         if size > 10**6:
             raise ScenarioError(f"integer mode refused: {size} candidate plans > 10^6")
         best_x: tuple[int, ...] | None = None

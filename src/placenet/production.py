@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,7 +45,12 @@ def output_value(scenario: Scenario, plant: str, product: str, quantity: float) 
             * scenario.recipes[product].get(rid, 0.0)
             * quantity
         )
-        value *= spend**exponent
+        try:
+            value *= spend**exponent
+        except OverflowError:
+            value = math.inf
+    if not math.isfinite(value):  # an overflow, or an overflow times a zero spend
+        raise ScenarioError(f"output value of {product} at plant {plant} overflows")
     return value
 
 
@@ -90,11 +96,6 @@ def plant_economics(scenario: Scenario, plant: str, product: str, quantity: int)
     )
 
 
-def plant_net_profit(economics: PlantEconomics) -> float:
-    """Output value minus the raw purchase cost for the produced quantity."""
-    return economics.net_profit
-
-
 def allocate_output(
     totals: dict[str, int],
     plants: tuple[str, str],
@@ -130,9 +131,3 @@ def allocate_output(
         allocation[second][product] = take_second
     return allocation
 
-
-def marginal_product(q: Callable[[float], float], level: float, increment: float) -> float:
-    """Forward-difference rate of output change per unit of one input."""
-    if increment <= 0:
-        raise ScenarioError("increment must be > 0")
-    return (q(level + increment) - q(level)) / increment

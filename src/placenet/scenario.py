@@ -214,23 +214,43 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
+def _expect(value: Any, kind: type, what: str) -> Any:
+    """``value`` if it is a ``kind`` (dict for a JSON object, list for a JSON
+    list), else a ScenarioError naming the field."""
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a list"
+        raise ScenarioError(f"{what} must be {noun}, got {value!r}")
+    return value
+
+
+def _entries(value: Any, what: str):
+    """The items of a JSON object, or a ScenarioError naming the field."""
+    return _expect(value, dict, what).items()
+
+
 def _require(data: dict[str, Any], key: str, context: str) -> Any:
-    if key not in data:
+    if key not in _expect(data, dict, context):
         raise ScenarioError(f"{context}: missing required key {key!r}")
     return data[key]
 
 
 def _number(value: Any, what: str, kind: type = float) -> Any:
-    """``kind(value)``, or a ScenarioError naming the field."""
+    """A finite ``kind`` (an int must be integral), or a ScenarioError naming
+    the field."""
     try:
-        return kind(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ScenarioError(f"{what} must be a finite number, got {value!r}")
+    if kind is int and not number.is_integer():
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return kind(number)
 
 
 def _nonneg(value: float, what: str) -> float:
     value = _number(value, what)
-    if not math.isfinite(value) or value < 0:
+    if value < 0:
         raise ScenarioError(f"{what} must be a finite number >= 0, got {value}")
     return value
 
@@ -261,8 +281,8 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         return label
 
     commodities: dict[str, Commodity] = {}
-    for spec in _require(data, "commodities", "scenario"):
-        cid = str(_require(spec, "id", "commodities"))
+    for i, spec in enumerate(_require(data, "commodities", "scenario")):
+        cid = str(_require(spec, "id", f"commodities[{i}]"))
         kind = str(_require(spec, "kind", f"commodity {cid}"))
         if kind not in (RAW, PRODUCT):
             raise ScenarioError(f"commodity {cid}: kind must be 'raw' or 'product'")
@@ -291,7 +311,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
     grid_costs = None
     if "grid_costs" in data and data["grid_costs"] is not None:
         grid_costs = {}
-        for cid, spec in data["grid_costs"].items():
+        for cid, spec in _entries(data["grid_costs"], "grid_costs"):
             commodity_ref(cid, "grid_costs")
             grid_costs[cid] = (
                 _nonneg(_require(spec, "horizontal", f"grid_costs[{cid}]"), "horizontal cost"),
@@ -304,13 +324,13 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         head = node_ref(_require(spec, "to", f"edges[{i}]"), f"edges[{i}].to")
         cost = {
             commodity_ref(cid, f"edges[{i}].cost"): _nonneg(v, f"edges[{i}] cost for {cid}")
-            for cid, v in spec.get("cost", {}).items()
+            for cid, v in _entries(spec.get("cost", {}), f"edges[{i}].cost")
         }
         capacity = {
             commodity_ref(cid, f"edges[{i}].capacity"): _nonneg(
                 v, f"edges[{i}] capacity for {cid}"
             )
-            for cid, v in spec.get("capacity", {}).items()
+            for cid, v in _entries(spec.get("capacity", {}), f"edges[{i}].capacity")
         }
         if grid_costs is None and not cost:
             raise ScenarioError(f"edges[{i}]: needs a cost map (no grid_costs given)")
@@ -318,13 +338,13 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
     network = build_network(nodes, edges, grid_costs)
 
     recipes: dict[str, dict[str, float]] = {}
-    for product, entries in _require(data, "recipes", "scenario").items():
+    for product, entries in _entries(_require(data, "recipes", "scenario"), "recipes"):
         commodity_ref(product, "recipes", PRODUCT)
         recipe = {
             commodity_ref(rid, f"recipe for {product}", RAW): _nonneg(
                 units, f"recipe for {product}: {rid}"
             )
-            for rid, units in entries.items()
+            for rid, units in _entries(entries, f"recipe for {product}")
         }
         if not any(v > 0 for v in recipe.values()):
             raise ScenarioError(f"recipe for {product}: needs at least one positive entry")
@@ -336,7 +356,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
     sites_spec = _require(data, "sites", "scenario")
     extraction = {
         commodity_ref(rid, "sites.extraction", RAW): node_ref(label, f"sites.extraction[{rid}]")
-        for rid, label in _require(sites_spec, "extraction", "sites").items()
+        for rid, label in _entries(_require(sites_spec, "extraction", "sites"), "sites.extraction")
     }
     for rid in raw_ids:
         if rid not in extraction:
@@ -372,12 +392,12 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
 
     demand_spec = _require(data, "demand", "scenario")
     store_demand: dict[str, dict[str, int]] = {}
-    for store, entries in _require(demand_spec, "stores", "demand").items():
+    for store, entries in _entries(_require(demand_spec, "stores", "demand"), "demand.stores"):
         node_ref(store, "demand.stores")
         if store not in sites.stores:
             raise ScenarioError(f"demand.stores: {store!r} is not a store site")
         per_product = {}
-        for product, units in entries.items():
+        for product, units in _entries(entries, f"demand for {store}"):
             commodity_ref(product, f"demand for {store}", PRODUCT)
             units = _number(units, f"demand for {store}: {product} units", int)
             if units < 0:
@@ -390,7 +410,9 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         commodity_ref(product, "demand.retail_prices", PRODUCT): _nonneg(
             price, f"retail price for {product}"
         )
-        for product, price in _require(demand_spec, "retail_prices", "demand").items()
+        for product, price in _entries(
+            _require(demand_spec, "retail_prices", "demand"), "demand.retail_prices"
+        )
     }
     for product in product_ids:
         if product not in retail_prices:
@@ -398,10 +420,11 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
 
     production_spec = _require(data, "production", "scenario")
     factors: dict[str, dict[str, float]] = {}
-    for plant, entries in _require(production_spec, "factors", "production").items():
+    factor_spec = _require(production_spec, "factors", "production")
+    for plant, entries in _entries(factor_spec, "production.factors"):
         node_ref(plant, "production.factors")
         factors[plant] = {}
-        for product, j_factor in entries.items():
+        for product, j_factor in _entries(entries, f"production.factors[{plant}]"):
             commodity_ref(product, f"production factor at {plant}", PRODUCT)
             j_factor = _number(j_factor, f"production factor at {plant} for {product}")
             if not j_factor > 0:
@@ -414,10 +437,11 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
                     f"production.factors: missing factor for plant {plant!r}, product {product!r}"
                 )
     exponents: dict[str, dict[str, float]] = {}
-    for product, entries in _require(production_spec, "exponents", "production").items():
+    exponent_spec = _require(production_spec, "exponents", "production")
+    for product, entries in _entries(exponent_spec, "production.exponents"):
         commodity_ref(product, "production.exponents", PRODUCT)
         exponents[product] = {}
-        for rid, exponent in entries.items():
+        for rid, exponent in _entries(entries, f"production.exponents[{product}]"):
             commodity_ref(rid, f"exponents for {product}", RAW)
             exponent = _number(exponent, f"exponent for {product}/{rid}")
             if not exponent > 0:
@@ -428,13 +452,13 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
             raise ScenarioError(f"production.exponents: missing product {product!r}")
 
     capacity: dict[str, dict[str, float]] = {}
-    for plant, entries in production_spec.get("capacity", {}).items():
+    for plant, entries in _entries(production_spec.get("capacity", {}), "production.capacity"):
         node_ref(plant, "production.capacity")
         capacity[plant] = {
             commodity_ref(product, f"capacity at {plant}", PRODUCT): _nonneg(
                 value, f"capacity at {plant} for {product}"
             )
-            for product, value in entries.items()
+            for product, value in _entries(entries, f"production.capacity[{plant}]")
         }
 
     splits: dict[frozenset[str], dict[str, dict[str, int]]] = {}
@@ -448,10 +472,11 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
             if plant not in sites.plants:
                 raise ScenarioError(f"production.splits[{i}]: {plant!r} is not a plant candidate")
         output = {}
-        for plant, entries in _require(spec, "output", f"production.splits[{i}]").items():
+        output_spec = _require(spec, "output", f"production.splits[{i}]")
+        for plant, entries in _entries(output_spec, f"production.splits[{i}].output"):
             node_ref(plant, f"production.splits[{i}].output")
             output[plant] = {}
-            for product, units in entries.items():
+            for product, units in _entries(entries, f"production.splits[{i}].output[{plant}]"):
                 commodity_ref(product, f"split output at {plant}", PRODUCT)
                 units = _number(units, f"split output at {plant} for {product}", int)
                 if units < 0:
@@ -465,7 +490,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         factors=factors, exponents=exponents, capacity=capacity, splits=splits
     )
 
-    limits_spec = data.get("limits", {}) or {}
+    limits_spec = _expect(data.get("limits") or {}, dict, "limits")
     bounds = []
     for i, spec in enumerate(limits_spec.get("max_distances", [])):
         pair = _require(spec, "between", f"limits.max_distances[{i}]")

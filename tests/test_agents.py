@@ -187,7 +187,7 @@ class TestEvaluateAll:
     def test_single_situation_consistency(self, s8, s8_situations):
         matrix = evaluate_all(s8, s8_situations[:1])
         vec = payoff_vector(s8, s8_situations[0])
-        assert matrix.values[:, 0] == pytest.approx(vec.as_tuple())
+        assert matrix.values[:, 0] == pytest.approx(vec)
 
     def test_recomputation_is_bit_identical(self, s8):
         first = evaluate_all(s8)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -160,6 +161,123 @@ class TestSolve:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == pin
 
 
+def _solver_instances() -> dict[str, tuple[str, dict]]:
+    """The solver fixtures and seeded instances: zero supplies and demands, a
+    northwest corner that exhausts a row and a column at once, tied costs and
+    profit ratios, fractional data, and a 20x20 transportation instance."""
+    fixtures = {
+        "transport_2x2": "transport",
+        "transport_unbalanced": "transport",
+        "loading_small": "load",
+        "plan_small": "plan",
+    }
+    cases = {
+        name: (command, json.loads((FIXTURES / f"{name}.json").read_text()))
+        for name, command in fixtures.items()
+    }
+    rng = random.Random(2024)
+
+    def ints(k, lo, hi):
+        return [rng.randint(lo, hi) for _ in range(k)]
+
+    def decimals(k, lo, hi):
+        return [round(rng.uniform(lo, hi), 2) for _ in range(k)]
+
+    cases["transport-ties"] = ("transport", {
+        "supply": ints(6, 0, 5), "demand": ints(7, 0, 5), "costs": [ints(7, 0, 2) for _ in range(6)]
+    })
+    cases["transport-degenerate"] = ("transport", {
+        "supply": [3, 0, 4, 2, 1],
+        "demand": [3, 4, 0, 2, 1],
+        "costs": [ints(5, 0, 3) for _ in range(5)],
+    })
+    cases["transport-fractional"] = ("transport", {
+        "supply": decimals(8, 0, 9),
+        "demand": decimals(6, 0, 9),
+        "costs": [decimals(6, 0, 5) for _ in range(8)],
+    })
+    supply = ints(20, 1, 9)
+    cuts = sorted(rng.randint(0, sum(supply)) for _ in range(19))
+    cases["transport-20x20"] = ("transport", {
+        "supply": supply,
+        "demand": [b - a for a, b in zip([0] + cuts, cuts + [sum(supply)])],
+        "costs": [ints(20, 0, 20) for _ in range(20)],
+    })
+    cases["load-decimal"] = ("load", {"capacity": 700, "items": [
+        {"name": f"i{k}", "weight": rng.randint(7, 40), "profit": round(rng.uniform(1, 60), 2)}
+        for k in range(8)
+    ]})
+    cases["load-ties"] = ("load", {"capacity": 61, "items": [
+        {"name": f"w{w}", "weight": w, "profit": 1.5 * w} for w in (6, 2, 4, 3)
+    ]})
+    use = [decimals(4, 0, 3) for _ in range(8)]
+    lower = ints(8, 0, 2)
+    cases["plan-fractional"] = ("plan", {
+        "lower": lower,
+        "upper": [lo + round(rng.uniform(0.5, 6), 2) for lo in lower],
+        "resource_use": use,
+        "resource_limits": [
+            round(sum(u[j] * lo for u, lo in zip(use, lower)) + rng.uniform(0, 15), 2)
+            for j in range(4)
+        ],
+        "profit": decimals(7, 0, 9) + [-1.5],
+    })
+    cases["plan-degenerate"] = ("plan", {
+        "lower": [1, 0, 2, 0],
+        "upper": [4, 3, 5, 2],
+        "resource_use": [[1, 2], [1, 0], [0, 1], [2, 2]],
+        "resource_limits": [1, 4],
+        "profit": [2, 2, 2, 2],
+    })
+    return cases
+
+
+SOLVER_INSTANCES = _solver_instances()
+
+# sha256 of each instance's `--format json` output, followed by the solver state
+# the output leaves out (transport potentials, the loading table's bytes),
+# recorded from the solvers before the basis-tree rewrite.
+SOLVER_PINS = {
+    "transport_2x2": "27016a5c381ac76944201182ac80028342a5ef06226e4dc17b13349bb4922dd4",
+    "transport_unbalanced": "da7d9b87dd23dd51c09b4357f37a5e8ef96a8cd3c1cfd3afd2960ffbe9dfada0",
+    "loading_small": "bfe763c30d179136d0c127bc407b9b8e8c3187accd72a559c3f98f8ab1c3ead8",
+    "plan_small": "bbf73bfc25a2c8d26e7f5c82792bdb0bd7674d59135c833486b4c56aac828196",
+    "transport-ties": "fd3c2967bfcc0a189057c9ffdb8b44c8402f7dcccf252ba581006a6ce0df8142",
+    "transport-degenerate": "59deb652d1f13699a17c0e5558c2f0d0ce97357d06af6b80588eddd2667f0c36",
+    "transport-fractional": "a10be74bfcf42092ea3e9129561d448ae72381bf67c1197ae9f0c0b84bb85806",
+    "transport-20x20": "3a51ab7b47aeec57b0380ab35f56126430a5bfae887412846335fb3f807ce123",
+    "load-decimal": "cedf5559cdf4382ea05ea9a33c0e53d9fcfdb6024042936913242cdbd2d9e775",
+    "load-ties": "de91726044b870d5854a5393ee35476ad5953be86bb147f4c4b7a517c755ce68",
+    "plan-fractional": "5b086635453c88c2f39d9d4057c795da51327e0fb8d999a1f468b99e4a24a0d8",
+    "plan-degenerate": "16f169684aeb8fab1be410713459290bfb6b5bc25c0b232dfbeb562a14856b33",
+}
+
+
+def _solver_digest(tmp_path, name: str) -> str:
+    from placenet import optimizers
+    from placenet.cli import main
+
+    command, doc = SOLVER_INSTANCES[name]
+    instance, out = tmp_path / f"{name}.json", tmp_path / "out.json"
+    instance.write_text(json.dumps(doc))
+    assert main([command, str(instance), "--format", "json", "--out", str(out)]) == 0
+    state = b""
+    if command == "transport":
+        plan = optimizers.solve_transportation(optimizers.TransportInstance.from_dict(doc))
+        state = repr(plan.potentials).encode()
+    elif command == "load":
+        state = optimizers.solve_loading(optimizers.LoadingInstance.from_dict(doc)).table.tobytes()
+    return hashlib.sha256(out.read_bytes() + state).hexdigest()
+
+
+class TestSolverPins:
+    """Solver outputs stay bit-identical to the pinned ones."""
+
+    @pytest.mark.parametrize("name", list(SOLVER_INSTANCES))
+    def test_output_matches_pin(self, tmp_path, name):
+        assert _solver_digest(tmp_path, name) == SOLVER_PINS[name]
+
+
 def _set(doc, path, value):
     *keys, last = path
     for key in keys:
@@ -216,6 +334,57 @@ class TestMalformedInput:
             ": edge (0, 1) cost for a1 must be finite and >= 0\n"
         )
 
+
+# (command, input file, path into it, malformed value, what the error says)
+REJECTED = [
+    ("transport", "transport_2x2", ("supply",), ["a"], "supply[0] must be a number"),
+    ("transport", "transport_2x2", ("costs",), [1], "costs[0] must be a list"),
+    ("transport", "transport_2x2", ("demand", 0), math.inf, "demand[0] must be a finite number"),
+    ("load", "loading_small", ("items", 0), 3, "items[0] must be an object"),
+    ("load", "loading_small", ("items", 1, "profit"), math.nan, "items[1].profit must be a finite"),
+    ("plan", "plan_small", ("profit", 1), math.nan, "profit[1] must be a finite number"),
+    ("solve", "example_s8", ("nodes", 0), 5, "nodes[0] must be an object"),
+    ("solve", "example_s8", ("grid_costs",), {"a1": 3}, "grid_costs[a1] must be an object"),
+    (
+        "solve",
+        "example_s8",
+        ("production", "exponents", "b1", "a1"),
+        400,
+        "output value of b1 at plant x7 overflows",
+    ),
+    (
+        "solve",
+        "example_s8",
+        ("demand", "stores", "x14", "b1"),
+        2.5,
+        "demand for x14: b1 units must be an integer",
+    ),
+    (
+        "solve",
+        "example_s8",
+        ("production", "splits", 0, "output", "x7", "b1"),
+        2.5,
+        "split output at x7 for b1 must be an integer",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, path, value, message", REJECTED, ids=[c[-1] for c in REJECTED]
+)
+def test_malformed_input_exits_2_naming_the_field(
+    tmp_path, capsys, command, name, path, value, message
+):
+    from placenet.cli import main
+
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    _set(doc, path, value)
+    instance = tmp_path / "input.json"
+    instance.write_text(json.dumps(doc))
+    args = ["-s", str(instance)] if command == "solve" else [str(instance)]
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 class TestPaths:
     def test_prints_reference_leg_costs(self):

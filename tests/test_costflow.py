@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from placenet import (
     InfeasibleError,
     Scenario,
-    UnreachableRouteError,
     build_situation,
     greedy_flow,
     product_unit_total_cost,
-    raw_bundle_cost,
     raw_requirements,
     select_product_warehouses,
     select_raw_warehouses,
@@ -76,21 +74,6 @@ class TestRawRequirements:
             rc = raw_requirements(combined, s8.recipes)
             for rid in rc:
                 assert rc[rid] == a * r1[rid] + b * r2[rid]
-
-
-class TestRawBundleCost:
-    def test_single_unit_route(self, s8):
-        # extraction 1 + leg x1->x2 (1) + leg x2->x7 (3) + storage 15
-        assert raw_bundle_cost(s8, "x7", {"a1": 1}, "x2") == 20
-
-    def test_empty_bundle(self, s8):
-        assert raw_bundle_cost(s8, "x7", {}, "x2") == 0
-        assert raw_bundle_cost(s8, "x7", {"a1": 0}, "x2") == 0
-
-    def test_linearity(self, s8):
-        one = raw_bundle_cost(s8, "x12", {"a1": 1, "a2": 2}, "x5")
-        three = raw_bundle_cost(s8, "x12", {"a1": 3, "a2": 6}, "x5")
-        assert three == pytest.approx(3 * one)
 
 
 class TestProductUnitTotalCost:
@@ -349,7 +332,7 @@ def oracle_raw_route_cost(scenario, raw_id, warehouse, plant):
     leg_in = scenario.distance(raw_id, source, warehouse)
     leg_out = scenario.distance(raw_id, warehouse, plant)
     if math.isinf(leg_in) or math.isinf(leg_out):
-        raise UnreachableRouteError(f"no {raw_id} route {source} -> {warehouse} -> {plant}")
+        raise InfeasibleError(f"no {raw_id} route {source} -> {warehouse} -> {plant}")
     return leg_in + leg_out
 
 
@@ -362,7 +345,7 @@ def oracle_ship_unit_cost(scenario, plant, warehouses, store, product):
         if best is None or cost < best[0] or (cost == best[0] and warehouse < best[1]):
             best = (cost, warehouse)
     if math.isinf(best[0]):
-        raise UnreachableRouteError(f"no {product} route from {plant} to {store} via {warehouses}")
+        raise InfeasibleError(f"no {product} route from {plant} to {store} via {warehouses}")
     return best
 
 
@@ -632,11 +615,12 @@ class TestErrorPaths:
         "heads, p2_output, error, message",
         [
             # p1 is unreachable in the first pair: it is checked before p2's shortfall
-            ("W10", 1, UnreachableRouteError, "no p1 route from P3 to S8 via ('W8', 'W9')"),
+            ("W10", 1, InfeasibleError, "no p1 route from P3 to S8 via ('W8', 'W9')"),
             # p1 is unreachable in a later pair only: the first pair meets the shortfall
             ("W8", 1, InfeasibleError, "outputs of p2 (3) cannot cover demand (4)"),
-            ("W8", 2, UnreachableRouteError, "no p1 route from P3 to S8 via ('W9', 'W10')"),
+            ("W8", 2, InfeasibleError, "no p1 route from P3 to S8 via ('W9', 'W10')"),
         ],
+        ids=["W10-1-Unreachable", "W8-1-Infeasible", "W8-2-Unreachable"],
     )
     def test_pair_search_raises_first_error_of_the_pair_loop(
         self, heads, p2_output, error, message

@@ -374,12 +374,13 @@ class TestProductionPlan:
         assert objective == pytest.approx(best)
 
     def test_integer_mode_refuses_huge_boxes(self):
-        instance = PlanInstance(
-            lower=(0, 0, 0),
-            upper=(200, 200, 200),
-            resource_use=((1,), (1,), (1,)),
-            resource_limits=(10,),
-            profit=(1, 1, 1),
-        )
-        with pytest.raises(ScenarioError, match="10\\^6"):
-            solve_production_plan(instance, integer=True)
+        for upper in (200, 1e300):  # 1e300 overflows len() of the box's ranges
+            instance = PlanInstance(
+                lower=(0, 0, 0),
+                upper=(upper, upper, upper),
+                resource_use=((1,), (1,), (1,)),
+                resource_limits=(10,),
+                profit=(1, 1, 1),
+            )
+            with pytest.raises(ScenarioError, match="10\\^6"):
+                solve_production_plan(instance, integer=True)

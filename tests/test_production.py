@@ -6,9 +6,7 @@ from placenet import (
     InfeasibleError,
     allocate_output,
     cobb_douglas,
-    marginal_product,
     plant_economics,
-    plant_net_profit,
 )
 
 
@@ -91,16 +89,16 @@ class TestPlantEconomics:
     def test_first_plant_profit(self, s8):
         econ = plant_economics(s8, "x7", "b1", 10)
         assert econ.total_input_cost == 370
-        assert plant_net_profit(econ) == pytest.approx(11.48, abs=0.01)
+        assert econ.net_profit == pytest.approx(11.48, abs=0.01)
 
     def test_zero_quantity(self, s8):
         econ = plant_economics(s8, "x7", "b1", 0)
         assert econ.total_value == 0
-        assert plant_net_profit(econ) == 0
+        assert econ.net_profit == 0
 
     def test_other_plant_profit(self, s8):
         econ = plant_economics(s8, "x12", "b1", 10)
-        assert plant_net_profit(econ) == pytest.approx(47.82, abs=0.01)
+        assert econ.net_profit == pytest.approx(47.82, abs=0.01)
 
     def test_unit_value_times_quantity_is_total(self, s8):
         for plant in s8.sites.plants:
@@ -114,25 +112,3 @@ class TestPlantEconomics:
         with pytest.raises(InfeasibleError, match="capacity"):
             plant_economics(s8, "x7", "b1", 11)
 
-
-class TestMarginalProduct:
-    def test_linear_slope(self):
-        for level in (0.0, 1.0, 7.5):
-            for step in (1.0, 0.25):
-                assert marginal_product(lambda x: 2 * x + 3, level, step) == pytest.approx(2)
-
-    def test_constant_is_zero(self):
-        assert marginal_product(lambda x: 42.0, 5.0, 1e-3) == 0
-
-    def test_matches_analytic_derivative(self):
-        q = lambda ell: cobb_douglas(1, 1, ell, 0.5, 0.5)  # Q = sqrt(L), Q' = 0.5/sqrt(L)
-        exact = 0.5
-        coarse = abs(marginal_product(q, 1.0, 1e-4) - exact)
-        fine = abs(marginal_product(q, 1.0, 1e-6) - exact)
-        assert coarse < 0.2 * 1e-4
-        assert fine < 0.2 * 1e-6 + 1e-10
-        assert fine < coarse
-
-    def test_rejects_nonpositive_increment(self):
-        with pytest.raises(Exception, match="increment"):
-            marginal_product(lambda x: x, 1.0, 0.0)
