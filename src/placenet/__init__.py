@@ -37,16 +37,7 @@ from .costflow import (
     total_demand,
 )
 from .errors import InfeasibleError, ScenarioError
-from .network import (
-    CommodityDistanceMatrix,
-    Edge,
-    Network,
-    Node,
-    all_pairs_shortest_paths,
-    build_network,
-    euclidean_distance,
-    shortest_paths,
-)
+from .network import Edge, Network, Node, build_network, euclidean_distance, shortest_paths
 from .optimizers import (
     LoadingInstance,
     LoadingItem,

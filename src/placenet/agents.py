@@ -1,9 +1,8 @@
 """Placement situations and the three agents' payoff functions.
 
 Agent 1 owns warehouses and transport, agent 2 owns the plants, agent 3 owns
-the stores.  Situations are evaluated independently of each other, so the
-matrix can be built by concurrent workers as long as the enumeration order is
-kept for the output columns.
+the stores.  Situations are evaluated independently of each other, and the
+enumeration order gives the output columns.
 """
 
 from __future__ import annotations

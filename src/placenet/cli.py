@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import agents, compromise, costflow, optimizers, report
 from .errors import InfeasibleError, ScenarioError
+from .network import shortest_paths
 from .scenario import load_scenario
 
 EXIT_OK = 0
@@ -71,17 +72,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_paths(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    matrix = scenario.distances(args.commodity)
+    scenario.check_carried(args.commodity)
     labels = scenario.node_labels
+    dist = shortest_paths(scenario.network, args.commodity, range(len(labels)))
     if args.format == "json":
         payload = {
             "scenario": scenario.name,
             "digest": scenario.digest,
             "commodity": args.commodity,
             "nodes": list(labels),
-            "dist": [
-                [None if math.isinf(v) else float(v) for v in row] for row in matrix.dist
-            ],
+            "dist": [[None if math.isinf(v) else float(v) for v in row] for row in dist],
         }
         _emit(report.render_json(payload), args.out)
         return EXIT_OK
@@ -97,7 +97,7 @@ def cmd_paths(args: argparse.Namespace) -> int:
     lines.append(" " * width + "".join(label.rjust(width) for label in labels))
     for i, label in enumerate(labels):
         lines.append(
-            label.rjust(width) + "".join(fmt(matrix.dist[i, j]).rjust(width) for j in range(len(labels)))
+            label.rjust(width) + "".join(fmt(dist[i, j]).rjust(width) for j in range(len(labels)))
         )
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

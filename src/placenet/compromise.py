@@ -11,7 +11,7 @@ compromise set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -156,12 +156,7 @@ def compromise_select(
     result = select_from_residuals(
         compared, matrix.situations, ideal=ideal, quantum=quantum
     )
+    if compared is residuals:
+        return result
     # Report raw-money residuals even when selection compared normalized ones.
-    return CompromiseResult(
-        ideal=ideal,
-        residuals=residuals,
-        sorted_residuals=np.sort(residuals, axis=0),
-        selected=result.selected,
-        trace=result.trace,
-        situations=matrix.situations,
-    )
+    return replace(result, residuals=residuals, sorted_residuals=np.sort(residuals, axis=0))

@@ -5,8 +5,7 @@ Route costs are the scenario's site-indexed arrays: ``raw_costs[raw]`` is
 store).  Tie rules: ids compare as strings (``"x10" < "x8"``) for a shipment's
 warehouse and between equal-cost choices; the sweep serves equal-cost cells
 by store, then plant position; the minimum total cost wins.  Sums keep a fixed
-order, so results are bit-reproducible.  Public functions are pure, so
-placements can be evaluated concurrently.
+order, so results are bit-reproducible.  Public functions are pure.
 """
 
 from __future__ import annotations

@@ -2,13 +2,10 @@
 
 Nodes are dense integer indices with (x, y) coordinates.  Each edge carries a
 cost (and optionally a capacity) per commodity; an edge simply omits the
-commodities it does not carry.  Route costs come from two kernels:
-:func:`shortest_paths` gives the rows of a few sources by vectorised
-Bellman-Ford (what the pipeline reads), and :func:`all_pairs_shortest_paths`
-gives a full matrix by the Floyd recurrence (for ``placenet paths``).  Both
-take one commodity at a time.  Networks and distance matrices are immutable
-after construction, so they can be shared freely across workers; distinct
-commodities may be processed concurrently.
+commodities it does not carry.  Route costs come from one kernel,
+:func:`shortest_paths`, which gives the rows of the requested sources for one
+commodity at a time: a few rows for the pipeline, every row for
+``placenet paths``.
 """
 
 from __future__ import annotations
@@ -45,14 +42,6 @@ class Edge:
     head: int
     cost: Mapping[str, float]
     capacity: Mapping[str, float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CommodityDistanceMatrix:
-    """All-pairs minimum route cost for one commodity; inf where unreachable."""
-
-    commodity: str
-    dist: np.ndarray
 
 
 class Network:
@@ -144,50 +133,39 @@ def _carried(net: Network, commodity: str) -> list[tuple[int, int, float]]:
 def shortest_paths(net: Network, commodity: str, sources: Sequence[int]) -> np.ndarray:
     """Minimum route cost from each source to every node, shape (sources, n).
 
-    Multi-source Bellman-Ford: each round relaxes every edge for every source
-    at once, taking the minimum over the edges into each head, and the loop
-    stops at the first round that improves nothing.  A cost is the sum of
-    its path's edge costs from the source onwards, as Dijkstra adds them, so
-    on non-integer costs a cell may differ from Floyd's in the last bit.
-    Same cost checks as :func:`all_pairs_shortest_paths`; inf where
-    unreachable.
+    Label-correcting relaxation over flat (source, node) cells: each round
+    relaxes only the out-edges of the cells that improved in the previous
+    round, starting from the sources, and the loop stops when a round
+    improves nothing.  Costs are finite and >= 0 and float addition is
+    monotone, so the order of relaxation does not matter: a cell ends at the
+    minimum over paths of the edge costs summed from the source onwards,
+    which is what Dijkstra computes.  Inf where unreachable.
     """
-    sources = np.asarray(sources, dtype=np.intp)
-    dist = np.full((len(sources), len(net)), INF)
-    dist[np.arange(len(sources)), sources] = 0.0
     carried = _carried(net, commodity)
+    sources = np.asarray(sources, dtype=np.intp)
+    n = len(net)
+    dist = np.full((len(sources), n), INF)
+    flat = dist.ravel()  # a view: cell (row, node) is flat[row * n + node]
+    frontier = np.arange(len(sources)) * n + sources
+    flat[frontier] = 0.0
     if not carried:
         return dist
     tails, heads, costs = (np.array(column) for column in zip(*carried))
-    order = np.argsort(heads, kind="stable")
-    tails, heads, costs = tails[order], heads[order], costs[order].astype(float)
-    starts = np.flatnonzero(np.diff(heads, prepend=-1))  # np.unique here costs RSS
-    targets = heads[starts]
-    while True:
-        current = dist[:, targets]
-        reached = np.minimum.reduceat(dist[:, tails] + costs, starts, axis=1)
-        if not (reached < current).any():
-            return dist
-        dist[:, targets] = np.minimum(current, reached)
-
-
-def all_pairs_shortest_paths(net: Network, commodity: str) -> CommodityDistanceMatrix:
-    """Minimum total cost over directed paths, per the Floyd recurrence.
-
-    Requires nonnegative finite edge costs for the commodity; unreachable
-    pairs come out as inf, never as a large finite stand-in.  Only costs are
-    produced; path reconstruction is out of scope.  Floyd stays the kernel
-    for a full matrix, which is O(n^2) memory whatever the density: all
-    sources through :func:`shortest_paths` measured 3-4x slower on a
-    529-node, 1938-edge grid (1.2-1.6 s against 0.4 s per commodity), and
-    its per-round temporary is sources x edges floats.
-    """
-    n = len(net)
-    dist = np.full((n, n), INF)
-    np.fill_diagonal(dist, 0.0)
-    for tail, head, cost in _carried(net, commodity):
-        if cost < dist[tail, head]:
-            dist[tail, head] = cost
-    for k in range(n):
-        np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :], out=dist)
-    return CommodityDistanceMatrix(commodity, dist)
+    order = np.argsort(tails, kind="stable")
+    heads, costs = heads[order], costs[order].astype(float)
+    offsets = np.searchsorted(tails[order], np.arange(n + 1))
+    improved = np.zeros(flat.size, dtype=bool)  # next frontier: each cell once, in order
+    while frontier.size:
+        nodes = frontier % n
+        counts = offsets[nodes + 1] - offsets[nodes]
+        ends = np.cumsum(counts)
+        edges = np.arange(ends[-1]) + np.repeat(offsets[nodes] - ends + counts, counts)
+        cells = np.repeat(frontier - nodes, counts) + heads[edges]
+        candidates = np.repeat(flat[frontier], counts) + costs[edges]
+        better = candidates < flat[cells]
+        cells = cells[better]
+        np.minimum.at(flat, cells, candidates[better])
+        improved[cells] = True
+        frontier = np.flatnonzero(improved)
+        improved[frontier] = False
+    return dist

@@ -27,6 +27,7 @@ from .errors import InfeasibleError, ScenarioError
 from .scenario import _expect, _number, _require
 
 _EPS = 1e-9
+_MAX_TABLE_CELLS = 10**7  # the loading DP table, about 80 MB of floats
 
 
 def _numbers(values: Any, what: str) -> tuple[float, ...]:
@@ -37,6 +38,14 @@ def _numbers(values: Any, what: str) -> tuple[float, ...]:
 def _matrix(rows: Any, what: str) -> tuple[tuple[float, ...], ...]:
     """A JSON list of lists of finite numbers, or a ScenarioError naming the field."""
     return tuple(_numbers(row, f"{what}[{i}]") for i, row in enumerate(_expect(rows, list, what)))
+
+
+def _finite(values: Any, what: str) -> Any:
+    """``values`` (a number or a sequence), or a ScenarioError when the solve
+    overflowed the float range."""
+    if not np.all(np.isfinite(values)):
+        raise ScenarioError(f"the {what} overflowed; the input numbers are too large")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +212,7 @@ def solve_transportation(instance: TransportInstance) -> TransportPlan:
 
     for _ in range(10_000):
         u, v = _potentials(cells, costs, m, n)
+        _finite(u + v, "transport potentials")
         reduced = cost_matrix - np.array(u)[:, None] - np.array(v)
         rows, cols, _ = zip(*cells)
         reduced[rows, cols] = 0.0
@@ -227,8 +237,9 @@ def solve_transportation(instance: TransportInstance) -> TransportPlan:
     allocation = [[0.0] * n for _ in range(m)]
     for i, j, units in cells:
         allocation[i][j] = units
-    objective = sum(
-        costs[i][j] * allocation[i][j] for i in range(m) for j in range(n)
+    objective = _finite(
+        sum(costs[i][j] * allocation[i][j] for i in range(m) for j in range(n)),
+        "transport objective",
     )
     return TransportPlan(
         allocation=tuple(tuple(row) for row in allocation),
@@ -265,6 +276,12 @@ class LoadingInstance:
                 raise ScenarioError(f"item {item.name}: weight must be a positive integer")
             if item.profit < 0:
                 raise ScenarioError(f"item {item.name}: profit must be >= 0")
+        cells = (len(self.items) + 2) * (self.capacity + 1)
+        if cells > _MAX_TABLE_CELLS:
+            raise ScenarioError(
+                f"capacity {self.capacity} (in units of --quantum) needs a table of {cells} "
+                f"cells, above {_MAX_TABLE_CELLS}; pass a larger --quantum"
+            )
 
     @staticmethod
     def from_dict(data: dict[str, Any], quantum: float = 1.0) -> "LoadingInstance":
@@ -323,7 +340,7 @@ def solve_loading(instance: LoadingInstance) -> LoadingSolution:
                 counts[item.name] = m_i
                 x -= item.weight * m_i
                 break
-    objective = float(table[1][capacity]) if n else 0.0
+    objective = _finite(float(table[1][capacity]) if n else 0.0, "loading objective")
     return LoadingSolution(counts=counts, objective=objective, table=table[1:])
 
 
@@ -454,10 +471,10 @@ def solve_production_plan(
                 best_x, best_value = x, value
         if best_x is None:
             raise InfeasibleError("no integer plan satisfies the resource limits")
-        return tuple(float(v) for v in best_x), best_value
+        return tuple(float(v) for v in best_x), _finite(best_value, "plan objective")
 
     rows = np.vstack([np.eye(n), use.T])
     rhs = np.concatenate([upper - lower, slack])
     y = _simplex_max(profit, rows, rhs)
     x = y + lower
-    return tuple(float(v) for v in x), float(profit @ x)
+    return tuple(float(v) for v in x), _finite(float(profit @ x), "plan objective")

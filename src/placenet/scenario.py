@@ -3,8 +3,7 @@
 A scenario is a single JSON document (see docs/formats.md).  String node ids
 are mapped to dense integer indices at load time; everything downstream works
 with the dense indices and the scenario keeps the label mapping for reporting.
-Scenarios are immutable after load, so shared read access is safe; the one
-cache, full distance matrices filled on first request, is idempotent.
+Scenarios are immutable after load.
 """
 
 from __future__ import annotations
@@ -19,16 +18,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ScenarioError
-from .network import (
-    CommodityDistanceMatrix,
-    Edge,
-    Network,
-    Node,
-    all_pairs_shortest_paths,
-    build_network,
-    euclidean_distance,
-    shortest_paths,
-)
+from .network import Edge, Network, Node, build_network, euclidean_distance, shortest_paths
 
 DEFAULT_PLANT_CAPACITY = 10.0
 DEFAULT_HANDLING_RATE = 0.2
@@ -156,7 +146,6 @@ class Scenario:
         costs = {commodity: self._legs(commodity, *legs[commodity]) for commodity in sorted(legs)}
         self.raw_costs = {rid: costs[rid][0] for rid in self.raw_ids}
         self.ship_costs = {product: costs[product] for product in self.product_ids}
-        self._distances: dict[str, CommodityDistanceMatrix] = {}
 
     def _legs(self, commodity: str, *groups: tuple[str, ...]) -> np.ndarray:
         """D[a, b] + D[b, c] over three label groups, shape (a, b, c)."""
@@ -168,19 +157,6 @@ class Scenario:
         """Raise ScenarioError when no edge carries the commodity."""
         if commodity not in self.network.commodities:
             raise ScenarioError(f"no edge carries commodity {commodity!r}")
-
-    def distances(self, commodity: str) -> CommodityDistanceMatrix:
-        """The full matrix for a commodity, computed on first request; the
-        pipeline never asks for one."""
-        self.check_carried(commodity)
-        if commodity not in self._distances:
-            self._distances[commodity] = all_pairs_shortest_paths(self.network, commodity)
-        return self._distances[commodity]
-
-    def distance(self, commodity: str, from_label: str, to_label: str) -> float:
-        """Minimum route cost between two labelled nodes for a commodity."""
-        dist = self.distances(commodity).dist
-        return float(dist[self.node_index[from_label], self.node_index[to_label]])
 
     def node(self, label: str) -> Node:
         return self.network.nodes[self.node_index[label]]
@@ -228,6 +204,11 @@ def _entries(value: Any, what: str):
     return _expect(value, dict, what).items()
 
 
+def _items(value: Any, what: str) -> list:
+    """A JSON list, or a ScenarioError naming the field."""
+    return _expect(value, list, what)
+
+
 def _require(data: dict[str, Any], key: str, context: str) -> Any:
     if key not in _expect(data, dict, context):
         raise ScenarioError(f"{context}: missing required key {key!r}")
@@ -260,7 +241,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         raise ScenarioError("scenario document must be a JSON object")
     name = str(data.get("name", "scenario"))
 
-    node_specs = _require(data, "nodes", "scenario")
+    node_specs = _items(_require(data, "nodes", "scenario"), "nodes")
     if not node_specs:
         raise ScenarioError("nodes: list must be nonempty")
     node_labels: list[str] = []
@@ -281,7 +262,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         return label
 
     commodities: dict[str, Commodity] = {}
-    for i, spec in enumerate(_require(data, "commodities", "scenario")):
+    for i, spec in enumerate(_items(_require(data, "commodities", "scenario"), "commodities")):
         cid = str(_require(spec, "id", f"commodities[{i}]"))
         kind = str(_require(spec, "kind", f"commodity {cid}"))
         if kind not in (RAW, PRODUCT):
@@ -319,7 +300,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
             )
 
     edges: list[Edge] = []
-    for i, spec in enumerate(_require(data, "edges", "scenario")):
+    for i, spec in enumerate(_items(_require(data, "edges", "scenario"), "edges")):
         tail = node_ref(_require(spec, "from", f"edges[{i}]"), f"edges[{i}].from")
         head = node_ref(_require(spec, "to", f"edges[{i}]"), f"edges[{i}].to")
         cost = {
@@ -363,7 +344,8 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
             raise ScenarioError(f"sites.extraction: raw {rid!r} has no extraction node")
 
     def site_list(key: str) -> tuple[str, ...]:
-        labels = tuple(node_ref(x, f"sites.{key}") for x in _require(sites_spec, key, "sites"))
+        what = f"sites.{key}"
+        labels = tuple(node_ref(x, what) for x in _items(_require(sites_spec, key, "sites"), what))
         if not labels:
             raise ScenarioError(f"sites.{key}: list must be nonempty")
         if len(set(labels)) != len(labels):
@@ -462,28 +444,29 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         }
 
     splits: dict[frozenset[str], dict[str, dict[str, int]]] = {}
-    for i, spec in enumerate(production_spec.get("splits", [])):
+    for i, spec in enumerate(_items(production_spec.get("splits", []), "production.splits")):
+        what = f"production.splits[{i}]"
         pair = tuple(
-            node_ref(p, f"production.splits[{i}]") for p in _require(spec, "plants", "splits")
+            node_ref(p, what) for p in _items(_require(spec, "plants", what), f"{what}.plants")
         )
         if len(pair) != 2 or pair[0] == pair[1]:
-            raise ScenarioError(f"production.splits[{i}]: plants must be two distinct nodes")
+            raise ScenarioError(f"{what}: plants must be two distinct nodes")
         for plant in pair:
             if plant not in sites.plants:
-                raise ScenarioError(f"production.splits[{i}]: {plant!r} is not a plant candidate")
+                raise ScenarioError(f"{what}: {plant!r} is not a plant candidate")
         output = {}
-        output_spec = _require(spec, "output", f"production.splits[{i}]")
-        for plant, entries in _entries(output_spec, f"production.splits[{i}].output"):
-            node_ref(plant, f"production.splits[{i}].output")
+        output_spec = _require(spec, "output", what)
+        for plant, entries in _entries(output_spec, f"{what}.output"):
+            node_ref(plant, f"{what}.output")
             output[plant] = {}
-            for product, units in _entries(entries, f"production.splits[{i}].output[{plant}]"):
+            for product, units in _entries(entries, f"{what}.output[{plant}]"):
                 commodity_ref(product, f"split output at {plant}", PRODUCT)
                 units = _number(units, f"split output at {plant} for {product}", int)
                 if units < 0:
                     raise ScenarioError(f"split output at {plant} for {product} must be >= 0")
                 output[plant][product] = units
         if set(output) != set(pair):
-            raise ScenarioError(f"production.splits[{i}]: output must cover exactly both plants")
+            raise ScenarioError(f"{what}: output must cover exactly both plants")
         splits[frozenset(pair)] = output
 
     production = ProductionParams(
@@ -492,17 +475,14 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
 
     limits_spec = _expect(data.get("limits") or {}, dict, "limits")
     bounds = []
-    for i, spec in enumerate(limits_spec.get("max_distances", [])):
-        pair = _require(spec, "between", f"limits.max_distances[{i}]")
+    for i, spec in enumerate(_items(limits_spec.get("max_distances", []), "limits.max_distances")):
+        what = f"limits.max_distances[{i}]"
+        pair = _items(_require(spec, "between", what), f"{what}.between")
         if len(pair) != 2:
-            raise ScenarioError(f"limits.max_distances[{i}]: 'between' needs two node ids")
-        bounds.append(
-            DistanceBound(
-                node_ref(pair[0], f"limits.max_distances[{i}]"),
-                node_ref(pair[1], f"limits.max_distances[{i}]"),
-                _nonneg(_require(spec, "max", f"limits.max_distances[{i}]"), "max distance"),
-            )
-        )
+            raise ScenarioError(f"{what}: 'between' needs two node ids")
+        node_a, node_b = (node_ref(label, what) for label in pair)
+        max_distance = _nonneg(_require(spec, "max", what), "max distance")
+        bounds.append(DistanceBound(node_a, node_b, max_distance))
     limits = GlobalLimits(
         total_raw=(
             _nonneg(limits_spec["total_raw"], "limits.total_raw")
@@ -518,7 +498,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
     )
 
     handling_rate = _nonneg(data.get("handling_rate", DEFAULT_HANDLING_RATE), "handling_rate")
-    notes = tuple(str(n) for n in data.get("notes", []))
+    notes = tuple(str(n) for n in _items(data.get("notes", []), "notes"))
 
     if digest is None:
         digest = hashlib.sha256(

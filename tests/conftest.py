@@ -1,4 +1,6 @@
+import heapq
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,34 @@ from placenet import Scenario, load_scenario
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "fixtures"
+
+
+def dijkstra_distances(n, edges, source):
+    """Independent oracle: per-source Dijkstra over (tail, head, cost) triples."""
+    adjacency = {}
+    for tail, head, cost in edges:
+        adjacency.setdefault(tail, []).append((head, cost))
+    dist = [math.inf] * n
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in adjacency.get(u, []):
+            if d + w < dist[v]:
+                dist[v] = d + w
+                heapq.heappush(heap, (d + w, v))
+    return dist
+
+
+def route_cost(scenario: Scenario, commodity: str, from_label: str, to_label: str) -> float:
+    """Minimum route cost between two labelled nodes, by the Dijkstra oracle."""
+    edges = [
+        (e.tail, e.head, e.cost[commodity]) for e in scenario.network.edges if commodity in e.cost
+    ]
+    index = scenario.node_index
+    return dijkstra_distances(len(index), edges, index[from_label])[index[to_label]]
 
 
 @pytest.fixture(scope="session")

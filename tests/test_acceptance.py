@@ -28,7 +28,7 @@ from placenet import (
     solve_production_plan,
     solve_transportation,
 )
-from placenet.network import all_pairs_shortest_paths
+from placenet.network import shortest_paths
 from placenet import agent1_components, cobb_douglas, plant_economics
 from placenet import raw_requirements, total_demand
 from placenet.agents import agent3_revenue
@@ -237,13 +237,13 @@ def test_criterion_6_oracle_equivalence(s8):
     for _ in range(100):
         n = rng.randint(4, 8)
         net, edges = random_graph(rng, n, rng.randint(n, 2 * n))
-        dist = all_pairs_shortest_paths(net, "c").dist
+        dist = shortest_paths(net, "c", range(n))
         graphs += 1
         for source in range(n):
             oracle = dijkstra_distances(n, edges, source)
             for target in range(n):
                 if dist[source, target] != oracle[target]:
-                    failures.append(f"floyd/dijkstra mismatch at {source}->{target}")
+                    failures.append(f"shortest_paths/dijkstra mismatch at {source}->{target}")
     if graphs < 100:
         failures.append(f"only {graphs} graphs checked")
 
@@ -258,7 +258,7 @@ def test_criterion_7_invariant_suites(s8, pipeline):
     failures = []
 
     for commodity in ("a1", "a2", "b1", "b2", "b3"):
-        dist = s8.distances(commodity).dist
+        dist = shortest_paths(s8.network, commodity, range(len(s8.node_labels)))
         n = dist.shape[0]
         # dist[i,k] <= dist[i,j] + dist[j,k] for all ordered triples
         composed = dist[:, :, None] + dist[None, :, :]

@@ -150,13 +150,20 @@ class TestSolve:
         import placenet.scenario
         from placenet.cli import main
 
-        def refuse(net, commodity):
-            raise AssertionError(f"full matrix built for {commodity}")
+        kernel = placenet.scenario.shortest_paths
+        calls = []
 
-        monkeypatch.setattr(placenet.scenario, "all_pairs_shortest_paths", refuse)
+        def rows_only(net, commodity, sources):
+            sources = list(sources)
+            calls.append(commodity)
+            assert len(sources) < len(net), f"full matrix built for {commodity}"
+            return kernel(net, commodity, sources)
+
+        monkeypatch.setattr(placenet.scenario, "shortest_paths", rows_only)
         out = tmp_path / "report.json"
         args = ["solve", "-s", str(FIXTURES / "example_s8.json"), "--format", "json"]
         assert main([*args, "--out", str(out)]) == 0
+        assert sorted(calls) == ["a1", "a2", "b1", "b2", "b3"]
         pin = json.loads((REPO_ROOT / "bench" / "pins.json").read_text())["example_s8"]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == pin
 
@@ -302,6 +309,23 @@ MALFORMED = [
         "7 units",
         "split output at x7 for b1",
     ),
+    # a non-list where the schema has a list
+    (("nodes",), 5, "nodes"),
+    (("edges",), 5, "edges"),
+    (("commodities",), 5, "commodities"),
+    (("notes",), 5, "notes"),
+    (("sites", "raw_warehouses"), 5, "sites.raw_warehouses"),
+    (("sites", "plants"), 5, "sites.plants"),
+    (("sites", "product_warehouses"), 5, "sites.product_warehouses"),
+    (("sites", "stores"), "x14", "sites.stores"),
+    (("production", "splits"), 5, "production.splits"),
+    (("production", "splits", 0, "plants"), 5, "production.splits[0].plants"),
+    (("limits", "max_distances"), 5, "limits.max_distances"),
+    (
+        ("limits", "max_distances"),
+        [{"between": 5, "max": 1}],
+        "limits.max_distances[0].between",
+    ),
 ]
 
 
@@ -343,6 +367,16 @@ REJECTED = [
     ("load", "loading_small", ("items", 0), 3, "items[0] must be an object"),
     ("load", "loading_small", ("items", 1, "profit"), math.nan, "items[1].profit must be a finite"),
     ("plan", "plan_small", ("profit", 1), math.nan, "profit[1] must be a finite number"),
+    ("load", "loading_small", ("capacity",), 1e12, "needs a table of 4000000000004 cells"),
+    ("load", "loading_small", ("items", 0, "profit"), 1e308, "the loading objective overflowed"),
+    (
+        "transport",
+        "transport_2x2",
+        ("costs",),
+        [[1e308, 0], [0, 1e308]],
+        "the transport potentials overflowed",
+    ),
+    ("plan", "plan_small", ("profit",), [1e308, 1e308], "the plan objective overflowed"),
     ("solve", "example_s8", ("nodes", 0), 5, "nodes[0] must be an object"),
     ("solve", "example_s8", ("grid_costs",), {"a1": 3}, "grid_costs[a1] must be an object"),
     (
@@ -386,6 +420,22 @@ def test_malformed_input_exits_2_naming_the_field(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
 
+# sha256 of `paths -s example_s8.json --commodity C --format F`, recorded from
+# the Floyd kernel that the single shortest-path kernel replaced.
+PATHS_PINS = [
+    ("a1", "table", "4834a149262917d19e74aed4c14c7846f95a41a4b43e19d50f145d322fa7164e"),
+    ("a1", "json", "f6299af4a4096434a7a421300c8dd8332af88e2ef938e5703575d3989a6abc1d"),
+    ("a2", "table", "8a2e935c56edc0f011570aaae2859e4b4994307ecf28cf28a2d336af494d396a"),
+    ("a2", "json", "c5d426e4eb4c224ca50224a0da351c6add1396323881f390a8e7d4f4f6129a2c"),
+    ("b1", "table", "e5095e3690eecb4637a8a3fb24b3e65504e51c265a5a4219e888197460db93d2"),
+    ("b1", "json", "6a27d625284f2a12bf555d179c61a96f5ac29900d759907d331a5e6a4ecdebda"),
+    ("b2", "table", "f4c958e7f5b31dfa48908c52b2505fc546bd4b15b6b7fb7a1d448b1199914060"),
+    ("b2", "json", "45590576f7710a26b7db8a8812edf1cdab939be76f60a748e0d1b1338303a815"),
+    ("b3", "table", "5570a1fe8b137fe4a1fd03b3f755a930f4cd4467b20625210abab172f92b7af6"),
+    ("b3", "json", "659fa1a1cd21fbc8dcea970ef958a8d2d56f9ee05535a11bc447dea83d925c72"),
+]
+
+
 class TestPaths:
     def test_prints_reference_leg_costs(self):
         proc = run_cli("paths", "-s", FIXTURES / "example_s8.json", "--commodity", "a1")
@@ -413,6 +463,15 @@ class TestPaths:
     def test_unknown_commodity_exits_2(self):
         proc = run_cli("paths", "-s", FIXTURES / "example_s8.json", "--commodity", "zz")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("commodity, fmt, digest", PATHS_PINS)
+    def test_output_matches_pin(self, tmp_path, commodity, fmt, digest):
+        from placenet.cli import main
+
+        out = tmp_path / "paths.txt"
+        args = ["paths", "-s", str(FIXTURES / "example_s8.json"), "--commodity", commodity]
+        assert main([*args, "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestSolvers:

@@ -20,7 +20,7 @@ from placenet import (
 )
 from placenet.cli import main as placenet_main
 from placenet.costflow import FlowAssignment, Shipment
-from conftest import leg_scenario
+from conftest import leg_scenario, route_cost
 
 
 class TestTotalDemand:
@@ -323,14 +323,14 @@ class TestWarehouseSelection:
 
 # ---------------------------------------------------------------------------
 # Scalar oracle: the per-cell route-cost code the array-backed costflow
-# replaced, kept verbatim in behaviour (scenario.distance per leg, the same
-# loops, tie rules and error messages).
+# replaced, kept verbatim in behaviour (one Dijkstra route cost per leg, the
+# same loops, tie rules and error messages).
 
 
 def oracle_raw_route_cost(scenario, raw_id, warehouse, plant):
     source = scenario.sites.extraction[raw_id]
-    leg_in = scenario.distance(raw_id, source, warehouse)
-    leg_out = scenario.distance(raw_id, warehouse, plant)
+    leg_in = route_cost(scenario, raw_id, source, warehouse)
+    leg_out = route_cost(scenario, raw_id, warehouse, plant)
     if math.isinf(leg_in) or math.isinf(leg_out):
         raise InfeasibleError(f"no {raw_id} route {source} -> {warehouse} -> {plant}")
     return leg_in + leg_out
@@ -339,8 +339,8 @@ def oracle_raw_route_cost(scenario, raw_id, warehouse, plant):
 def oracle_ship_unit_cost(scenario, plant, warehouses, store, product):
     best = None
     for warehouse in warehouses:
-        cost = scenario.distance(product, plant, warehouse) + scenario.distance(
-            product, warehouse, store
+        cost = route_cost(scenario, product, plant, warehouse) + route_cost(
+            scenario, product, warehouse, store
         )
         if best is None or cost < best[0] or (cost == best[0] and warehouse < best[1]):
             best = (cost, warehouse)

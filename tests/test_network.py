@@ -1,38 +1,11 @@
-import heapq
 import math
 import random
 
 import numpy as np
 import pytest
 
-from placenet import (
-    Edge,
-    Node,
-    ScenarioError,
-    all_pairs_shortest_paths,
-    build_network,
-    euclidean_distance,
-    shortest_paths,
-)
-
-
-def dijkstra_distances(n, edges, source):
-    """Independent oracle: per-source Dijkstra over (tail, head, cost) triples."""
-    adjacency = {}
-    for tail, head, cost in edges:
-        adjacency.setdefault(tail, []).append((head, cost))
-    dist = [math.inf] * n
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in adjacency.get(u, []):
-            if d + w < dist[v]:
-                dist[v] = d + w
-                heapq.heappush(heap, (d + w, v))
-    return dist
+from placenet import Edge, Node, ScenarioError, build_network, euclidean_distance, shortest_paths
+from conftest import dijkstra_distances
 
 
 def random_graph(rng, n, n_edges):
@@ -82,16 +55,21 @@ class TestBuildNetwork:
             build_network([Node(0, 0, 0), Node(2, 1, 0)], [])
 
 
+def all_rows(net):
+    """Every source's row: the full matrix ``placenet paths`` prints."""
+    return shortest_paths(net, "c", range(len(net)))
+
+
 class TestShortestPaths:
     def test_diagonal_is_zero(self):
         net, _ = random_graph(random.Random(7), 6, 10)
-        dist = all_pairs_shortest_paths(net, "c").dist
+        dist = all_rows(net)
         assert np.all(np.diag(dist) == 0)
 
     def test_unreachable_is_inf(self):
         nodes = [Node(0, 0, 0), Node(1, 1, 0), Node(2, 2, 0)]
         net = build_network(nodes, [Edge(0, 1, {"c": 3})])
-        dist = all_pairs_shortest_paths(net, "c").dist
+        dist = all_rows(net)
         assert math.isinf(dist[1, 0]) and math.isinf(dist[0, 2])
         assert dist[0, 1] == 3
 
@@ -100,18 +78,35 @@ class TestShortestPaths:
         for _ in range(120):
             n = rng.randint(4, 8)
             net, edges = random_graph(rng, n, rng.randint(n, 2 * n))
-            dist = all_pairs_shortest_paths(net, "c").dist
+            dist = all_rows(net)
             for source in range(n):
                 oracle = dijkstra_distances(n, edges, source)
                 for target in range(n):
                     assert dist[source, target] == oracle[target]
+
+    def test_matches_dijkstra_oracle_on_decimal_costs(self):
+        # Sums run along each path from the source, as Dijkstra adds them, so
+        # the two agree to the last bit whatever the relaxation order.
+        rng = random.Random(20261019)
+        for _ in range(120):
+            n = rng.randint(3, 14)
+            triples = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(n, 4 * n))}
+            edges = [
+                (i, j, round(rng.uniform(0, 10), rng.randint(1, 3))) for i, j in triples if i != j
+            ]
+            net = build_network(
+                [Node(i, 0, 0) for i in range(n)], [Edge(i, j, {"c": w}) for i, j, w in edges]
+            )
+            dist = all_rows(net)
+            for source in range(n):
+                assert dist[source].tolist() == dijkstra_distances(n, edges, source)
 
     def test_triangle_inequality(self):
         rng = random.Random(99)
         for _ in range(25):
             n = rng.randint(4, 7)
             net, _ = random_graph(rng, n, rng.randint(n, 2 * n))
-            dist = all_pairs_shortest_paths(net, "c").dist
+            dist = all_rows(net)
             for i in range(n):
                 for j in range(n):
                     for k in range(n):
@@ -121,7 +116,7 @@ class TestShortestPaths:
         rng = random.Random(41)
         for _ in range(25):
             net, edges = random_graph(rng, 6, 12)
-            dist = all_pairs_shortest_paths(net, "c").dist
+            dist = all_rows(net)
             for tail, head, cost in edges:
                 assert dist[tail, head] <= cost
 
@@ -130,13 +125,13 @@ class TestShortestPaths:
         net = build_network(nodes, [Edge(0, 1, {"c": 1})])
         object.__setattr__(net.edges[0], "cost", {"c": -2.0})
         with pytest.raises(ScenarioError, match="finite and >= 0"):
-            all_pairs_shortest_paths(net, "c")
+            all_rows(net)
 
 
 class TestSourceRows:
-    """shortest_paths against Floyd's rows and the Dijkstra oracle, exactly."""
+    """A few sources' rows against all rows and the Dijkstra oracle, exactly."""
 
-    def test_rows_equal_floyd_and_dijkstra(self):
+    def test_rows_equal_all_rows_and_dijkstra(self):
         rng = random.Random(20261018)
         for _ in range(150):
             n = rng.randint(2, 12)
@@ -144,14 +139,12 @@ class TestSourceRows:
             sources = [rng.randrange(n) for _ in range(rng.randint(1, n))]
             rows = shortest_paths(net, "c", sources)
             assert rows.shape == (len(sources), n)
-            full = all_pairs_shortest_paths(net, "c").dist
+            full = all_rows(net)
             for row, source in zip(rows, sources):
                 assert row.tolist() == full[source].tolist()
                 assert row.tolist() == dijkstra_distances(n, edges, source)
 
     def test_decimal_costs_equal_dijkstra(self):
-        # Sums run along each path from the source, as Dijkstra adds them;
-        # Floyd's grouping may differ from both in the last bit.
         rng = random.Random(7)
         for _ in range(60):
             n = rng.randint(3, 10)
@@ -188,10 +181,10 @@ class TestSourceRows:
         ]
 
     def test_repeated_sources_give_equal_rows(self):
-        net, _ = random_graph(random.Random(3), 7, 15)
+        net, edges = random_graph(random.Random(3), 7, 15)
         rows = shortest_paths(net, "c", [4, 2, 4, 4])
         assert rows[0].tolist() == rows[2].tolist() == rows[3].tolist()
-        assert rows[1].tolist() == all_pairs_shortest_paths(net, "c").dist[2].tolist()
+        assert rows[1].tolist() == dijkstra_distances(7, edges, 2)
 
     def test_commodity_without_edges(self):
         net, _ = random_graph(random.Random(4), 5, 8)

@@ -260,6 +260,16 @@ class TestLoading:
         assert instance.items[0].weight == 1
         assert solve_loading(instance).objective == 8
 
+    def test_table_above_ten_million_cells_is_refused(self):
+        # (1 item + 2) rows x (capacity + 1) columns; nothing here is solved,
+        # so the refused table is never allocated.
+        items = (LoadingItem("a", 1, 1),)
+        assert LoadingInstance(capacity=10**7 // 3 - 1, items=items).capacity == 3333332
+        with pytest.raises(ScenarioError, match="needs a table of 10000002 cells"):
+            LoadingInstance(capacity=10**7 // 3, items=items)
+        with pytest.raises(ScenarioError, match="capacity 1000000000000 .*--quantum"):
+            LoadingInstance.from_dict({"capacity": 1e12, "items": [{"weight": 1, "profit": 1}]})
+
 
 class TestProductionPlan:
     def test_hand_case_unconstrained_lower(self):

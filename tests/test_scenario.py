@@ -14,6 +14,7 @@ from placenet import (
     load_scenario,
     validate_feasibility,
 )
+from conftest import route_cost
 
 
 class TestLoad:
@@ -24,12 +25,12 @@ class TestLoad:
         assert len(s8.sites.stores) == 4
 
     def test_fixture_leg_costs(self, s8):
-        assert s8.distance("a1", "x1", "x2") == 1
-        assert s8.distance("a2", "x6", "x5") == 2
-        assert s8.distance("b1", "x7", "x8") == 1
+        assert route_cost(s8, "a1", "x1", "x2") == 1
+        assert route_cost(s8, "a2", "x6", "x5") == 2
+        assert route_cost(s8, "b1", "x7", "x8") == 1
         # composed legs
-        assert s8.distance("a1", "x1", "x7") == 4
-        assert s8.distance("a2", "x6", "x12") == 5
+        assert route_cost(s8, "a1", "x1", "x7") == 4
+        assert route_cost(s8, "a2", "x6", "x12") == 5
 
     def test_missing_file(self, tmp_path):
         with pytest.raises((ScenarioError, OSError)):
