@@ -37,7 +37,7 @@ from .costflow import (
     total_demand,
 )
 from .errors import InfeasibleError, ScenarioError
-from .network import Edge, Network, Node, build_network, euclidean_distance, shortest_paths
+from .network import Edge, Network, Node, build_network, shortest_paths
 from .optimizers import (
     LoadingInstance,
     LoadingItem,
@@ -57,6 +57,6 @@ from .production import (
     output_value,
     plant_economics,
 )
-from .scenario import Scenario, Violation, load_scenario, validate_feasibility
+from .scenario import Scenario, load_scenario
 
 __version__ = "0.1.0"

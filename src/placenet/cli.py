@@ -58,6 +58,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     situations = agents.enumerate_situations(
         scenario, warehouse_mode=args.warehouse_selection, skipped=skipped
     )
+    if not situations:
+        (pair, reason), count = skipped[0], len(skipped)
+        raise InfeasibleError(
+            f"no feasible situation to evaluate: all {count} plant pairs were skipped; "
+            f"first skipped {','.join(pair)}: {reason}"
+        )
     matrix = agents.evaluate_all(scenario, situations)
     result = compromise.compromise_select(matrix, normalize=args.normalize)
     built = report.build_report(

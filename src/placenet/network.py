@@ -1,17 +1,16 @@
 """Directed multigraph over plane-embedded nodes with per-commodity edge costs.
 
 Nodes are dense integer indices with (x, y) coordinates.  Each edge carries a
-cost (and optionally a capacity) per commodity; an edge simply omits the
-commodities it does not carry.  Route costs come from one kernel,
-:func:`shortest_paths`, which gives the rows of the requested sources for one
-commodity at a time: a few rows for the pipeline, every row for
-``placenet paths``.
+cost per commodity; an edge simply omits the commodities it does not carry.
+Route costs come from one kernel, :func:`shortest_paths`, which gives the rows
+of the requested sources for one commodity at a time: a few rows for the
+pipeline, every row for ``placenet paths``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,16 +31,14 @@ class Node:
 
 @dataclass(frozen=True)
 class Edge:
-    """A directed edge with per-commodity unit costs and optional capacities.
+    """A directed edge with per-commodity unit costs.
 
-    Commodities absent from ``cost`` are not carried by this edge.  Capacities
-    default to unbounded.
+    Commodities absent from ``cost`` are not carried by this edge.
     """
 
     tail: int
     head: int
     cost: Mapping[str, float]
-    capacity: Mapping[str, float] = field(default_factory=dict)
 
 
 class Network:
@@ -57,11 +54,6 @@ class Network:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-
-def euclidean_distance(a: Node, b: Node) -> float:
-    """Plane distance between two nodes."""
-    return math.hypot(a.x - b.x, a.y - b.y)
 
 
 def build_network(
@@ -99,16 +91,11 @@ def build_network(
                 commodity: h * dx + v * dy
                 for commodity, (h, v) in grid_costs.items()
             }
-            edge = Edge(edge.tail, edge.head, cost, edge.capacity)
+            edge = Edge(edge.tail, edge.head, cost)
         for commodity, value in edge.cost.items():
             if value < 0:
                 raise ScenarioError(
                     f"edge ({edge.tail}, {edge.head}) has negative cost for {commodity}"
-                )
-        for commodity, value in edge.capacity.items():
-            if value < 0:
-                raise ScenarioError(
-                    f"edge ({edge.tail}, {edge.head}) has negative capacity for {commodity}"
                 )
         checked.append(edge)
     return Network(nodes, checked)

@@ -433,6 +433,7 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray
     return y[:n_vars]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflowed objective
 def solve_production_plan(
     instance: PlanInstance, integer: bool = False
 ) -> tuple[tuple[float, ...], float]:

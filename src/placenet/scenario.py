@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ScenarioError
-from .network import Edge, Network, Node, build_network, euclidean_distance, shortest_paths
+from .network import Edge, Network, Node, build_network, shortest_paths
 
 DEFAULT_PLANT_CAPACITY = 10.0
 DEFAULT_HANDLING_RATE = 0.2
@@ -72,29 +72,6 @@ class ProductionParams:
         return self.capacity.get(plant, {}).get(product, DEFAULT_PLANT_CAPACITY)
 
 
-@dataclass(frozen=True)
-class DistanceBound:
-    node_a: str
-    node_b: str
-    max_distance: float
-
-
-@dataclass(frozen=True)
-class GlobalLimits:
-    total_raw: float | None = None
-    total_product: float | None = None
-    max_distances: tuple[DistanceBound, ...] = ()
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One broken feasibility constraint; data, not an exception."""
-
-    kind: str
-    subject: str
-    message: str
-
-
 class Scenario:
     """A fully validated problem instance with site-indexed route costs."""
 
@@ -110,7 +87,6 @@ class Scenario:
         demand: dict[str, dict[str, int]],
         retail_prices: dict[str, float],
         production: ProductionParams,
-        limits: GlobalLimits,
         handling_rate: float,
         notes: tuple[str, ...],
         digest: str,
@@ -128,7 +104,6 @@ class Scenario:
         self.demand = demand
         self.retail_prices = retail_prices
         self.production = production
-        self.limits = limits
         self.handling_rate = handling_rate
         self.notes = notes
         self.digest = digest
@@ -157,9 +132,6 @@ class Scenario:
         """Raise ScenarioError when no edge carries the commodity."""
         if commodity not in self.network.commodities:
             raise ScenarioError(f"no edge carries commodity {commodity!r}")
-
-    def node(self, label: str) -> Node:
-        return self.network.nodes[self.node_index[label]]
 
     def to_dict(self) -> dict[str, Any]:
         """Canonical dict in the documented file format (round-trips)."""
@@ -236,6 +208,14 @@ def _nonneg(value: float, what: str) -> float:
     return value
 
 
+def _unenforced(what: str) -> ScenarioError:
+    """The error for a non-empty field that placenet does not enforce, so that
+    a declared limit is refused rather than silently ignored."""
+    return ScenarioError(
+        f"{what}: placenet does not enforce this field; remove it or leave it empty"
+    )
+
+
 def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario document must be a JSON object")
@@ -307,15 +287,11 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
             commodity_ref(cid, f"edges[{i}].cost"): _nonneg(v, f"edges[{i}] cost for {cid}")
             for cid, v in _entries(spec.get("cost", {}), f"edges[{i}].cost")
         }
-        capacity = {
-            commodity_ref(cid, f"edges[{i}].capacity"): _nonneg(
-                v, f"edges[{i}] capacity for {cid}"
-            )
-            for cid, v in _entries(spec.get("capacity", {}), f"edges[{i}].capacity")
-        }
+        if spec.get("capacity"):
+            raise _unenforced(f"edges[{i}].capacity")
         if grid_costs is None and not cost:
             raise ScenarioError(f"edges[{i}]: needs a cost map (no grid_costs given)")
-        edges.append(Edge(index[tail], index[head], cost, capacity))
+        edges.append(Edge(index[tail], index[head], cost))
     network = build_network(nodes, edges, grid_costs)
 
     recipes: dict[str, dict[str, float]] = {}
@@ -473,29 +449,9 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         factors=factors, exponents=exponents, capacity=capacity, splits=splits
     )
 
-    limits_spec = _expect(data.get("limits") or {}, dict, "limits")
-    bounds = []
-    for i, spec in enumerate(_items(limits_spec.get("max_distances", []), "limits.max_distances")):
-        what = f"limits.max_distances[{i}]"
-        pair = _items(_require(spec, "between", what), f"{what}.between")
-        if len(pair) != 2:
-            raise ScenarioError(f"{what}: 'between' needs two node ids")
-        node_a, node_b = (node_ref(label, what) for label in pair)
-        max_distance = _nonneg(_require(spec, "max", what), "max distance")
-        bounds.append(DistanceBound(node_a, node_b, max_distance))
-    limits = GlobalLimits(
-        total_raw=(
-            _nonneg(limits_spec["total_raw"], "limits.total_raw")
-            if limits_spec.get("total_raw") is not None
-            else None
-        ),
-        total_product=(
-            _nonneg(limits_spec["total_product"], "limits.total_product")
-            if limits_spec.get("total_product") is not None
-            else None
-        ),
-        max_distances=tuple(bounds),
-    )
+    limits = _expect(data.get("limits") or {}, dict, "limits")
+    if limits:
+        raise _unenforced(f"limits.{next(iter(limits))}")
 
     handling_rate = _nonneg(data.get("handling_rate", DEFAULT_HANDLING_RATE), "handling_rate")
     notes = tuple(str(n) for n in _items(data.get("notes", []), "notes"))
@@ -515,68 +471,9 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         demand=store_demand,
         retail_prices=retail_prices,
         production=production,
-        limits=limits,
         handling_rate=handling_rate,
         notes=notes,
         digest=digest,
         source=data,
     )
 
-
-def validate_feasibility(scenario: Scenario, situation) -> list[Violation]:
-    """Check a placement against distance bounds and edge capacities.
-
-    Returns one Violation per broken constraint (empty list means feasible).
-    Capacity accounting attributes each shipment leg to the direct edge
-    joining its two waypoints, when such an edge exists; multi-hop paths are
-    not reconstructed.
-    """
-    violations: list[Violation] = []
-
-    for bound in scenario.limits.max_distances:
-        actual = euclidean_distance(scenario.node(bound.node_a), scenario.node(bound.node_b))
-        if actual > bound.max_distance + 1e-12:
-            violations.append(
-                Violation(
-                    kind="distance",
-                    subject=f"{bound.node_a}-{bound.node_b}",
-                    message=(
-                        f"distance between {bound.node_a} and {bound.node_b} is "
-                        f"{actual:.6g}, above the configured bound {bound.max_distance:.6g}"
-                    ),
-                )
-            )
-
-    loads: dict[tuple[str, str, str], float] = {}
-
-    def add_load(tail: str, head: str, commodity: str, units: float) -> None:
-        key = (tail, head, commodity)
-        loads[key] = loads.get(key, 0.0) + units
-
-    for (product, store), shipments in situation.flow.shipments.items():
-        for shipment in shipments:
-            add_load(shipment.plant, shipment.warehouse, product, shipment.units)
-            add_load(shipment.warehouse, store, product, shipment.units)
-    for plant, requirement in situation.plant_raw_requirements.items():
-        warehouse = situation.raw_warehouses[plant]
-        for rid, units in requirement.items():
-            add_load(scenario.sites.extraction[rid], warehouse, rid, units)
-            add_load(warehouse, plant, rid, units)
-
-    for edge in scenario.network.edges:
-        for commodity, cap in edge.capacity.items():
-            tail = scenario.node_labels[edge.tail]
-            head = scenario.node_labels[edge.head]
-            used = loads.get((tail, head, commodity), 0.0)
-            if used > cap + 1e-9:
-                violations.append(
-                    Violation(
-                        kind="capacity",
-                        subject=f"{tail}->{head}",
-                        message=(
-                            f"edge {tail}->{head} carries {used:g} units of {commodity}, "
-                            f"above its capacity {cap:g}"
-                        ),
-                    )
-                )
-    return violations

@@ -128,6 +128,8 @@ class TestSolve:
         proc = run_cli("solve", "-s", path)
         assert proc.returncode == 3
         assert "infeasible" in proc.stderr
+        assert "all 6 plant pairs were skipped" in proc.stderr
+        assert "first skipped x7,x12: allocation of b1 exceeds capacity at x12" in proc.stderr
 
     @pytest.mark.parametrize(
         "extra, digest",
@@ -297,7 +299,6 @@ MALFORMED = [
     (("nodes", 0, "x"), "abc", "nodes[0].x"),
     (("nodes", 3, "y"), None, "nodes[3].y"),
     (("edges", 0, "cost", "a1"), "zz", "edges[0] cost for a1"),
-    (("edges", 1, "capacity"), {"a1": [5]}, "edges[1] capacity for a1"),
     (("commodities", 0, "storage_fee"), "free", "commodity a1: storage_fee"),
     (("grid_costs",), {"a1": {"horizontal": "h", "vertical": 1}}, "horizontal cost"),
     (("production", "factors", "x7", "b1"), "j", "production factor at x7 for b1"),
@@ -320,20 +321,35 @@ MALFORMED = [
     (("sites", "stores"), "x14", "sites.stores"),
     (("production", "splits"), 5, "production.splits"),
     (("production", "splits", 0, "plants"), 5, "production.splits[0].plants"),
-    (("limits", "max_distances"), 5, "limits.max_distances"),
+]
+
+# (path into example_s8, value, test id, field the error names): a non-empty
+# field that placenet does not enforce is refused, whatever its value.
+NOT_ENFORCED = "{}: placenet does not enforce this field"
+UNENFORCED = [
+    (("edges", 1, "capacity"), {"a1": [5]}, "edges[1] capacity for a1", "edges[1].capacity"),
+    (("edges", 1, "capacity"), {"a1": 100}, "edges[1].capacity", "edges[1].capacity"),
+    (("limits", "max_distances"), 5, "limits.max_distances", "limits.max_distances"),
     (
         ("limits", "max_distances"),
         [{"between": 5, "max": 1}],
         "limits.max_distances[0].between",
+        "limits.max_distances",
     ),
+    (("limits", "total_raw"), 5, "limits.total_raw", "limits.total_raw"),
+]
+EXITS_2 = [(path, value, f"{field} must be a") for path, value, field in MALFORMED] + [
+    (path, value, NOT_ENFORCED.format(field)) for path, value, _, field in UNENFORCED
 ]
 
 
 class TestMalformedInput:
     """Malformed numbers end in exit 2 with the field named, not a traceback."""
 
-    @pytest.mark.parametrize("path, value, field", MALFORMED, ids=[c[2] for c in MALFORMED])
-    def test_exits_2_naming_the_field(self, s8_dict, tmp_path, capsys, path, value, field):
+    @pytest.mark.parametrize(
+        "path, value, message", EXITS_2, ids=[c[2] for c in MALFORMED + UNENFORCED]
+    )
+    def test_exits_2_naming_the_field(self, s8_dict, tmp_path, capsys, path, value, message):
         from placenet.cli import main
 
         doc = copy.deepcopy(s8_dict)
@@ -342,7 +358,7 @@ class TestMalformedInput:
         scenario.write_text(json.dumps(doc))
         assert main(["solve", "-s", str(scenario)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"{field} must be a" in err
+        assert err.startswith("error: ") and message in err
 
     def test_first_bad_commodity_is_reported(self, s8_dict, tmp_path, capsys):
         # Both a1 and b1 overflow to an inf cost on edge (0, 1); a1 sorts first.
@@ -555,3 +571,15 @@ class TestSolvers:
         )
         proc = run_cli("plan", path)
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("extra", [(), ("--integer",)])
+    def test_plan_overflow_prints_only_the_error(self, tmp_path, extra):
+        doc = json.loads((FIXTURES / "plan_small.json").read_text())
+        doc["profit"] = [1e308, 1e308]
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("plan", path, *extra)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: the plan objective overflowed; the input numbers are too large\n"
+        )

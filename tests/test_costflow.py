@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from placenet import (
     InfeasibleError,
     Scenario,
+    TransportInstance,
     build_situation,
     greedy_flow,
     product_unit_total_cost,
     raw_requirements,
     select_product_warehouses,
     select_raw_warehouses,
+    solve_transportation,
     total_demand,
 )
 from placenet.cli import main as placenet_main
@@ -546,6 +548,35 @@ class TestOracleEquivalence:
             assert situation.raw_warehouses == oracle_select_raw_warehouses(
                 s8, plants, situation.plant_raw_requirements
             )
+
+
+class TestTransportationBound:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(leg_cases())
+    def test_greedy_flow_costs_at_least_the_transportation_optimum(self, case):
+        """Cheapest-first is one feasible plan of the plant x store transportation
+        problem that the warehouse minimum prices, so it never beats its optimum."""
+        scenario, plants, outputs, _, warehouses, _ = case
+        try:
+            flow = greedy_flow(scenario, plants, outputs, warehouses)
+        except InfeasibleError:
+            return
+        stores = scenario.sites.stores
+        optimum = 0.0
+        for product in scenario.product_ids:
+            instance = TransportInstance(
+                supply=tuple(outputs[plant].get(product, 0) for plant in plants),
+                demand=tuple(scenario.demand[store].get(product, 0) for store in stores),
+                costs=tuple(
+                    tuple(
+                        oracle_ship_unit_cost(scenario, plant, warehouses, store, product)[0]
+                        for store in stores
+                    )
+                    for plant in plants
+                ),
+            )
+            optimum += solve_transportation(instance).objective
+        assert flow.total_cost >= optimum - 1e-9
 
 
 def only(commodity, tail, heads):

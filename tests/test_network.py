@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from placenet import Edge, Node, ScenarioError, build_network, euclidean_distance, shortest_paths
+from placenet import Edge, Node, ScenarioError, build_network, shortest_paths
 from conftest import dijkstra_distances
 
 
@@ -205,24 +205,3 @@ class TestSourceRows:
         with pytest.raises(ScenarioError, match=r"edge \(1, 2\) cost for c must be finite and >= 0"):
             shortest_paths(net, "c", [0])
 
-
-class TestEuclidean:
-    def test_three_four_five(self):
-        assert euclidean_distance(Node(0, 0, 0), Node(1, 3, 4)) == 5
-
-    def test_identity(self):
-        assert euclidean_distance(Node(0, 2.5, -1), Node(1, 2.5, -1)) == 0
-
-    def test_hand_value(self):
-        assert euclidean_distance(Node(0, 1, 2), Node(1, 4, 6)) == 5
-
-    def test_symmetry_and_triangle(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            a, b, c = (
-                Node(i, rng.uniform(-10, 10), rng.uniform(-10, 10)) for i in range(3)
-            )
-            assert euclidean_distance(a, b) == euclidean_distance(b, a)
-            assert euclidean_distance(a, c) <= (
-                euclidean_distance(a, b) + euclidean_distance(b, c) + 1e-12
-            )

@@ -7,12 +7,10 @@ import pytest
 from placenet import (
     Scenario,
     ScenarioError,
-    build_situation,
     compromise_select,
     enumerate_situations,
     evaluate_all,
     load_scenario,
-    validate_feasibility,
 )
 from conftest import route_cost
 
@@ -75,6 +73,16 @@ class TestLoad:
         assert len(situations) == 5
         assert skipped and skipped[0][0] == ("x7", "x12")
 
+    @pytest.mark.parametrize("limits", [{}, None, "absent"])
+    def test_empty_limits_and_capacity_load(self, s8_dict, limits):
+        doc = copy.deepcopy(s8_dict)
+        if limits == "absent":
+            del doc["limits"]
+        else:
+            doc["limits"] = limits
+        doc["edges"][0]["capacity"] = {}
+        Scenario.from_dict(doc)  # loads: an empty field asks for nothing
+
 
 class TestRoundTrip:
     def test_to_dict_round_trips(self, s8):
@@ -84,44 +92,6 @@ class TestRoundTrip:
 
     def test_reload_matches_file(self, s8, s8_dict):
         assert s8.to_dict() == s8_dict
-
-
-class TestValidateFeasibility:
-    def test_fixture_has_no_violations(self, s8):
-        situation = build_situation(s8, ("x7", "x12"))
-        assert validate_feasibility(s8, situation) == []
-
-    def test_distance_bound_violation(self, s8_dict):
-        doc = copy.deepcopy(s8_dict)
-        doc["limits"] = {"max_distances": [{"between": ["x2", "x7"], "max": 0.5}]}
-        scenario = Scenario.from_dict(doc)
-        situation = build_situation(scenario, ("x7", "x12"))
-        violations = validate_feasibility(scenario, situation)
-        assert [v.kind for v in violations] == ["distance"]
-        assert "x2" in violations[0].message and "x7" in violations[0].message
-
-    def test_capacity_violation_names_edge(self, s8_dict):
-        # x8 -> x14 carries 5 units of b1 under the (x7, x12) flow
-        doc = copy.deepcopy(s8_dict)
-        for edge in doc["edges"]:
-            if edge["from"] == "x8" and edge["to"] == "x14":
-                edge["capacity"] = {"b1": 1}
-        scenario = Scenario.from_dict(doc)
-        situation = build_situation(scenario, ("x7", "x12"))
-        violations = validate_feasibility(scenario, situation)
-        assert [v.kind for v in violations] == ["capacity"]
-        assert violations[0].subject == "x8->x14"
-        assert "5 units" in violations[0].message
-
-    def test_raw_leg_capacity_violation(self, s8_dict):
-        doc = copy.deepcopy(s8_dict)
-        for edge in doc["edges"]:
-            if edge["from"] == "x1" and edge["to"] == "x2":
-                edge["capacity"] = {"a1": 10}
-        scenario = Scenario.from_dict(doc)
-        situation = build_situation(scenario, ("x7", "x12"))  # 37 units a1 via x2
-        violations = validate_feasibility(scenario, situation)
-        assert violations and violations[0].subject == "x1->x2"
 
 
 class TestFuzzedFixtures:
