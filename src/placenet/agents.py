@@ -1,12 +1,16 @@
 """Placement situations and the three agents' payoff functions.
 
 Agent 1 owns warehouses and transport, agent 2 owns the plants, agent 3 owns
-the stores.  Situations are evaluated independently of each other, and the
+the stores.  Enumeration completes every plant pair together: allocation and
+raw warehouses pair by pair, the product-warehouse search as one batch over
+all pairs, plant economics once per (plant, product, quantity).  Errors come
+back in pair order, each the one a pair-by-pair run meets first, and the
 enumeration order gives the output columns.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -14,7 +18,7 @@ import numpy as np
 
 from . import costflow, production
 from .compromise import PayoffMatrix
-from .errors import InfeasibleError
+from .errors import InfeasibleError, ScenarioError
 from .scenario import Scenario
 
 AGENT_LABELS = ("agent1", "agent2", "agent3")
@@ -48,34 +52,11 @@ def build_situation(
     scenario pins one), per-plant raw requirements, raw warehouse assignment,
     then the product warehouse pair with its greedy flow.
     """
-    totals = costflow.total_demand(scenario)
-    override = scenario.production.splits.get(frozenset(plants))
-    outputs = production.allocate_output(
-        totals, plants, scenario.production.capacity_for, override
-    )
-    requirements = {
-        plant: costflow.raw_requirements(outputs[plant], scenario.recipes) for plant in plants
-    }
-    raw_warehouses = costflow.select_raw_warehouses(
-        scenario, plants, requirements, mode=warehouse_mode
-    )
-    product_warehouses, flow = costflow.select_product_warehouses(scenario, plants, outputs)
-    economics = {
-        (plant, product): production.plant_economics(
-            scenario, plant, product, outputs[plant].get(product, 0)
-        )
-        for plant in plants
-        for product in scenario.product_ids
-    }
-    return Situation(
-        plants=plants,
-        raw_warehouses=raw_warehouses,
-        product_warehouses=product_warehouses,
-        outputs=outputs,
-        flow=flow,
-        economics=economics,
-        plant_raw_requirements=requirements,
-    )
+    skipped: list[tuple[tuple[str, str], str]] = []
+    situations = _complete(scenario, [plants], warehouse_mode, skipped)
+    if skipped:
+        raise InfeasibleError(skipped[0][1])
+    return situations[0]
 
 
 def enumerate_situations(
@@ -90,14 +71,58 @@ def enumerate_situations(
     """
     if len(scenario.sites.plants) < 2:
         raise InfeasibleError("need at least 2 plant candidates")
+    pairs = list(itertools.combinations(scenario.sites.plants, 2))
+    return _complete(scenario, pairs, warehouse_mode, [] if skipped is None else skipped)
+
+
+def _complete(scenario, pairs, warehouse_mode, skipped) -> list[Situation]:
+    """The pairs' situations, with the same skips and errors, in the same
+    order, as completing one pair after the other.  Allocation and raw
+    warehouses go pair by pair, the product warehouse search over all pairs
+    at once, and plant economics once per (plant, product, quantity)."""
+    staged = [_choose_raw(scenario, plants, warehouse_mode) for plants in pairs]
+    live = [stage[:2] for stage in staged if not isinstance(stage, Exception)]
+    searched = iter(costflow.select_product_warehouses(scenario, live))
+    economics = functools.cache(lambda *key: production.plant_economics(scenario, *key))
     situations = []
-    for pair in itertools.combinations(scenario.sites.plants, 2):
+    for plants, stage in zip(pairs, staged):
         try:
-            situations.append(build_situation(scenario, pair, warehouse_mode))
+            _, outputs, requirements, raws = _raised(stage)
+            warehouses, flow = _raised(next(searched))
+            economy = {
+                (plant, product): economics(plant, product, outputs[plant].get(product, 0))
+                for plant in plants
+                for product in scenario.product_ids
+            }
         except InfeasibleError as exc:
-            if skipped is not None:
-                skipped.append((pair, str(exc)))
+            skipped.append((plants, str(exc)))
+            continue
+        situations.append(Situation(plants, raws, warehouses, outputs, flow, economy, requirements))
     return situations
+
+
+def _choose_raw(scenario, plants, warehouse_mode):
+    """A pair's output allocation, raw requirements and raw warehouses, or the
+    InfeasibleError or ScenarioError that choosing them raises."""
+    try:
+        override = scenario.production.splits.get(frozenset(plants))
+        outputs = production.allocate_output(
+            costflow.total_demand(scenario), plants, scenario.production.capacity_for, override
+        )
+        requirements = {
+            plant: costflow.raw_requirements(outputs[plant], scenario.recipes) for plant in plants
+        }
+        raws = costflow.select_raw_warehouses(scenario, plants, requirements, mode=warehouse_mode)
+    except (InfeasibleError, ScenarioError) as exc:
+        return exc
+    return plants, outputs, requirements, raws
+
+
+def _raised(result):
+    """``result``, raised when it is an error."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def agent1_components(scenario: Scenario, situation: Situation) -> dict[str, float]:

@@ -4,8 +4,10 @@ Route costs are the scenario's site-indexed arrays: ``raw_costs[raw]`` is
 (raw warehouse, plant), ``ship_costs[product]`` is (plant, product warehouse,
 store).  Tie rules: ids compare as strings (``"x10" < "x8"``) for a shipment's
 warehouse and between equal-cost choices; the sweep serves equal-cost cells
-by store, then plant position; the minimum total cost wins.  Sums keep a fixed
-order, so results are bit-reproducible.  Public functions are pure.
+by store, then plant position; the minimum total cost wins.  The sweep runs
+as one numpy batch over many flows, each adding its cells in the same order
+as a one-flow sweep, so results are bit-reproducible.  Public functions are
+pure.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .scenario import Scenario
 
 WEIGHTED = "weighted"
 UNIT = "unit"
+_CHUNK_CELLS = 2**14  # sweep cells per batch chunk of the pair search
 
 
 @dataclass(frozen=True)
@@ -92,41 +95,75 @@ def product_unit_total_cost(scenario: Scenario, plant_unit_price: float, product
     return plant_unit_price + scenario.commodities[product].storage_fee
 
 
-def _supply_demand(scenario, plants, outputs, product) -> tuple[list[int], list[int]]:
-    supply = [outputs.get(plant, {}).get(product, 0) for plant in plants]
-    return supply, [scenario.demand[store].get(product, 0) for store in scenario.sites.stores]
+def _supply(plants, outputs, product) -> list[int]:
+    return [outputs.get(plant, {}).get(product, 0) for plant in plants]
 
 
-def _cheapest_first(cost: np.ndarray) -> tuple[list, list, list]:
-    """(store, plant, cost) lists in sweep order from (..., store, plant) cell costs."""
-    n_plants = cost.shape[-1]
-    cost = cost.reshape(*cost.shape[:-2], -1)
-    order = np.argsort(cost, axis=-1, kind="stable")  # store-major, so ties keep store, plant
-    costs = np.take_along_axis(cost, order, axis=-1)
-    return (order // n_plants).tolist(), (order % n_plants).tolist(), costs.tolist()
+def _demand(scenario, product) -> list[int]:
+    return [scenario.demand[store].get(product, 0) for store in scenario.sites.stores]
 
 
-def _sweep(total, stores, plants, costs, supply, demand, product, shipped=None) -> float:
-    """Adds the flow cost of serving cells in order to ``total``, consuming
-    ``supply`` and ``demand``; records (plant, store, units, cost) in ``shipped``."""
-    unfilled = len(demand) - demand.count(0)
-    for store, plant, cost in zip(stores, plants, costs):
-        want, have = demand[store], supply[plant]
-        units = want if want < have else have  # min(have, want), result type included
-        if units <= 0:
-            continue
-        supply[plant] = have - units
-        demand[store] = want - units
-        total += units * cost
-        if shipped is not None:
-            shipped.append((plant, store, units, cost))
-        if units == want:
-            unfilled -= 1
-            if not unfilled:
-                break
-    if unfilled:
-        raise InfeasibleError(f"demand for {product} left unfilled after greedy pass")
-    return total
+@np.errstate(over="ignore")  # a total past the float range is inf, as in Python
+def _sweep(cost, supply, demand, total):
+    """Serves each batch element's (store, plant) ``cost`` cells cheapest
+    first, in stable argsort order of the store-major cells; a cell ships
+    min(unsent ``demand``, unshipped ``supply``), nothing from a negative
+    supply.  Adds each element's flow cost to ``total`` in that order and
+    returns it with each rank's cell (store-major index), cost and units."""
+    batch, n_stores, n_plants = cost.shape
+    flat = cost.reshape(batch, n_stores * n_plants)
+    order = np.argsort(flat, axis=1, kind="stable")
+    cells = order + np.arange(batch)[:, None] * flat.shape[1]  # indices into the whole batch
+    costs = flat.ravel()[cells]
+    # each cell's store among the batch's stores, and its plant among the batch's plants
+    stores = cells // n_plants
+    plants = cells // flat.shape[1] * n_plants + order % n_plants
+    want, have = np.tile(demand, batch), np.maximum(supply, 0).ravel()
+    units = np.empty((flat.shape[1], batch), dtype=np.result_type(want, have))
+    for k, (store, plant, unit_cost) in enumerate(zip(stores.T, plants.T, costs.T.copy())):
+        w, h = want[store], have[plant]
+        units[k] = sent = np.minimum(w, h)
+        want[store], have[plant] = w - sent, h - sent
+        total = total + sent * unit_cost  # + 0.0 where nothing is sent
+    return total, order, costs, units.T
+
+
+def _cheapest(scenario, cases, options) -> list[tuple[tuple[str, ...], FlowAssignment]]:
+    """For each (plants, outputs, choices) case, the option (a tuple of product
+    warehouses) among ``options[choices]`` whose cheapest-first flow costs
+    least, ties to the first, and that flow.  Cases share their plant and
+    choice counts, options their size; no cell may be unreachable."""
+    stores, warehouses = scenario.sites.stores, scenario.sites.product_warehouses
+    vias = [sorted(option) for option in options]  # argmin keeps the first: string order
+    cols = np.array([[warehouses.index(w) for w in via] for via in vias], int)
+    choices = np.array([choice for *_, choice in cases])
+    rows = np.array([[scenario.sites.plants.index(p) for p in plants] for plants, *_ in cases], int)
+    (n_cases, n_plants), n_choices = rows.shape, choices.shape[1]
+    total, sweeps = np.zeros(n_cases * n_choices), []
+    for product in scenario.product_ids:
+        legs = scenario.ship_costs[product][rows[:, :, None, None], cols[choices][:, None]]
+        cost = legs.min(axis=3).transpose(0, 2, 3, 1)  # (case, choice, store, plant)
+        supply = np.repeat([_supply(p, o, product) for p, o, _ in cases], n_choices, axis=0)
+        cells = cost.reshape(n_cases * n_choices, len(stores), n_plants)
+        total, *swept = _sweep(cells, supply, _demand(scenario, product), total)
+        if n_choices == 1:
+            sweeps.append((product, legs[:, :, 0].argmin(axis=2), *swept))
+    if n_choices > 1:
+        best = np.take_along_axis(choices, total.reshape(n_cases, -1).argmin(axis=1)[:, None], 1)
+        return _cheapest(scenario, [(*case[:2], j) for case, j in zip(cases, best)], options)
+    shipments: list[dict[tuple[str, str], list[Shipment]]] = [{} for _ in cases]
+    for product, via, order, costs, units in sweeps:  # via: (case, plant, store)
+        case, rank = np.nonzero(units > 0)
+        store, plant = np.divmod(order[case, rank], n_plants)
+        columns = case, store, plant, via[case, plant, store], units[case, rank], costs[case, rank]
+        for c, s, p, w, sent, unit_cost in zip(*(column.tolist() for column in columns)):
+            shipments[c].setdefault((product, stores[s]), []).append(
+                Shipment(cases[c][0][p], sent, vias[choices[c, 0]][w], unit_cost)
+            )
+    return [
+        (options[j], FlowAssignment({key: tuple(v) for key, v in shipped.items()}, cost))
+        for j, shipped, cost in zip(choices[:, 0].tolist(), shipments, total.tolist())
+    ]
 
 
 def greedy_flow(
@@ -146,32 +183,23 @@ def greedy_flow(
     """
     stores = scenario.sites.stores
     rows = [scenario.sites.plants.index(plant) for plant in plants]
-    vias = sorted(warehouses)  # argmin keeps the first of equal costs: string order
-    cols = [scenario.sites.product_warehouses.index(w) for w in vias]
-    shipments: dict[tuple[str, str], list[Shipment]] = {}
-    total_cost = 0.0
+    cols = [scenario.sites.product_warehouses.index(w) for w in warehouses]
     for product in scenario.product_ids:
-        supply, demand = _supply_demand(scenario, plants, outputs, product)
+        supply, demand = _supply(plants, outputs, product), _demand(scenario, product)
         if sum(supply) < sum(demand):
             raise InfeasibleError(
                 f"outputs of {product} ({sum(supply)}) cannot cover demand ({sum(demand)})"
             )
-        legs = scenario.ship_costs[product][rows][:, cols]
-        via = legs.argmin(axis=1)
-        cost = np.take_along_axis(legs, via[:, None], axis=1)[:, 0]
+        cost = scenario.ship_costs[product][rows][:, cols].min(axis=1)
         if np.isinf(cost).any():
             plant, store = np.argwhere(np.isinf(cost))[0]
             scenario.check_carried(product)
             raise InfeasibleError(
                 f"no {product} route from {plants[plant]} to {stores[store]} via {warehouses}"
             )
-        shipped: list[tuple[int, int, int, float]] = []
-        total_cost = _sweep(total_cost, *_cheapest_first(cost.T), supply, demand, product, shipped)
-        for plant, store, units, unit_cost in shipped:
-            shipments.setdefault((product, stores[store]), []).append(
-                Shipment(plants[plant], units, vias[via[plant, store]], unit_cost)
-            )
-    return FlowAssignment({key: tuple(v) for key, v in shipments.items()}, total_cost)
+    # With enough supply and every cell reachable, the sweep fills all demand:
+    # a store left short would have found every plant empty.
+    return _cheapest(scenario, [(plants, outputs, [0])], [warehouses])[0][1]
 
 
 def select_raw_warehouses(
@@ -216,39 +244,45 @@ def select_raw_warehouses(
 
 def select_product_warehouses(
     scenario: Scenario,
-    plants: tuple[str, ...],
-    outputs: dict[str, dict[str, int]],
-) -> tuple[tuple[str, str], FlowAssignment]:
-    """Pick the distinct warehouse pair minimizing the greedy flow cost.
+    cases: list[tuple[tuple[str, ...], dict[str, dict[str, int]]]],
+) -> list[tuple[tuple[str, str], FlowAssignment] | InfeasibleError | ScenarioError]:
+    """For each (plants, outputs) case, the distinct warehouse pair with the
+    least greedy flow cost and its flow, or the error the case raises.
 
-    Returns the pair and its flow.  Ties resolve to the lexicographically
-    smallest (id, id) pair, comparing ids as strings.  Pairs are swept in
-    order of a lower bound on their cost (each unit costs at least its
-    store's cheapest cell) until the bound passes the best total.
+    The cases' plant tuples have one size.  Ties resolve to the
+    lexicographically smallest (id, id) pair, comparing ids as strings.  All
+    (case, pair) flows run as one batched sweep, in chunks of about
+    ``_CHUNK_CELLS`` cells.  A case with short supply or an unreachable cell
+    instead runs ``greedy_flow`` on each pair in turn, so its error is the
+    first one that loop meets.
     """
     candidates = scenario.sites.product_warehouses
     if len(candidates) < 2:
-        raise InfeasibleError("need at least 2 product warehouse candidates")
-    pairs = list(itertools.combinations(candidates, 2))
-    first, second = np.array(list(itertools.combinations(range(len(candidates)), 2))).T
-    rows = [scenario.sites.plants.index(plant) for plant in plants]
-    sweeps, bound = [], np.zeros(len(pairs))
-    for product in scenario.product_ids:
-        supply, demand = _supply_demand(scenario, plants, outputs, product)
-        legs = scenario.ship_costs[product][rows]
-        cost = np.minimum(legs[:, first], legs[:, second])  # (plant, pair, store)
-        if sum(supply) < sum(demand) or np.isinf(cost).any():
-            for pair in pairs:  # raises the error the pair loop meets first
-                greedy_flow(scenario, plants, outputs, pair)
-        sweeps.append((product, supply, demand, *_cheapest_first(cost.transpose(1, 2, 0))))
-        bound += (cost.min(axis=0) * demand).sum(axis=1)  # not @: a first BLAS call costs RSS
-    best, best_total = 0, np.inf
-    for j in sorted(range(len(pairs)), key=bound.__getitem__):
-        if bound[j] > best_total * (1 + 1e-9):  # the margin covers rounding in either sum
-            break
-        total = 0.0
-        for product, supply, demand, *cells in sweeps:
-            total = _sweep(total, *(c[j] for c in cells), supply[:], demand[:], product)
-        if (total, pairs[j]) < (best_total, pairs[best]):
-            best, best_total = j, total
-    return pairs[best], greedy_flow(scenario, plants, outputs, pairs[best])
+        return [InfeasibleError("need at least 2 product warehouse candidates") for _ in cases]
+    pairs = sorted(itertools.combinations(candidates, 2))  # so the first minimum wins ties
+    # A plant's cell is unreachable through some pair iff two warehouses miss it.
+    blocked = {
+        scenario.sites.plants[i]
+        for costs in scenario.ship_costs.values()
+        for i in np.flatnonzero((np.isinf(costs).sum(axis=1) >= 2).any(axis=1))
+    }
+    found: list = [None] * len(cases)
+    for c, (plants, outputs) in enumerate(cases):
+        if blocked.intersection(plants) or any(
+            sum(_supply(plants, outputs, product)) < sum(_demand(scenario, product))
+            for product in scenario.product_ids
+        ):
+            try:
+                for pair in itertools.combinations(candidates, 2):
+                    greedy_flow(scenario, plants, outputs, pair)
+            except (InfeasibleError, ScenarioError) as exc:
+                found[c] = exc
+    live = [c for c, result in enumerate(found) if result is None]
+    cells = len(pairs) * len(scenario.sites.stores) * len(cases[live[0]][0]) if live else 1
+    step = max(1, _CHUNK_CELLS // max(1, cells))
+    for start in range(0, len(live), step):
+        chunk = live[start : start + step]
+        cheapest = _cheapest(scenario, [(*cases[c], range(len(pairs))) for c in chunk], pairs)
+        for c, result in zip(chunk, cheapest):
+            found[c] = result
+    return found

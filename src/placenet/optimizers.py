@@ -28,6 +28,7 @@ from .scenario import _expect, _number, _require
 
 _EPS = 1e-9
 _MAX_TABLE_CELLS = 10**7  # the loading DP table, about 80 MB of floats
+_MAX_PIVOTS = 10_000  # transportation pivots before the solver gives up
 
 
 def _numbers(values: Any, what: str) -> tuple[float, ...]:
@@ -210,7 +211,7 @@ def solve_transportation(instance: TransportInstance) -> TransportPlan:
     cost_matrix = np.array(costs, dtype=float)
     cells = _northwest_corner(instance.supply, instance.demand)
 
-    for _ in range(10_000):
+    for _ in range(_MAX_PIVOTS):
         u, v = _potentials(cells, costs, m, n)
         _finite(u + v, "transport potentials")
         reduced = cost_matrix - np.array(u)[:, None] - np.array(v)
@@ -232,7 +233,9 @@ def solve_transportation(instance: TransportInstance) -> TransportPlan:
         cells = [c for c in cells if (c[0], c[1]) != leaving]
         cells.append([entering[0], entering[1], theta])
     else:
-        raise RuntimeError("potentials method failed to converge")
+        raise InfeasibleError(
+            f"the transportation solver hit its pivot limit ({_MAX_PIVOTS}) before an optimum"
+        )
 
     allocation = [[0.0] * n for _ in range(m)]
     for i, j, units in cells:

@@ -508,6 +508,29 @@ class TestSolvers:
         assert payload["allocation"] == [[10, 0], [5, 15]]
         assert payload["balanced_input"] is True
 
+    def test_transport_pivot_limit_exits_3(self, tmp_path, monkeypatch, capsys):
+        from placenet.cli import main
+
+        # The northwest corner is the diagonal; the optimum, the anti-diagonal,
+        # takes two pivots.
+        path = tmp_path / "transport.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "supply": [10, 10, 10],
+                    "demand": [10, 10, 10],
+                    "costs": [[9, 9, 1], [9, 1, 9], [1, 9, 9]],
+                }
+            )
+        )
+        assert main(["transport", str(path)]) == 0
+        assert "objective L = 30" in capsys.readouterr().out
+        monkeypatch.setattr("placenet.optimizers._MAX_PIVOTS", 1)
+        assert main(["transport", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "infeasible: the transportation solver hit its pivot limit (1) before an optimum\n"
+        )
+
     def test_load_fixture(self):
         proc = run_cli("load", FIXTURES / "loading_small.json", "--format", "json")
         payload = json.loads(proc.stdout)

@@ -10,9 +10,13 @@ from hypothesis import strategies as st
 from placenet import (
     InfeasibleError,
     Scenario,
+    ScenarioError,
     TransportInstance,
+    allocate_output,
     build_situation,
+    enumerate_situations,
     greedy_flow,
+    plant_economics,
     product_unit_total_cost,
     raw_requirements,
     select_product_warehouses,
@@ -145,6 +149,18 @@ class TestGreedyFlow:
         with pytest.raises(InfeasibleError, match="cannot cover|cover"):
             greedy_flow(s8, ("x7", "x12"), outputs, ("x8", "x11"))
 
+    def test_negative_output_ships_nothing(self):
+        scenario = leg_scenario(
+            plants={"P1": {"W": {"p1": 1}}, "P2": {"W": {"p1": 5}}},
+            warehouses={"W": {"S": {"p1": 1}}},
+            demand={"S": {"p1": 4}},
+            capacity={"P1": {"p1": 100}, "P2": {"p1": 100}},
+        )
+        outputs = {"P1": {"p1": -2}, "P2": {"p1": 6}}
+        flow = greedy_flow(scenario, ("P1", "P2"), outputs, ("W",))
+        assert flow.shipments == {("p1", "S"): (Shipment("P2", 4, "W", 6.0),)}
+        assert flow.total_cost == 24
+
     def test_conservation(self):
         rng = random.Random(11)
         for _ in range(60):
@@ -239,7 +255,7 @@ class TestWarehouseSelection:
             "x7": {"b1": 7, "b2": 10, "b3": 10},
             "x12": {"b1": 10, "b2": 7, "b3": 6},
         }
-        pair, _flow = select_product_warehouses(s8, ("x7", "x12"), outputs)
+        [(pair, _flow)] = select_product_warehouses(s8, [(("x7", "x12"), outputs)])
         assert pair == ("x8", "x11")
 
     def test_product_pair_second_situation(self, s8):
@@ -247,7 +263,7 @@ class TestWarehouseSelection:
             "x7": {"b1": 7, "b2": 10, "b3": 10},
             "x13": {"b1": 10, "b2": 7, "b3": 6},
         }
-        pair, _flow = select_product_warehouses(s8, ("x7", "x13"), outputs)
+        [(pair, _flow)] = select_product_warehouses(s8, [(("x7", "x13"), outputs)])
         assert pair == ("x8", "x10")
 
     def test_single_possible_pair(self):
@@ -256,7 +272,7 @@ class TestWarehouseSelection:
             warehouses={"W1": {"S": {"p1": 1}}, "W2": {"S": {"p1": 1}}},
             demand={"S": {"p1": 2}},
         )
-        pair, flow = select_product_warehouses(scenario, ("P",), {"P": {"p1": 2}})
+        [(pair, flow)] = select_product_warehouses(scenario, [(("P",), {"P": {"p1": 2}})])
         assert pair == ("W1", "W2")
         assert flow.total_cost == 4
 
@@ -317,7 +333,7 @@ class TestWarehouseSelection:
             "x7": {"b1": 7, "b2": 10, "b3": 10},
             "x12": {"b1": 10, "b2": 7, "b3": 6},
         }
-        best_pair, best_flow = select_product_warehouses(s8, ("x7", "x12"), outputs)
+        [(best_pair, best_flow)] = select_product_warehouses(s8, [(("x7", "x12"), outputs)])
         for pair in itertools.combinations(s8.sites.product_warehouses, 2):
             flow = greedy_flow(s8, ("x7", "x12"), outputs, pair)
             assert best_flow.total_cost <= flow.total_cost
@@ -417,6 +433,65 @@ def oracle_select_product_warehouses(scenario, plants, outputs):
     return best
 
 
+def oracle_enumerate(scenario, mode):
+    """The per-pair loop the batched enumeration replaced, on the scalar oracles."""
+    if len(scenario.sites.plants) < 2:
+        raise InfeasibleError("need at least 2 plant candidates")
+    situations, skipped = [], []
+    for pair in itertools.combinations(scenario.sites.plants, 2):
+        try:
+            override = scenario.production.splits.get(frozenset(pair))
+            outputs = allocate_output(
+                total_demand(scenario), pair, scenario.production.capacity_for, override
+            )
+            requirements = {
+                plant: raw_requirements(outputs[plant], scenario.recipes) for plant in pair
+            }
+            raws = oracle_select_raw_warehouses(scenario, pair, requirements, mode)
+            warehouses, flow = oracle_select_product_warehouses(scenario, pair, outputs)
+            economics = {
+                (plant, product): plant_economics(
+                    scenario, plant, product, outputs[plant].get(product, 0)
+                )
+                for plant in pair
+                for product in scenario.product_ids
+            }
+        except InfeasibleError as exc:
+            skipped.append((pair, str(exc)))
+            continue
+        shipments = list(flow.shipments.items())
+        situations.append(
+            (pair, raws, warehouses, outputs, shipments, flow.total_cost, economics, requirements)
+        )
+    return {"situations": situations, "skipped": skipped}
+
+
+def enumerated(scenario, mode):
+    """``enumerate_situations`` in ``oracle_enumerate``'s form."""
+    skipped = []
+    situations = [
+        (
+            s.plants,
+            s.raw_warehouses,
+            s.product_warehouses,
+            s.outputs,
+            list(s.flow.shipments.items()),
+            s.flow.total_cost,
+            s.economics,
+            s.plant_raw_requirements,
+        )
+        for s in enumerate_situations(scenario, mode, skipped)
+    ]
+    return {"situations": situations, "skipped": skipped}
+
+
+def returned(result):
+    """One result of a batched call: raised when it is an error."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def network_doc(
     cost,
     *,
@@ -491,22 +566,24 @@ def leg_cases(draw):
     """Small leg scenarios with integer costs, so equal costs are common.
 
     Candidate orders are drawn, so string order (W10 < W8 < W9) and site
-    order disagree; some draws leave commodities off legs (inf routes) or
-    give plants too little output.
+    order disagree; some draws leave commodities off legs (inf routes), give
+    plants too little output or capacity, or too few raw warehouses.
     """
 
     def order(ids, n):
         return draw(st.permutations(ids))[:n]
 
-    plants = order(["P8", "P9", "P10"], draw(st.integers(1, 2)))
+    plants = order(["P8", "P9", "P10", "P11"], draw(st.integers(1, 4)))
     raws = order(["r1", "r2"], draw(st.integers(1, 2)))
     products = order(["p1", "p2"], draw(st.integers(1, 2)))
-    raw_warehouses = order(["R8", "R9", "R10"], draw(st.integers(len(plants), 3)))
+    raw_warehouses = order(["R8", "R9", "R10", "R11"], draw(st.integers(2, 4)))
     warehouses = order(["W8", "W9", "W10"], draw(st.sampled_from([1, 2, 3, 3])))
     stores = order(["S8", "S9", "S10"], draw(st.integers(1, 3)))
-    leg = st.sampled_from([None, 0, 1, 2, 3]) if draw(st.booleans()) else st.integers(0, 3)
+    # Up to two fragile sites: only legs that touch one may lack a commodity.
+    fragile = draw(st.sets(st.sampled_from(plants + warehouses + stores), max_size=2))
+    legs = st.sampled_from([None, 0, 1, 2, 3]), st.integers(0, 3)
     doc = network_doc(
-        lambda c, t, h: draw(leg),
+        lambda c, t, h: draw(legs[not fragile & {t, h}]),
         plants=plants,
         raws=tuple(raws),
         products=tuple(products),
@@ -514,6 +591,11 @@ def leg_cases(draw):
         warehouses=warehouses,
         stores=stores,
         demand={s: {p: draw(st.integers(0, 3)) for p in products} for s in stores},
+        capacity={
+            plant: {p: draw(st.integers(0, 6)) for p in products}
+            for plant in plants
+            if draw(st.booleans())
+        },
     )
     scenario = Scenario.from_dict(doc)
     outputs = {plant: {p: draw(st.integers(0, 9)) for p in products} for plant in plants}
@@ -531,12 +613,26 @@ class TestOracleEquivalence:
         assert outcome(greedy_flow, scenario, plants, outputs, subset) == outcome(
             oracle_greedy_flow, scenario, plants, outputs, subset
         )
-        assert outcome(select_product_warehouses, scenario, plants, outputs) == outcome(
+        (found,) = select_product_warehouses(scenario, [(plants, outputs)])
+        assert outcome(returned, found) == outcome(
             oracle_select_product_warehouses, scenario, plants, outputs
         )
         assert outcome(select_raw_warehouses, scenario, plants, requirements, mode) == outcome(
             oracle_select_raw_warehouses, scenario, plants, requirements, mode
         )
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(leg_cases())
+    def test_batch_matches_pair_loop(self, case):
+        """Every plant pair in one batch: the same winners, totals, flows,
+        errors and skipped pairs as the per-pair oracle loop."""
+        scenario, plants, outputs, _, _, mode = case
+        pairs = list(itertools.combinations(plants, 2))
+        batch = select_product_warehouses(scenario, [(pair, outputs) for pair in pairs])
+        assert [outcome(returned, result) for result in batch] == [
+            outcome(oracle_select_product_warehouses, scenario, pair, outputs) for pair in pairs
+        ]
+        assert outcome(enumerated, scenario, mode) == outcome(oracle_enumerate, scenario, mode)
 
     def test_fixture_matches_scalar_code(self, s8):
         for plants in itertools.combinations(s8.sites.plants, 2):
@@ -548,6 +644,14 @@ class TestOracleEquivalence:
             assert situation.raw_warehouses == oracle_select_raw_warehouses(
                 s8, plants, situation.plant_raw_requirements
             )
+
+
+    @pytest.mark.parametrize("chunk_cells", [1, 100])
+    def test_chunks_do_not_change_the_search(self, s8, monkeypatch, chunk_cells):
+        """One plant pair per chunk, or a few, gives what one chunk gives."""
+        whole = enumerated(s8, "weighted")
+        monkeypatch.setattr("placenet.costflow._CHUNK_CELLS", chunk_cells)
+        assert enumerated(s8, "weighted") == whole
 
 
 class TestTransportationBound:
@@ -629,6 +733,41 @@ class TestErrorPaths:
             "P2,P3": "allocation of p2 exceeds capacity at P3",
         }
 
+    def test_skipped_pairs_keep_pair_order_and_stage_order(self):
+        # P3 reaches stores only through W10 and would overflow its output
+        # value; P4 may make no p1; P1 makes at most 1.  Pinned from the
+        # per-pair loop: each pair fails at its first failing stage, in order.
+        doc = network_doc(
+            only("p1", "P3", ("W10",)),
+            plants=("P1", "P2", "P3", "P4"),
+            capacity={"P1": {"p1": 1}, "P4": {"p1": 0}},
+        )
+        doc["production"]["factors"]["P3"]["p1"] = 1e308
+        skipped = []
+        situations = enumerate_situations(Scenario.from_dict(doc), skipped=skipped)
+        assert [s.label for s in situations] == ["P1,P2", "P2,P4"]
+        unreachable = "no p1 route from P3 to S8 via ('W8', 'W9')"
+        assert skipped == [
+            (("P1", "P3"), unreachable),
+            (("P1", "P4"), "allocation of p1 exceeds capacity at P4"),
+            (("P2", "P3"), unreachable),
+            (("P3", "P4"), unreachable),
+        ]
+
+    def test_invalid_input_raises_at_its_pair(self):
+        # (P1, P4) is skipped before (P1, P3) overflows P3's output value.
+        doc = network_doc(
+            lambda c, t, h: 1,
+            plants=("P1", "P3", "P4"),
+            capacity={"P1": {"p1": 1}, "P4": {"p1": 0}},
+        )
+        doc["production"]["factors"]["P3"]["p1"] = 1e308
+        doc["sites"]["plants"] = ["P1", "P4", "P3"]
+        skipped = []
+        with pytest.raises(ScenarioError, match="^output value of p1 at plant P3 overflows$"):
+            enumerate_situations(Scenario.from_dict(doc), skipped=skipped)
+        assert skipped == [(("P1", "P4"), "allocation of p1 exceeds capacity at P4")]
+
     @pytest.mark.parametrize("commodity", ["r2", "p2"])
     def test_commodity_no_edge_carries_is_invalid_input(self, tmp_path, capsys, commodity):
         doc = network_doc(
@@ -660,6 +799,5 @@ class TestErrorPaths:
             network_doc(only("p1", "P3", (heads,)), plants=("P1", "P3"), products=("p1", "p2"))
         )
         outputs = {"P1": {"p1": 2, "p2": p2_output}, "P3": {"p1": 2, "p2": 2}}
-        with pytest.raises(error) as caught:
-            select_product_warehouses(scenario, ("P1", "P3"), outputs)
-        assert type(caught.value) is error and str(caught.value) == message
+        (caught,) = select_product_warehouses(scenario, [(("P1", "P3"), outputs)])
+        assert type(caught) is error and str(caught) == message
