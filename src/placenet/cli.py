@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: solve, paths, transport, load, plan.  Exit codes: 0 on success,
-2 on invalid input, 3 on infeasible instances.  Output goes to stdout or
---out; the table header line (run metadata, no timestamps) can be dropped
+2 on invalid input, 3 on infeasible instances.  Each subcommand returns its
+header line and its JSON payload; `main` prints the payload as JSON or as the
+subcommand's table, which is rendered from that payload alone, to stdout or
+--out.  The table header line (run metadata, no timestamps) can be dropped
 with --no-header, and JSON output never carries one so it always parses.
 """
 
@@ -31,13 +33,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-header", action="store_true", help="drop the metadata header line")
 
 
-def _emit(text: str, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text, encoding="utf-8")
-
-
 def _load_instance_file(path: Path) -> tuple[dict, str]:
     try:
         raw = path.read_bytes()
@@ -49,10 +44,10 @@ def _load_instance_file(path: Path) -> tuple[dict, str]:
 
 
 def _header(command: str, name: str, digest: str, key: str = "instance") -> str:
-    return f"# placenet {command} {key}={name} digest=sha256:{digest}\n"
+    return f"# placenet {command} {key}={name} digest=sha256:{digest}"
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> tuple[str, dict]:
     scenario = load_scenario(args.scenario)
     skipped: list[tuple[tuple[str, str], str]] = []
     situations = agents.enumerate_situations(
@@ -66,115 +61,89 @@ def cmd_solve(args: argparse.Namespace) -> int:
         )
     matrix = agents.evaluate_all(scenario, situations)
     result = compromise.compromise_select(matrix, normalize=args.normalize)
-    built = report.build_report(
+    payload = report.build_report(
         scenario, situations, matrix, result, skipped, include_details=args.detail
     )
-    if args.format == "json":
-        _emit(report.render_json(built.to_dict()), args.out)
-    else:
-        _emit(report.render_table(built, header=not args.no_header), args.out)
-    return EXIT_OK
+    return _header("solve", scenario.name, scenario.digest, "scenario"), payload
 
 
-def cmd_paths(args: argparse.Namespace) -> int:
+def cmd_paths(args: argparse.Namespace) -> tuple[str, dict]:
     scenario = load_scenario(args.scenario)
     scenario.check_carried(args.commodity)
     labels = scenario.node_labels
     dist = shortest_paths(scenario.network, args.commodity, range(len(labels)))
-    if args.format == "json":
-        payload = {
-            "scenario": scenario.name,
-            "digest": scenario.digest,
-            "commodity": args.commodity,
-            "nodes": list(labels),
-            "dist": [[None if math.isinf(v) else float(v) for v in row] for row in dist],
-        }
-        _emit(report.render_json(payload), args.out)
-        return EXIT_OK
-    lines = []
-    if not args.no_header:
-        lines.append(_header("paths", scenario.name, scenario.digest, "scenario").rstrip("\n"))
-    lines.append(f"shortest-path costs, commodity {args.commodity}")
+    payload = {
+        "scenario": scenario.name,
+        "digest": scenario.digest,
+        "commodity": args.commodity,
+        "nodes": list(labels),
+        "dist": [[None if math.isinf(v) else float(v) for v in row] for row in dist],
+    }
+    return _header("paths", scenario.name, scenario.digest, "scenario"), payload
+
+
+def _paths_table(payload: dict) -> list[str]:
+    labels = payload["nodes"]
     width = max(len(label) for label in labels) + 1
-
-    def fmt(v: float) -> str:
-        return "inf" if math.isinf(v) else f"{v:g}"
-
+    lines = [f"shortest-path costs, commodity {payload['commodity']}"]
     lines.append(" " * width + "".join(label.rjust(width) for label in labels))
-    for i, label in enumerate(labels):
-        lines.append(
-            label.rjust(width) + "".join(fmt(dist[i, j]).rjust(width) for j in range(len(labels)))
-        )
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    for label, row in zip(labels, payload["dist"]):
+        cells = ("inf" if v is None else f"{v:g}" for v in row)
+        lines.append(label.rjust(width) + "".join(cell.rjust(width) for cell in cells))
+    return lines
 
 
-def cmd_transport(args: argparse.Namespace) -> int:
+def cmd_transport(args: argparse.Namespace) -> tuple[str, dict]:
     data, digest = _load_instance_file(args.instance)
     plan = optimizers.solve_transportation(optimizers.TransportInstance.from_dict(data))
-    if args.format == "json":
-        payload = {
-            "digest": digest,
-            "allocation": [list(row) for row in plan.allocation],
-            "objective": plan.objective,
-            "balanced_input": plan.balanced,
-            "fictitious": list(plan.fictitious) if plan.fictitious else None,
-            "basis": [list(cell) for cell in plan.basis],
-        }
-        _emit(report.render_json(payload), args.out)
-        return EXIT_OK
+    payload = {
+        "digest": digest,
+        "allocation": [list(row) for row in plan.allocation],
+        "objective": plan.objective,
+        "balanced_input": plan.balanced,
+        "fictitious": list(plan.fictitious) if plan.fictitious else None,
+        "basis": [list(cell) for cell in plan.basis],
+    }
+    return _header("transport", args.instance.name, digest), payload
+
+
+def _transport_table(payload: dict) -> list[str]:
     lines = []
-    if not args.no_header:
-        lines.append(_header("transport", args.instance.name, digest).rstrip("\n"))
-    if plan.fictitious:
-        kind, index = plan.fictitious
+    if payload["fictitious"]:
+        kind, index = payload["fictitious"]
         lines.append(f"unbalanced input: added fictitious {kind} #{index} at zero cost")
-    for row in plan.allocation:
-        lines.append("  ".join(f"{v:g}" for v in row))
-    lines.append(f"objective L = {plan.objective:g}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    lines += ["  ".join(f"{v:g}" for v in row) for row in payload["allocation"]]
+    return lines + [f"objective L = {payload['objective']:g}"]
 
 
-def cmd_load(args: argparse.Namespace) -> int:
+def cmd_load(args: argparse.Namespace) -> tuple[str, dict]:
     data, digest = _load_instance_file(args.instance)
     if args.capacity is not None:
         data = dict(data, capacity=args.capacity)
     instance = optimizers.LoadingInstance.from_dict(data, quantum=args.quantum)
     solution = optimizers.solve_loading(instance)
-    if args.format == "json":
-        payload = {
-            "digest": digest,
-            "counts": dict(solution.counts),
-            "objective": solution.objective,
-        }
-        _emit(report.render_json(payload), args.out)
-        return EXIT_OK
-    lines = []
-    if not args.no_header:
-        lines.append(_header("load", args.instance.name, digest).rstrip("\n"))
-    for name, count in solution.counts.items():
-        lines.append(f"{name}: {count}")
-    lines.append(f"objective z = {solution.objective:g}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    payload = {"digest": digest, "counts": dict(solution.counts), "objective": solution.objective}
+    return _header("load", args.instance.name, digest), payload
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
+def _load_table(payload: dict) -> list[str]:
+    lines = [f"{name}: {count}" for name, count in payload["counts"].items()]
+    return lines + [f"objective z = {payload['objective']:g}"]
+
+
+def cmd_plan(args: argparse.Namespace) -> tuple[str, dict]:
     data, digest = _load_instance_file(args.instance)
     instance = optimizers.PlanInstance.from_dict(data)
     x, objective = optimizers.solve_production_plan(instance, integer=args.integer)
-    if args.format == "json":
-        payload = {"digest": digest, "x": list(x), "objective": objective}
-        _emit(report.render_json(payload), args.out)
-        return EXIT_OK
-    lines = []
-    if not args.no_header:
-        lines.append(_header("plan", args.instance.name, digest).rstrip("\n"))
-    lines.append("x = " + "  ".join(f"{v:g}" for v in x))
-    lines.append(f"objective L = {objective:g}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    payload = {"digest": digest, "x": list(x), "objective": objective}
+    return _header("plan", args.instance.name, digest), payload
+
+
+def _plan_table(payload: dict) -> list[str]:
+    return [
+        "x = " + "  ".join(f"{v:g}" for v in payload["x"]),
+        f"objective L = {payload['objective']:g}",
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,31 +172,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--detail", action="store_true", help="include per-situation detail")
     _add_common(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve.set_defaults(func=cmd_solve, table=report.render_table)
 
     p_paths = sub.add_parser("paths", help="print a commodity's shortest-path cost matrix")
     p_paths.add_argument("--scenario", "-s", type=Path, required=True)
     p_paths.add_argument("--commodity", required=True)
     _add_common(p_paths)
-    p_paths.set_defaults(func=cmd_paths)
+    p_paths.set_defaults(func=cmd_paths, table=_paths_table)
 
     p_transport = sub.add_parser("transport", help="solve a transportation instance")
     p_transport.add_argument("instance", type=Path)
     _add_common(p_transport)
-    p_transport.set_defaults(func=cmd_transport)
+    p_transport.set_defaults(func=cmd_transport, table=_transport_table)
 
     p_load = sub.add_parser("load", help="solve a loading (unbounded knapsack) instance")
     p_load.add_argument("instance", type=Path)
     p_load.add_argument("--quantum", type=float, default=1.0, help="weight unit for scaling")
     p_load.add_argument("--capacity", type=float, default=None, help="override instance capacity")
     _add_common(p_load)
-    p_load.set_defaults(func=cmd_load)
+    p_load.set_defaults(func=cmd_load, table=_load_table)
 
     p_plan = sub.add_parser("plan", help="solve a production-planning instance")
     p_plan.add_argument("instance", type=Path)
     p_plan.add_argument("--integer", action="store_true", help="exhaustive integer mode")
     _add_common(p_plan)
-    p_plan.set_defaults(func=cmd_plan)
+    p_plan.set_defaults(func=cmd_plan, table=_plan_table)
 
     return parser
 
@@ -236,7 +205,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        header, payload = args.func(args)
+        if args.format == "json":
+            text = report.render_json(payload)
+        else:
+            lines = args.table(payload)
+            text = "\n".join(lines if args.no_header else [header, *lines]) + "\n"
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            args.out.write_text(text, encoding="utf-8")
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -246,6 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    return EXIT_OK
 
 
 if __name__ == "__main__":

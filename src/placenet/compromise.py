@@ -103,7 +103,8 @@ def select_from_residuals(
         raise ScenarioError("quantum must be > 0")
 
     sorted_residuals = np.sort(residuals, axis=0)
-    quantized = np.round(sorted_residuals / quantum).astype(np.int64)
+    # Compared as floats: an int64 cast overflows on residuals above ~9.2e9.
+    quantized = np.round(sorted_residuals / quantum)
 
     survivors = list(range(residuals.shape[1]))
     trace: list[SelectionStep] = []

@@ -1,4 +1,4 @@
-"""Report assembly and rendering (fixed-width tables or JSON).
+"""The `solve` report: its JSON payload, and the table rendered from it.
 
 The table form prints money at 2 decimals; the JSON payload keeps full
 precision.  Both carry exactly the same numbers and neither embeds run
@@ -8,52 +8,11 @@ timestamps, so repeated runs on the same inputs are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any
 
 from .agents import Situation, agent1_components
 from .compromise import CompromiseResult, PayoffMatrix
 from .scenario import Scenario
-
-
-@dataclass(frozen=True)
-class Report:
-    scenario_name: str
-    digest: str
-    situations: tuple[str, ...]
-    agents: tuple[str, ...]
-    payoffs: tuple[tuple[float, ...], ...]
-    ideal: tuple[float, ...]
-    residuals: tuple[tuple[float, ...], ...]
-    sorted_residuals: tuple[tuple[float, ...], ...]
-    selected: tuple[str, ...]
-    deciding_value: float
-    trace: tuple[dict[str, Any], ...]
-    notes: tuple[str, ...]
-    skipped: tuple[dict[str, str], ...] = ()
-    details: tuple[dict[str, Any], ...] = ()
-
-    def to_dict(self) -> dict[str, Any]:
-        payload = {
-            "scenario": self.scenario_name,
-            "digest": self.digest,
-            "situations": list(self.situations),
-            "agents": list(self.agents),
-            "payoffs": [list(row) for row in self.payoffs],
-            "ideal": list(self.ideal),
-            "residuals": [list(row) for row in self.residuals],
-            "sorted_residuals": [list(row) for row in self.sorted_residuals],
-            "selection": {
-                "situations": list(self.selected),
-                "deciding_value": self.deciding_value,
-                "trace": [dict(step) for step in self.trace],
-            },
-            "notes": list(self.notes),
-            "skipped": [dict(s) for s in self.skipped],
-        }
-        if self.details:
-            payload["details"] = [dict(d) for d in self.details]
-        return payload
 
 
 def build_report(
@@ -63,7 +22,8 @@ def build_report(
     result: CompromiseResult,
     skipped: list[tuple[tuple[str, str], str]] | None = None,
     include_details: bool = False,
-) -> Report:
+) -> dict[str, Any]:
+    """The `solve --format json` payload (see docs/formats.md); `details` only when asked."""
     details: list[dict[str, Any]] = []
     if include_details:
         for situation in situations:
@@ -101,33 +61,35 @@ def build_report(
                     "agent1_components": components,
                 }
             )
-    return Report(
-        scenario_name=scenario.name,
-        digest=scenario.digest,
-        situations=matrix.situations,
-        agents=matrix.agents,
-        payoffs=tuple(tuple(float(v) for v in row) for row in matrix.values),
-        ideal=tuple(float(v) for v in result.ideal),
-        residuals=tuple(tuple(float(v) for v in row) for row in result.residuals),
-        sorted_residuals=tuple(
-            tuple(float(v) for v in row) for row in result.sorted_residuals
-        ),
-        selected=result.selected_labels,
-        deciding_value=float(result.deciding_value),
-        trace=tuple(
-            {
-                "depth": step.depth,
-                "value": float(step.value),
-                "survivors": [matrix.situations[i] for i in step.survivors],
-            }
-            for step in result.trace
-        ),
-        notes=scenario.notes,
-        skipped=tuple(
+    payload = {
+        "scenario": scenario.name,
+        "digest": scenario.digest,
+        "situations": list(matrix.situations),
+        "agents": list(matrix.agents),
+        "payoffs": matrix.values.tolist(),
+        "ideal": result.ideal.tolist(),
+        "residuals": result.residuals.tolist(),
+        "sorted_residuals": result.sorted_residuals.tolist(),
+        "selection": {
+            "situations": list(result.selected_labels),
+            "deciding_value": float(result.deciding_value),
+            "trace": [
+                {
+                    "depth": step.depth,
+                    "value": float(step.value),
+                    "survivors": [matrix.situations[i] for i in step.survivors],
+                }
+                for step in result.trace
+            ],
+        },
+        "notes": list(scenario.notes),
+        "skipped": [
             {"plants": ",".join(pair), "reason": reason} for pair, reason in (skipped or [])
-        ),
-        details=tuple(details),
-    )
+        ],
+    }
+    if details:
+        payload["details"] = details
+    return payload
 
 
 def _format_table(title: str, row_labels, col_labels, rows) -> list[str]:
@@ -140,38 +102,37 @@ def _format_table(title: str, row_labels, col_labels, rows) -> list[str]:
     return lines
 
 
-def render_table(report: Report, header: bool = True) -> str:
-    lines: list[str] = []
-    if header:
-        lines.append(
-            f"# placenet solve scenario={report.scenario_name} digest=sha256:{report.digest}"
-        )
-    lines += _format_table("payoff matrix", report.agents, report.situations, report.payoffs)
+def render_table(payload: dict[str, Any]) -> list[str]:
+    """The table lines of a `build_report` payload, without the header line."""
+    agents, situations = payload["agents"], payload["situations"]
+    selection = payload["selection"]
+    lines = _format_table("payoff matrix", agents, situations, payload["payoffs"])
     lines.append("")
-    lines += _format_table("ideal vector", report.agents, ("ideal",), [[v] for v in report.ideal])
+    lines += _format_table("ideal vector", agents, ("ideal",), [[v] for v in payload["ideal"]])
     lines.append("")
-    lines += _format_table("residuals", report.agents, report.situations, report.residuals)
+    lines += _format_table("residuals", agents, situations, payload["residuals"])
     lines.append("")
     lines += _format_table(
         "sorted residuals (ascending per situation)",
-        [f"rank{i + 1}" for i in range(len(report.sorted_residuals))],
-        report.situations,
-        report.sorted_residuals,
+        [f"rank{i + 1}" for i in range(len(payload["sorted_residuals"]))],
+        situations,
+        payload["sorted_residuals"],
     )
     lines.append("")
     lines.append(
-        f"compromise: {'; '.join(report.selected)}  (deciding residual {report.deciding_value:.2f})"
+        f"compromise: {'; '.join(selection['situations'])}  "
+        f"(deciding residual {selection['deciding_value']:.2f})"
     )
-    for step in report.trace:
+    for step in selection["trace"]:
         lines.append(
             f"  depth {step['depth']}: value {step['value']:.2f}, "
             f"survivors {', '.join(step['survivors'])}"
         )
-    for skip in report.skipped:
+    for skip in payload["skipped"]:
         lines.append(f"skipped {skip['plants']}: {skip['reason']}")
-    for note in report.notes:
+    for note in payload["notes"]:
         lines.append(f"note: {note}")
-    for detail in report.details:
+    for detail in payload.get("details", ()):
         lines.append("")
         lines.append(f"-- situation {detail['situation']} --")
         lines.append(f"raw warehouses: {detail['raw_warehouses']}")
@@ -193,7 +154,7 @@ def render_table(report: Report, header: bool = True) -> str:
             "  agent1 components: raw {raw_income:.2f} - {raw_cost:.2f}, product "
             "{product_income:.2f} - {product_cost:.2f}, flow {flow_cost:.2f}".format(**c)
         )
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def render_json(payload: dict[str, Any]) -> str:

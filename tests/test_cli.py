@@ -131,6 +131,38 @@ class TestSolve:
         assert "all 6 plant pairs were skipped" in proc.stderr
         assert "first skipped x7,x12: allocation of b1 exceeds capacity at x12" in proc.stderr
 
+    def test_residuals_above_int64_quanta_still_order(self, tmp_path, capsys, s8_dict):
+        # Top residuals of ~3.6e15 and 4.4e15 are ~1e24 quanta of 1e-9, past int64.
+        from placenet.cli import main
+
+        doc = copy.deepcopy(s8_dict)
+        doc["demand"]["stores"]["x14"]["b1"] = 10**15
+        doc["production"]["capacity"] = {
+            plant: {b: 1e300 for b in ("b1", "b2", "b3")} for plant in doc["sites"]["plants"]
+        }
+        doc["production"].pop("splits")
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "-s", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["selection"]["situations"] == ["x12,x13", "x12,x18"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("solve", "-s", FIXTURES / "example_s8.json"),
+            ("load", FIXTURES / "loading_small.json", "--format", "json"),
+        ],
+        ids=["solve", "load"],
+    )
+    def test_out_into_missing_directory_exits_2(self, tmp_path, args):
+        target = tmp_path / "absent" / "out.txt"
+        proc = run_cli(*args, "--out", target)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "No such file or directory" in proc.stderr
+        assert proc.stdout == ""
+        assert not target.parent.exists()
+
     @pytest.mark.parametrize(
         "extra, digest",
         [
@@ -436,6 +468,75 @@ def test_malformed_input_exits_2_naming_the_field(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
 
+
+SOLVER_FIXTURES = {
+    "transport_2x2": "transport",
+    "transport_unbalanced": "transport",
+    "loading_small": "load",
+    "plan_small": "plan",
+}
+SOLVER_OPTIONS = {
+    "transport": [()],
+    "load": [(), ("--quantum", "0.5"), ("--quantum", "3"), ("--capacity", "0"), ("--capacity", "7.5")],
+    "plan": [(), ("--integer",)],
+}
+FUZZ_VALUES = ["x", None, [1, 2], -3, 1e308, 0.5]
+
+
+def _key_paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _key_paths(value, prefix + (key,))
+
+
+def _mutate(rng: random.Random, doc: dict) -> tuple[dict, str]:
+    """One mutation of ``doc``: a dropped key or element, a swapped-in value, or a
+    list grown or shrunk by one element."""
+    doc = copy.deepcopy(doc)
+    path = rng.choice(list(_key_paths(doc))[1:])
+    *keys, last = path
+    parent = doc
+    for key in keys:
+        parent = parent[key]
+    target, kind = parent[last], rng.choice(("drop", "swap", "resize"))
+    if kind == "drop":
+        del parent[last]
+    elif kind == "resize" and isinstance(target, list):
+        if target and rng.random() < 0.5:
+            target.pop()
+        else:
+            target.append(copy.deepcopy(rng.choice(target)) if target else 1)
+    else:
+        parent[last] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+    return doc, f"{kind} {path}: {json.dumps(doc)}"
+
+
+@pytest.mark.parametrize("name", list(SOLVER_FIXTURES))
+def test_mutated_solver_fixtures_exit_cleanly(tmp_path, capsys, name):
+    """Every mutated solver input ends in exit 0, 2 or 3, the same in both formats."""
+    from placenet.cli import main
+
+    command = SOLVER_FIXTURES[name]
+    base = json.loads((FIXTURES / f"{name}.json").read_text())
+    rng = random.Random(f"solver-fuzz-{name}")
+    instance = tmp_path / "input.json"
+    seen = set()
+    for _ in range(80):
+        doc, what = _mutate(rng, base)
+        extra = rng.choice(SOLVER_OPTIONS[command])
+        instance.write_text(json.dumps(doc))
+        try:
+            codes = [
+                main([command, str(instance), *extra, "--format", fmt]) for fmt in ("table", "json")
+            ]
+        except Exception as exc:  # noqa: BLE001 - any exception is the failure being tested
+            pytest.fail(f"{what} {extra}: {exc!r}")
+        capsys.readouterr()
+        assert codes[0] in (0, 2, 3) and codes[0] == codes[1], (what, extra, codes)
+        seen.add(codes[0])
+    assert {0, 2} <= seen
+
 # sha256 of `paths -s example_s8.json --commodity C --format F`, recorded from
 # the Floyd kernel that the single shortest-path kernel replaced.
 PATHS_PINS = [
@@ -488,6 +589,37 @@ class TestPaths:
         args = ["paths", "-s", str(FIXTURES / "example_s8.json"), "--commodity", commodity]
         assert main([*args, "--format", fmt, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of `COMMAND FIXTURE --format table [EXTRA]`, recorded from the
+# per-command table code that the payload renderers replaced.
+TABLE_PINS = [
+    ("solve", "example_s8", (), "84bd54a1cc181047a5b89ee6428897e9be4e88dc35750f5e67973f8410db8cb8"),
+    ("solve", "example_s8", ("--no-header",), "d0be85db674bbdfb0992884a3db8dc82edb4684945aed97c1054245d71549f8f"),
+    ("solve", "example_s8", ("--detail",), "72cffa99349d72a7cb6d0a59823f0b50489590cc5364217aadd66b3061fbb4d2"),
+    ("solve", "example_s8", ("--detail", "--no-header"), "a9006f51d188089cbebbd5b4478261e6f7a32844fc7e1aeafa27e7971792d226"),
+    ("transport", "transport_2x2", (), "528140cc9772ca83f750267bc436f03e32fab8aeef178ad35be7aeb43014d380"),
+    ("transport", "transport_2x2", ("--no-header",), "ebb8d1b7dcb5628716d3bb2e18f2ef32ad8d568acd07173b2c334ec99924f358"),
+    ("transport", "transport_unbalanced", (), "1a12d042bdea1647f7d4599bf33409880315fad459031666e3923d5ece233eb7"),
+    ("transport", "transport_unbalanced", ("--no-header",), "cae66760d18562c0e7e64847f7f993689ed6a38ee473620417cc3406e36c6596"),
+    ("load", "loading_small", (), "8a9e31500244bf67f3bd81640571319bd955676464bd16a1a9aff33eb88b016d"),
+    ("load", "loading_small", ("--no-header",), "4cfd65dcfabb51ad7513f3529ad8f55611cf5a6759c93f1b5d0f9d84e82b4949"),
+    ("plan", "plan_small", (), "3b22866f89ac3a900a1266058802be04fa06ac7da7d036d742451f6e2d7b791f"),
+    ("plan", "plan_small", ("--no-header",), "ac52af1948a9dd25e4a14908833b88b03890c64043f3fdb2dbfb0c6acb6ba6e5"),
+    ("plan", "plan_small", ("--integer",), "3b22866f89ac3a900a1266058802be04fa06ac7da7d036d742451f6e2d7b791f"),
+    ("plan", "plan_small", ("--integer", "--no-header"), "ac52af1948a9dd25e4a14908833b88b03890c64043f3fdb2dbfb0c6acb6ba6e5"),
+]
+
+
+@pytest.mark.parametrize("command, name, extra, digest", TABLE_PINS)
+def test_table_output_matches_pin(tmp_path, command, name, extra, digest):
+    from placenet.cli import main
+
+    out = tmp_path / "table.txt"
+    source = str(FIXTURES / f"{name}.json")
+    args = [command, "-s", source] if command == "solve" else [command, source]
+    assert main([*args, *extra, "--format", "table", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestSolvers:
