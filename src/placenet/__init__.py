@@ -26,10 +26,9 @@ from .compromise import (
     select_from_residuals,
 )
 from .costflow import (
-    DemandSummary,
     FlowAssignment,
-    demand_summary,
     greedy_flow,
+    greedy_flows,
     product_unit_total_cost,
     raw_requirements,
     select_product_warehouses,

@@ -3,9 +3,11 @@
 Agent 1 owns warehouses and transport, agent 2 owns the plants, agent 3 owns
 the stores.  Enumeration completes every plant pair together: allocation and
 raw warehouses pair by pair, the product-warehouse search as one batch over
-all pairs, plant economics once per (plant, product, quantity).  Errors come
-back in pair order, each the one a pair-by-pair run meets first, and the
-enumeration order gives the output columns.
+all pairs, plant economics once per (plant, product, quantity).  A situation
+keeps its flow's cost, not its shipments.  Errors come back in pair order,
+each the one a pair-by-pair run meets first, and the enumeration order gives
+the output columns.  The payoff matrix computes the terms that are the same
+in every situation (storage income, retail revenue) once.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ AGENT_LABELS = ("agent1", "agent2", "agent3")
 
 @dataclass(frozen=True)
 class Situation:
-    """One concrete placement with its induced choices and flows."""
+    """One concrete placement with its induced choices and its flow's cost."""
 
     plants: tuple[str, str]
     raw_warehouses: dict[str, str]
     product_warehouses: tuple[str, str]
     outputs: dict[str, dict[str, int]]
-    flow: costflow.FlowAssignment
+    flow_cost: float
     economics: dict[tuple[str, str], production.PlantEconomics]
     plant_raw_requirements: dict[str, dict[str, float]]
 
@@ -50,7 +52,7 @@ def build_situation(
 
     Order of induced choices: output allocation (split override when the
     scenario pins one), per-plant raw requirements, raw warehouse assignment,
-    then the product warehouse pair with its greedy flow.
+    then the product warehouse pair with its greedy flow cost.
     """
     skipped: list[tuple[tuple[str, str], str]] = []
     situations = _complete(scenario, [plants], warehouse_mode, skipped)
@@ -88,7 +90,7 @@ def _complete(scenario, pairs, warehouse_mode, skipped) -> list[Situation]:
     for plants, stage in zip(pairs, staged):
         try:
             _, outputs, requirements, raws = _raised(stage)
-            warehouses, flow = _raised(next(searched))
+            warehouses, cost = _raised(next(searched))
             economy = {
                 (plant, product): economics(plant, product, outputs[plant].get(product, 0))
                 for plant in plants
@@ -97,7 +99,7 @@ def _complete(scenario, pairs, warehouse_mode, skipped) -> list[Situation]:
         except InfeasibleError as exc:
             skipped.append((plants, str(exc)))
             continue
-        situations.append(Situation(plants, raws, warehouses, outputs, flow, economy, requirements))
+        situations.append(Situation(plants, raws, warehouses, outputs, cost, economy, requirements))
     return situations
 
 
@@ -125,22 +127,33 @@ def _raised(result):
     return result
 
 
-def agent1_components(scenario: Scenario, situation: Situation) -> dict[str, float]:
-    """The warehouse/transport agent's income and cost terms, separately.
-
-    Storage income is fee times stored units (all raw requirements, all
-    product demand).  Handling costs charge the configured rate of the stored
-    good's unit value (extraction cost for raws, plant unit price for
-    products) per stored unit; raw transport is charged per route leg and the
-    whole store-bound flow cost lands on this agent.
-    """
-    rate = scenario.handling_rate
-    summary = costflow.demand_summary(scenario)
-
+def storage_income(scenario: Scenario) -> tuple[float, float]:
+    """Storage fee times stored units, (raws, products): all raw requirements
+    and all product demand, the same in every situation."""
+    totals = costflow.total_demand(scenario)
     raw_income = sum(
         scenario.commodities[rid].storage_fee * units
-        for rid, units in summary.total_raw_required.items()
+        for rid, units in costflow.raw_requirements(totals, scenario.recipes).items()
     )
+    product_income = sum(
+        scenario.commodities[product].storage_fee * units for product, units in totals.items()
+    )
+    return raw_income, product_income
+
+
+def agent1_components(
+    scenario: Scenario, situation: Situation, income: tuple[float, float] | None = None
+) -> dict[str, float]:
+    """The warehouse/transport agent's income and cost terms, separately.
+
+    Storage income is ``storage_income`` (computed when ``income`` is not
+    passed).  Handling costs charge the configured rate of the stored good's
+    unit value (extraction cost for raws, plant unit price for products) per
+    stored unit; raw transport is charged per route leg and the whole
+    store-bound flow cost lands on this agent.
+    """
+    rate = scenario.handling_rate
+    raw_income, product_income = storage_income(scenario) if income is None else income
     raw_cost = 0.0
     for plant in situation.plants:
         w = scenario.sites.raw_warehouses.index(situation.raw_warehouses[plant])
@@ -151,10 +164,6 @@ def agent1_components(scenario: Scenario, situation: Situation) -> dict[str, flo
             route = float(scenario.raw_costs[rid][w, p])
             raw_cost += (route + rate * scenario.commodities[rid].unit_cost) * units
 
-    product_income = sum(
-        scenario.commodities[product].storage_fee * units
-        for product, units in summary.total_per_product.items()
-    )
     product_cost = rate * sum(econ.total_value for econ in situation.economics.values())
 
     return {
@@ -162,12 +171,14 @@ def agent1_components(scenario: Scenario, situation: Situation) -> dict[str, flo
         "raw_cost": raw_cost,
         "product_income": product_income,
         "product_cost": product_cost,
-        "flow_cost": situation.flow.total_cost,
+        "flow_cost": situation.flow_cost,
     }
 
 
-def agent1_payoff(scenario: Scenario, situation: Situation) -> float:
-    c = agent1_components(scenario, situation)
+def agent1_payoff(
+    scenario: Scenario, situation: Situation, income: tuple[float, float] | None = None
+) -> float:
+    c = agent1_components(scenario, situation, income)
     return (
         c["raw_income"]
         - c["raw_cost"]
@@ -191,20 +202,25 @@ def agent3_revenue(scenario: Scenario) -> float:
     )
 
 
-def agent3_payoff(scenario: Scenario, situation: Situation) -> float:
+def agent3_payoff(scenario: Scenario, situation: Situation, revenue: float | None = None) -> float:
     purchase_cost = sum(
         costflow.product_unit_total_cost(scenario, econ.unit_value, econ.product)
         * econ.quantity
         for econ in situation.economics.values()
     )
-    return agent3_revenue(scenario) - purchase_cost
+    return (agent3_revenue(scenario) if revenue is None else revenue) - purchase_cost
 
 
-def payoff_vector(scenario: Scenario, situation: Situation) -> tuple[float, float, float]:
+def payoff_vector(
+    scenario: Scenario,
+    situation: Situation,
+    income: tuple[float, float] | None = None,
+    revenue: float | None = None,
+) -> tuple[float, float, float]:
     return (
-        agent1_payoff(scenario, situation),
+        agent1_payoff(scenario, situation, income),
         agent2_payoff(scenario, situation),
-        agent3_payoff(scenario, situation),
+        agent3_payoff(scenario, situation, revenue),
     )
 
 
@@ -218,7 +234,8 @@ def evaluate_all(
         situations = enumerate_situations(scenario, warehouse_mode)
     if not situations:
         raise InfeasibleError("no feasible situation to evaluate")
-    columns = [payoff_vector(scenario, situation) for situation in situations]
+    income, revenue = storage_income(scenario), agent3_revenue(scenario)
+    columns = [payoff_vector(scenario, situation, income, revenue) for situation in situations]
     values = np.array(columns, dtype=float).T
     return PayoffMatrix(
         values=values,

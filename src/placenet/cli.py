@@ -11,8 +11,6 @@ with --no-header, and JSON output never carries one so it always parses.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import sys
 from pathlib import Path
@@ -20,7 +18,7 @@ from pathlib import Path
 from . import agents, compromise, costflow, optimizers, report
 from .errors import InfeasibleError, ScenarioError
 from .network import shortest_paths
-from .scenario import load_scenario
+from .scenario import load_scenario, read_document
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -31,16 +29,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("table", "json"), default="table")
     parser.add_argument("--out", type=Path, default=None, help="write output to a file")
     parser.add_argument("--no-header", action="store_true", help="drop the metadata header line")
-
-
-def _load_instance_file(path: Path) -> tuple[dict, str]:
-    try:
-        raw = path.read_bytes()
-        return json.loads(raw), hashlib.sha256(raw).hexdigest()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: not valid JSON: line {exc.lineno}: {exc.msg}") from exc
 
 
 def _header(command: str, name: str, digest: str, key: str = "instance") -> str:
@@ -94,7 +82,7 @@ def _paths_table(payload: dict) -> list[str]:
 
 
 def cmd_transport(args: argparse.Namespace) -> tuple[str, dict]:
-    data, digest = _load_instance_file(args.instance)
+    data, digest = read_document(args.instance)
     plan = optimizers.solve_transportation(optimizers.TransportInstance.from_dict(data))
     payload = {
         "digest": digest,
@@ -117,7 +105,7 @@ def _transport_table(payload: dict) -> list[str]:
 
 
 def cmd_load(args: argparse.Namespace) -> tuple[str, dict]:
-    data, digest = _load_instance_file(args.instance)
+    data, digest = read_document(args.instance)
     if args.capacity is not None:
         data = dict(data, capacity=args.capacity)
     instance = optimizers.LoadingInstance.from_dict(data, quantum=args.quantum)
@@ -132,7 +120,7 @@ def _load_table(payload: dict) -> list[str]:
 
 
 def cmd_plan(args: argparse.Namespace) -> tuple[str, dict]:
-    data, digest = _load_instance_file(args.instance)
+    data, digest = read_document(args.instance)
     instance = optimizers.PlanInstance.from_dict(data)
     x, objective = optimizers.solve_production_plan(instance, integer=args.integer)
     payload = {"digest": digest, "x": list(x), "objective": objective}
@@ -214,7 +202,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is None:
             sys.stdout.write(text)
         else:
-            args.out.write_text(text, encoding="utf-8")
+            try:
+                args.out.write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise ScenarioError(f"cannot write {args.out}: {exc.strerror}") from exc
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

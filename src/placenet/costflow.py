@@ -6,8 +6,9 @@ store).  Tie rules: ids compare as strings (``"x10" < "x8"``) for a shipment's
 warehouse and between equal-cost choices; the sweep serves equal-cost cells
 by store, then plant position; the minimum total cost wins.  The sweep runs
 as one numpy batch over many flows, each adding its cells in the same order
-as a one-flow sweep, so results are bit-reproducible.  Public functions are
-pure.
+as a one-flow sweep, so results are bit-reproducible.  The warehouse pair
+search only adds up costs; ``greedy_flows`` builds shipments, for the flows
+a report shows.  Public functions are pure.
 """
 
 from __future__ import annotations
@@ -23,14 +24,6 @@ from .scenario import Scenario
 WEIGHTED = "weighted"
 UNIT = "unit"
 _CHUNK_CELLS = 2**14  # sweep cells per batch chunk of the pair search
-
-
-@dataclass(frozen=True)
-class DemandSummary:
-    """Totals implied by the store demand table and the recipes."""
-
-    total_per_product: dict[str, int]
-    total_raw_required: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -80,11 +73,6 @@ def raw_requirements(
     return requirements
 
 
-def demand_summary(scenario: Scenario) -> DemandSummary:
-    totals = total_demand(scenario)
-    return DemandSummary(totals, raw_requirements(totals, scenario.recipes))
-
-
 def product_unit_total_cost(scenario: Scenario, plant_unit_price: float, product: str) -> float:
     """Store-side unit cost: plant price plus the product storage fee.
 
@@ -128,42 +116,76 @@ def _sweep(cost, supply, demand, total):
     return total, order, costs, units.T
 
 
-def _cheapest(scenario, cases, options) -> list[tuple[tuple[str, ...], FlowAssignment]]:
-    """For each (plants, outputs, choices) case, the option (a tuple of product
-    warehouses) among ``options[choices]`` whose cheapest-first flow costs
-    least, ties to the first, and that flow.  Cases share their plant and
-    choice counts, options their size; no cell may be unreachable."""
-    stores, warehouses = scenario.sites.stores, scenario.sites.product_warehouses
-    vias = [sorted(option) for option in options]  # argmin keeps the first: string order
-    cols = np.array([[warehouses.index(w) for w in via] for via in vias], int)
-    choices = np.array([choice for *_, choice in cases])
-    rows = np.array([[scenario.sites.plants.index(p) for p in plants] for plants, *_ in cases], int)
-    (n_cases, n_plants), n_choices = rows.shape, choices.shape[1]
+def _sweeps(scenario, cases, cols):
+    """Sweeps each (plants, outputs) case through each of its product
+    warehouse tuples ``cols[case]`` (choice, warehouse position; one row
+    serves every case).  Returns the (case, choice) totals and, per product,
+    the legs (case, plant, choice, warehouse, store) with the sweep's order,
+    costs and units.  Cases share their plant count; no cell may be
+    unreachable."""
+    rows = np.array([[scenario.sites.plants.index(p) for p in plants] for plants, _ in cases], int)
+    (n_cases, n_plants), n_choices = rows.shape, cols.shape[1]
     total, sweeps = np.zeros(n_cases * n_choices), []
     for product in scenario.product_ids:
-        legs = scenario.ship_costs[product][rows[:, :, None, None], cols[choices][:, None]]
+        legs = scenario.ship_costs[product][rows[:, :, None, None], cols[:, None]]
         cost = legs.min(axis=3).transpose(0, 2, 3, 1)  # (case, choice, store, plant)
-        supply = np.repeat([_supply(p, o, product) for p, o, _ in cases], n_choices, axis=0)
-        cells = cost.reshape(n_cases * n_choices, len(stores), n_plants)
+        supply = np.repeat([_supply(*case, product) for case in cases], n_choices, axis=0)
+        cells = cost.reshape(n_cases * n_choices, len(scenario.sites.stores), n_plants)
         total, *swept = _sweep(cells, supply, _demand(scenario, product), total)
-        if n_choices == 1:
-            sweeps.append((product, legs[:, :, 0].argmin(axis=2), *swept))
-    if n_choices > 1:
-        best = np.take_along_axis(choices, total.reshape(n_cases, -1).argmin(axis=1)[:, None], 1)
-        return _cheapest(scenario, [(*case[:2], j) for case, j in zip(cases, best)], options)
+        sweeps.append((product, legs, *swept))
+    return total.reshape(n_cases, n_choices), sweeps
+
+
+def greedy_flows(
+    scenario: Scenario,
+    cases: list[tuple[tuple[str, ...], dict[str, dict[str, int]], tuple[str, ...]]],
+) -> list[FlowAssignment]:
+    """Each (plants, outputs, warehouses) case's cheapest-first flow, as
+    ``greedy_flow`` builds it, from one batched sweep.  Cases share their
+    plant and warehouse counts; none may have short supply or an unreachable
+    cell.  A shipment goes via the string-smallest of its cell's cheapest
+    warehouses."""
+    if not cases:
+        return []
+    stores, warehouses = scenario.sites.stores, scenario.sites.product_warehouses
+    vias = [sorted(via) for *_, via in cases]  # argmin keeps the first: string order
+    cols = np.array([[[warehouses.index(w) for w in via]] for via in vias], int)
+    total, sweeps = _sweeps(scenario, [case[:2] for case in cases], cols)
     shipments: list[dict[tuple[str, str], list[Shipment]]] = [{} for _ in cases]
-    for product, via, order, costs, units in sweeps:  # via: (case, plant, store)
+    for product, legs, order, costs, units in sweeps:
+        via = legs[:, :, 0].argmin(axis=2)  # (case, plant, store)
         case, rank = np.nonzero(units > 0)
-        store, plant = np.divmod(order[case, rank], n_plants)
+        store, plant = np.divmod(order[case, rank], via.shape[1])
         columns = case, store, plant, via[case, plant, store], units[case, rank], costs[case, rank]
         for c, s, p, w, sent, unit_cost in zip(*(column.tolist() for column in columns)):
             shipments[c].setdefault((product, stores[s]), []).append(
-                Shipment(cases[c][0][p], sent, vias[choices[c, 0]][w], unit_cost)
+                Shipment(cases[c][0][p], sent, vias[c][w], unit_cost)
             )
     return [
-        (options[j], FlowAssignment({key: tuple(v) for key, v in shipped.items()}, cost))
-        for j, shipped, cost in zip(choices[:, 0].tolist(), shipments, total.tolist())
+        FlowAssignment({key: tuple(v) for key, v in shipped.items()}, cost)
+        for shipped, cost in zip(shipments, total[:, 0].tolist())
     ]
+
+
+def _check_flow(scenario, plants, outputs, warehouses) -> None:
+    """Raise the error ``greedy_flow`` meets first: short supply or an
+    unreachable (plant, store) cell, product by product."""
+    stores = scenario.sites.stores
+    rows = [scenario.sites.plants.index(plant) for plant in plants]
+    cols = [scenario.sites.product_warehouses.index(w) for w in warehouses]
+    for product in scenario.product_ids:
+        supply, demand = _supply(plants, outputs, product), _demand(scenario, product)
+        if sum(supply) < sum(demand):
+            raise InfeasibleError(
+                f"outputs of {product} ({sum(supply)}) cannot cover demand ({sum(demand)})"
+            )
+        cost = scenario.ship_costs[product][rows][:, cols].min(axis=1)
+        if np.isinf(cost).any():
+            plant, store = np.argwhere(np.isinf(cost))[0]
+            scenario.check_carried(product)
+            raise InfeasibleError(
+                f"no {product} route from {plants[plant]} to {stores[store]} via {warehouses}"
+            )
 
 
 def greedy_flow(
@@ -181,25 +203,10 @@ def greedy_flow(
     store is filled and no plant exceeds its allocated output.  Plants and
     warehouses must be plant and product-warehouse candidates.
     """
-    stores = scenario.sites.stores
-    rows = [scenario.sites.plants.index(plant) for plant in plants]
-    cols = [scenario.sites.product_warehouses.index(w) for w in warehouses]
-    for product in scenario.product_ids:
-        supply, demand = _supply(plants, outputs, product), _demand(scenario, product)
-        if sum(supply) < sum(demand):
-            raise InfeasibleError(
-                f"outputs of {product} ({sum(supply)}) cannot cover demand ({sum(demand)})"
-            )
-        cost = scenario.ship_costs[product][rows][:, cols].min(axis=1)
-        if np.isinf(cost).any():
-            plant, store = np.argwhere(np.isinf(cost))[0]
-            scenario.check_carried(product)
-            raise InfeasibleError(
-                f"no {product} route from {plants[plant]} to {stores[store]} via {warehouses}"
-            )
+    _check_flow(scenario, plants, outputs, warehouses)
     # With enough supply and every cell reachable, the sweep fills all demand:
     # a store left short would have found every plant empty.
-    return _cheapest(scenario, [(plants, outputs, [0])], [warehouses])[0][1]
+    return greedy_flows(scenario, [(plants, outputs, warehouses)])[0]
 
 
 def select_raw_warehouses(
@@ -245,16 +252,18 @@ def select_raw_warehouses(
 def select_product_warehouses(
     scenario: Scenario,
     cases: list[tuple[tuple[str, ...], dict[str, dict[str, int]]]],
-) -> list[tuple[tuple[str, str], FlowAssignment] | InfeasibleError | ScenarioError]:
+) -> list[tuple[tuple[str, str], float] | InfeasibleError | ScenarioError]:
     """For each (plants, outputs) case, the distinct warehouse pair with the
-    least greedy flow cost and its flow, or the error the case raises.
+    least greedy flow cost and that cost, or the error the case raises.
 
     The cases' plant tuples have one size.  Ties resolve to the
     lexicographically smallest (id, id) pair, comparing ids as strings.  All
     (case, pair) flows run as one batched sweep, in chunks of about
-    ``_CHUNK_CELLS`` cells.  A case with short supply or an unreachable cell
-    instead runs ``greedy_flow`` on each pair in turn, so its error is the
-    first one that loop meets.
+    ``_CHUNK_CELLS`` cells, that adds up costs and builds no shipments
+    (``greedy_flows`` builds the winners' flows when they are wanted).  A
+    case with short supply or an unreachable cell instead checks each pair
+    in turn as ``greedy_flow`` does, so its error is the first one that loop
+    meets.
     """
     candidates = scenario.sites.product_warehouses
     if len(candidates) < 2:
@@ -274,15 +283,16 @@ def select_product_warehouses(
         ):
             try:
                 for pair in itertools.combinations(candidates, 2):
-                    greedy_flow(scenario, plants, outputs, pair)
+                    _check_flow(scenario, plants, outputs, pair)
             except (InfeasibleError, ScenarioError) as exc:
                 found[c] = exc
     live = [c for c, result in enumerate(found) if result is None]
     cells = len(pairs) * len(scenario.sites.stores) * len(cases[live[0]][0]) if live else 1
     step = max(1, _CHUNK_CELLS // max(1, cells))
+    cols = np.array([[[candidates.index(w) for w in pair] for pair in pairs]])  # one row for all
     for start in range(0, len(live), step):
         chunk = live[start : start + step]
-        cheapest = _cheapest(scenario, [(*cases[c], range(len(pairs))) for c in chunk], pairs)
-        for c, result in zip(chunk, cheapest):
-            found[c] = result
+        total, _ = _sweeps(scenario, [cases[c] for c in chunk], cols)
+        for c, j, cost in zip(chunk, total.argmin(axis=1).tolist(), total.min(axis=1).tolist()):
+            found[c] = pairs[j], cost  # argmin keeps the first minimum
     return found

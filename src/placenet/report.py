@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .agents import Situation, agent1_components
+from . import costflow
+from .agents import Situation, agent1_components, storage_income
 from .compromise import CompromiseResult, PayoffMatrix
 from .scenario import Scenario
 
@@ -23,18 +24,21 @@ def build_report(
     skipped: list[tuple[tuple[str, str], str]] | None = None,
     include_details: bool = False,
 ) -> dict[str, Any]:
-    """The `solve --format json` payload (see docs/formats.md); `details` only when asked."""
+    """The `solve --format json` payload (see docs/formats.md); `details` only
+    when asked, with every situation's shipments built in one batched call."""
     details: list[dict[str, Any]] = []
     if include_details:
-        for situation in situations:
-            components = agent1_components(scenario, situation)
+        cases = [(s.plants, s.outputs, s.product_warehouses) for s in situations]
+        income = storage_income(scenario)
+        for situation, flow in zip(situations, costflow.greedy_flows(scenario, cases)):
+            components = agent1_components(scenario, situation, income)
             details.append(
                 {
                     "situation": situation.label,
                     "raw_warehouses": dict(situation.raw_warehouses),
                     "product_warehouses": list(situation.product_warehouses),
                     "outputs": {p: dict(v) for p, v in situation.outputs.items()},
-                    "flow_cost": situation.flow.total_cost,
+                    "flow_cost": situation.flow_cost,
                     "shipments": [
                         {
                             "product": product,
@@ -44,7 +48,7 @@ def build_report(
                             "warehouse": s.warehouse,
                             "unit_cost": s.unit_cost,
                         }
-                        for (product, store), entries in sorted(situation.flow.shipments.items())
+                        for (product, store), entries in sorted(flow.shipments.items())
                         for s in entries
                     ],
                     "plant_economics": [

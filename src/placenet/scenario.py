@@ -107,8 +107,7 @@ class Scenario:
         self.handling_rate = handling_rate
         self.notes = notes
         self.digest = digest
-        # private deep copy so later mutation of the caller's dict cannot leak in
-        self._source = json.loads(json.dumps(source))
+        self._source = source  # as parsed by load_scenario; from_dict swaps in a private copy
         # Route costs by site position; inf where there is no route.
         # raw_costs[raw][rw, plant] = D[extraction, rw] + D[rw, plant]
         # ship_costs[product][plant, pw, store] = D[plant, pw] + D[pw, store]
@@ -139,7 +138,21 @@ class Scenario:
 
     @staticmethod
     def from_dict(data: dict[str, Any], *, digest: str | None = None) -> "Scenario":
-        return _scenario_from_dict(data, digest=digest)
+        scenario = _scenario_from_dict(data, digest=digest)
+        # private deep copy so later mutation of the caller's dict cannot leak in
+        scenario._source = json.loads(json.dumps(data))
+        return scenario
+
+
+def read_document(path: Path) -> tuple[Any, str]:
+    """A JSON file's parsed document and the sha256 of its bytes."""
+    try:
+        raw = path.read_bytes()
+        return json.loads(raw), hashlib.sha256(raw).hexdigest()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}: not valid JSON: line {exc.lineno}: {exc.msg}") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -150,12 +163,7 @@ def load_scenario(path: str | Path) -> Scenario:
     relies on.
     """
     path = Path(path)
-    raw_bytes = path.read_bytes()
-    try:
-        data = json.loads(raw_bytes)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: not valid JSON: line {exc.lineno}: {exc.msg}") from exc
-    digest = hashlib.sha256(raw_bytes).hexdigest()
+    data, digest = read_document(path)
     try:
         return _scenario_from_dict(data, digest=digest)
     except ScenarioError as exc:
@@ -224,16 +232,16 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
     node_specs = _items(_require(data, "nodes", "scenario"), "nodes")
     if not node_specs:
         raise ScenarioError("nodes: list must be nonempty")
-    node_labels: list[str] = []
+    index: dict[str, int] = {}
     nodes: list[Node] = []
     for i, spec in enumerate(node_specs):
         label = str(_require(spec, "id", f"nodes[{i}]"))
-        if label in node_labels:
+        if label in index:
             raise ScenarioError(f"nodes: duplicate id {label!r}")
-        node_labels.append(label)
+        index[label] = i
         x, y = (_number(spec.get(axis, 0.0), f"nodes[{i}].{axis}") for axis in "xy")
         nodes.append(Node(i, x, y))
-    index = {label: i for i, label in enumerate(node_labels)}
+    node_labels = list(index)
 
     def node_ref(label: Any, context: str) -> str:
         label = str(label)

@@ -189,6 +189,13 @@ class TestEvaluateAll:
         vec = payoff_vector(s8, s8_situations[0])
         assert matrix.values[:, 0] == pytest.approx(vec)
 
+    def test_columns_equal_per_situation_payoffs_exactly(self, s8, s8_situations):
+        """The scenario-wide income and revenue, computed once per matrix, give
+        the same bits as each situation's own payoff_vector."""
+        matrix = evaluate_all(s8, s8_situations)
+        columns = [payoff_vector(s8, situation) for situation in s8_situations]
+        assert matrix.values.T.tolist() == [list(column) for column in columns]
+
     def test_recomputation_is_bit_identical(self, s8):
         first = evaluate_all(s8)
         second = evaluate_all(s8)

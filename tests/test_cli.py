@@ -201,6 +201,75 @@ class TestSolve:
         pin = json.loads((REPO_ROOT / "bench" / "pins.json").read_text())["example_s8"]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == pin
 
+    @pytest.mark.parametrize("workload", ["synth-wide", "synth-transit"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bench_scenarios_match_pins(self, tmp_path, workload, seed):
+        """The benchmark's generated scenarios, plain and with --detail, give
+        the reports pinned in bench/pins.json."""
+        import importlib.util
+
+        from placenet.cli import main
+
+        spec = importlib.util.spec_from_file_location("gen", REPO_ROOT / "bench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        pins = json.loads((REPO_ROOT / "bench" / "pins.json").read_text())
+        scenario = gen.write_inputs(workload, seed, tmp_path)["scenario"]
+        out = tmp_path / "report.json"
+        for extra, key in (((), workload), (("--detail",), workload + ".detail")):
+            args = ["solve", "-s", str(scenario), "--format", "json", "--out", str(out), *extra]
+            assert main(args) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == pins[key][seed], key
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_only_detail_builds_shipments(self, capsys, monkeypatch, fmt):
+        """The pair search adds up flow costs only; shipments are built for
+        --detail, the one output that shows them."""
+        from placenet import costflow
+        from placenet.cli import main
+
+        made = []
+        shipment = costflow.Shipment
+
+        def counted(*args):
+            made.append(args)
+            return shipment(*args)
+
+        monkeypatch.setattr(costflow, "Shipment", counted)
+        args = ["solve", "-s", str(FIXTURES / "example_s8.json"), "--format", fmt]
+        assert main(args) == 0
+        assert made == []
+        assert main([*args, "--detail"]) == 0
+        assert len(made) > 0
+        assert "x7" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command", [("solve",), ("paths", "--commodity", "a1")], ids=["solve", "paths"]
+    )
+    def test_missing_scenario_names_the_read(self, tmp_path, command):
+        path = tmp_path / "absent.json"
+        proc = run_cli(command[0], "-s", path, *command[1:])
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: cannot read {path}: No such file or directory\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("solve", "-s", FIXTURES / "example_s8.json", "--format", "json"),
+            ("paths", "-s", FIXTURES / "example_s8.json", "--commodity", "a1"),
+            ("transport", FIXTURES / "transport_2x2.json"),
+        ],
+        ids=["solve", "paths", "transport"],
+    )
+    def test_out_failure_names_the_write(self, tmp_path, args):
+        target = tmp_path / "absent" / "out.txt"
+        proc = run_cli(*args, "--out", target)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: cannot write {target}: No such file or directory\n"
+        assert proc.stdout == ""
+        assert not target.parent.exists()
+
 
 def _solver_instances() -> dict[str, tuple[str, dict]]:
     """The solver fixtures and seeded instances: zero supplies and demands, a

@@ -16,6 +16,7 @@ from placenet import (
     build_situation,
     enumerate_situations,
     greedy_flow,
+    greedy_flows,
     plant_economics,
     product_unit_total_cost,
     raw_requirements,
@@ -272,9 +273,9 @@ class TestWarehouseSelection:
             warehouses={"W1": {"S": {"p1": 1}}, "W2": {"S": {"p1": 1}}},
             demand={"S": {"p1": 2}},
         )
-        [(pair, flow)] = select_product_warehouses(scenario, [(("P",), {"P": {"p1": 2}})])
+        [(pair, flow_cost)] = select_product_warehouses(scenario, [(("P",), {"P": {"p1": 2}})])
         assert pair == ("W1", "W2")
-        assert flow.total_cost == 4
+        assert flow_cost == 4
 
     def test_unit_mode_ignores_requirement_weights(self):
         from placenet import Scenario
@@ -333,10 +334,10 @@ class TestWarehouseSelection:
             "x7": {"b1": 7, "b2": 10, "b3": 10},
             "x12": {"b1": 10, "b2": 7, "b3": 6},
         }
-        [(best_pair, best_flow)] = select_product_warehouses(s8, [(("x7", "x12"), outputs)])
+        [(best_pair, best_cost)] = select_product_warehouses(s8, [(("x7", "x12"), outputs)])
         for pair in itertools.combinations(s8.sites.product_warehouses, 2):
             flow = greedy_flow(s8, ("x7", "x12"), outputs, pair)
-            assert best_flow.total_cost <= flow.total_cost
+            assert best_cost <= flow.total_cost
 
 
 # ---------------------------------------------------------------------------
@@ -467,22 +468,40 @@ def oracle_enumerate(scenario, mode):
 
 
 def enumerated(scenario, mode):
-    """``enumerate_situations`` in ``oracle_enumerate``'s form."""
+    """``enumerate_situations`` in ``oracle_enumerate``'s form, with the
+    situations' shipments from one ``greedy_flows`` call."""
     skipped = []
+    found = enumerate_situations(scenario, mode, skipped)
+    flows = greedy_flows(scenario, [(s.plants, s.outputs, s.product_warehouses) for s in found])
     situations = [
         (
             s.plants,
             s.raw_warehouses,
             s.product_warehouses,
             s.outputs,
-            list(s.flow.shipments.items()),
-            s.flow.total_cost,
+            list(flow.shipments.items()),
+            s.flow_cost,
             s.economics,
             s.plant_raw_requirements,
         )
-        for s in enumerate_situations(scenario, mode, skipped)
+        for s, flow in zip(found, flows)
     ]
     return {"situations": situations, "skipped": skipped}
+
+
+def searched(scenario, cases):
+    """``select_product_warehouses`` in ``oracle_select_product_warehouses``'s
+    form: each winner's (pair, flow), its shipments from one ``greedy_flows``
+    call and its total the search's cost; errors as returned."""
+    found = select_product_warehouses(scenario, cases)
+    won = [(*case, result[0]) for case, result in zip(cases, found) if isinstance(result, tuple)]
+    flows = iter(greedy_flows(scenario, won))
+    return [
+        (result[0], FlowAssignment(next(flows).shipments, result[1]))
+        if isinstance(result, tuple)
+        else result
+        for result in found
+    ]
 
 
 def returned(result):
@@ -613,7 +632,7 @@ class TestOracleEquivalence:
         assert outcome(greedy_flow, scenario, plants, outputs, subset) == outcome(
             oracle_greedy_flow, scenario, plants, outputs, subset
         )
-        (found,) = select_product_warehouses(scenario, [(plants, outputs)])
+        (found,) = searched(scenario, [(plants, outputs)])
         assert outcome(returned, found) == outcome(
             oracle_select_product_warehouses, scenario, plants, outputs
         )
@@ -628,7 +647,7 @@ class TestOracleEquivalence:
         errors and skipped pairs as the per-pair oracle loop."""
         scenario, plants, outputs, _, _, mode = case
         pairs = list(itertools.combinations(plants, 2))
-        batch = select_product_warehouses(scenario, [(pair, outputs) for pair in pairs])
+        batch = searched(scenario, [(pair, outputs) for pair in pairs])
         assert [outcome(returned, result) for result in batch] == [
             outcome(oracle_select_product_warehouses, scenario, pair, outputs) for pair in pairs
         ]
@@ -637,10 +656,11 @@ class TestOracleEquivalence:
     def test_fixture_matches_scalar_code(self, s8):
         for plants in itertools.combinations(s8.sites.plants, 2):
             situation = build_situation(s8, plants)
+            (built,) = greedy_flows(s8, [(plants, situation.outputs, situation.product_warehouses)])
             pair, flow = oracle_select_product_warehouses(s8, plants, situation.outputs)
             assert situation.product_warehouses == pair
-            assert list(situation.flow.shipments.items()) == list(flow.shipments.items())
-            assert situation.flow.total_cost == flow.total_cost
+            assert list(built.shipments.items()) == list(flow.shipments.items())
+            assert situation.flow_cost == flow.total_cost
             assert situation.raw_warehouses == oracle_select_raw_warehouses(
                 s8, plants, situation.plant_raw_requirements
             )

@@ -33,8 +33,10 @@ class TestLoad:
         assert route_cost(s8, "a2", "x6", "x12") == 5
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises((ScenarioError, OSError)):
-            load_scenario(tmp_path / "nope.json")
+        path = tmp_path / "nope.json"
+        with pytest.raises(ScenarioError) as caught:
+            load_scenario(path)
+        assert str(caught.value) == f"cannot read {path}: No such file or directory"
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -52,6 +54,12 @@ class TestLoad:
         doc = copy.deepcopy(s8_dict)
         doc["commodities"][0]["storage_fee"] = -1
         with pytest.raises(ScenarioError, match="a1.*storage_fee"):
+            Scenario.from_dict(doc)
+
+    def test_duplicate_node_id(self, s8_dict):
+        doc = copy.deepcopy(s8_dict)
+        doc["nodes"].append(dict(doc["nodes"][0]))
+        with pytest.raises(ScenarioError, match=r"^nodes: duplicate id 'x1'$"):
             Scenario.from_dict(doc)
 
     def test_unknown_edge_node(self, s8_dict):
@@ -93,6 +101,18 @@ class TestRoundTrip:
         assert first == second
 
     def test_reload_matches_file(self, s8, s8_dict):
+        assert s8.to_dict() == s8_dict
+
+    def test_caller_mutation_does_not_leak_in(self, s8_dict):
+        doc = copy.deepcopy(s8_dict)
+        scenario = Scenario.from_dict(doc)
+        doc["name"] = "changed"
+        doc["demand"]["stores"]["x14"]["b1"] += 1
+        doc["nodes"].pop()
+        assert scenario.to_dict() == s8_dict
+
+    def test_to_dict_returns_a_fresh_copy(self, s8, s8_dict):
+        s8.to_dict()["demand"]["stores"]["x14"]["b1"] += 1
         assert s8.to_dict() == s8_dict
 
 
