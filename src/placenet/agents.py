@@ -1,13 +1,13 @@
 """Placement situations and the three agents' payoff functions.
 
 Agent 1 owns warehouses and transport, agent 2 owns the plants, agent 3 owns
-the stores.  Enumeration completes every plant pair together: allocation and
-raw warehouses pair by pair, the product-warehouse search as one batch over
-all pairs, plant economics once per (plant, product, quantity).  A situation
-keeps its flow's cost, not its shipments.  Errors come back in pair order,
-each the one a pair-by-pair run meets first, and the enumeration order gives
-the output columns.  The payoff matrix computes the terms that are the same
-in every situation (storage income, retail revenue) once.
+the stores.  Enumeration completes every plant pair together: demand summed
+once, allocation and raw requirements pair by pair, each warehouse search as
+one batch over all pairs, plant economics once per (plant, product,
+quantity).  A situation keeps its flow's cost.  Errors come back in pair
+order, each the one a pair-by-pair run meets first, and the enumeration
+order gives the output columns.  The payoff matrix computes the terms that
+are the same in every situation (storage income, retail revenue) once.
 """
 
 from __future__ import annotations
@@ -80,17 +80,21 @@ def enumerate_situations(
 def _complete(scenario, pairs, warehouse_mode, skipped) -> list[Situation]:
     """The pairs' situations, with the same skips and errors, in the same
     order, as completing one pair after the other.  Allocation and raw
-    warehouses go pair by pair, the product warehouse search over all pairs
-    at once, and plant economics once per (plant, product, quantity)."""
-    staged = [_choose_raw(scenario, plants, warehouse_mode) for plants in pairs]
-    live = [stage[:2] for stage in staged if not isinstance(stage, Exception)]
-    searched = iter(costflow.select_product_warehouses(scenario, live))
+    requirements go pair by pair, each warehouse search as one batch over the
+    pairs left, and plant economics once per (plant, product, quantity)."""
+    totals = costflow.total_demand(scenario)
+    staged = [_allocate(scenario, totals, plants) for plants in pairs]
+    raws = functools.partial(costflow.select_raw_warehouses, scenario, mode=warehouse_mode)
+    _extend(staged, raws, lambda plants, _, requirements: (plants, requirements))
+    products = functools.partial(costflow.select_product_warehouses, scenario)
+    _extend(staged, products, lambda plants, outputs, *_: (plants, outputs))
     economics = functools.cache(lambda *key: production.plant_economics(scenario, *key))
     situations = []
     for plants, stage in zip(pairs, staged):
         try:
-            _, outputs, requirements, raws = _raised(stage)
-            warehouses, cost = _raised(next(searched))
+            if isinstance(stage, Exception):
+                raise stage
+            _, outputs, requirements, raws, (warehouses, cost) = stage
             economy = {
                 (plant, product): economics(plant, product, outputs[plant].get(product, 0))
                 for plant in plants
@@ -103,28 +107,28 @@ def _complete(scenario, pairs, warehouse_mode, skipped) -> list[Situation]:
     return situations
 
 
-def _choose_raw(scenario, plants, warehouse_mode):
-    """A pair's output allocation, raw requirements and raw warehouses, or the
-    InfeasibleError or ScenarioError that choosing them raises."""
+def _allocate(scenario, totals, plants):
+    """A pair's output allocation and raw requirements, or the InfeasibleError
+    or ScenarioError that computing them raises."""
     try:
         override = scenario.production.splits.get(frozenset(plants))
         outputs = production.allocate_output(
-            costflow.total_demand(scenario), plants, scenario.production.capacity_for, override
+            totals, plants, scenario.production.capacity_for, override
         )
         requirements = {
             plant: costflow.raw_requirements(outputs[plant], scenario.recipes) for plant in plants
         }
-        raws = costflow.select_raw_warehouses(scenario, plants, requirements, mode=warehouse_mode)
     except (InfeasibleError, ScenarioError) as exc:
         return exc
-    return plants, outputs, requirements, raws
+    return plants, outputs, requirements
 
 
-def _raised(result):
-    """``result``, raised when it is an error."""
-    if isinstance(result, Exception):
-        raise result
-    return result
+def _extend(staged, search, case) -> None:
+    """Runs one batched ``search`` over the ``case`` of each stage without an
+    error, and extends that stage by its result or replaces it by its error."""
+    live = [k for k, stage in enumerate(staged) if not isinstance(stage, Exception)]
+    for k, result in zip(live, search([case(*staged[k]) for k in live])):
+        staged[k] = result if isinstance(result, Exception) else (*staged[k], result)
 
 
 def storage_income(scenario: Scenario) -> tuple[float, float]:
@@ -180,11 +184,7 @@ def agent1_payoff(
 ) -> float:
     c = agent1_components(scenario, situation, income)
     return (
-        c["raw_income"]
-        - c["raw_cost"]
-        + c["product_income"]
-        - c["product_cost"]
-        - c["flow_cost"]
+        c["raw_income"] - c["raw_cost"] + c["product_income"] - c["product_cost"] - c["flow_cost"]
     )
 
 

@@ -38,9 +38,7 @@ def _header(command: str, name: str, digest: str, key: str = "instance") -> str:
 def cmd_solve(args: argparse.Namespace) -> tuple[str, dict]:
     scenario = load_scenario(args.scenario)
     skipped: list[tuple[tuple[str, str], str]] = []
-    situations = agents.enumerate_situations(
-        scenario, warehouse_mode=args.warehouse_selection, skipped=skipped
-    )
+    situations = agents.enumerate_situations(scenario, args.warehouse_selection, skipped)
     if not situations:
         (pair, reason), count = skipped[0], len(skipped)
         raise InfeasibleError(
@@ -49,9 +47,7 @@ def cmd_solve(args: argparse.Namespace) -> tuple[str, dict]:
         )
     matrix = agents.evaluate_all(scenario, situations)
     result = compromise.compromise_select(matrix, normalize=args.normalize)
-    payload = report.build_report(
-        scenario, situations, matrix, result, skipped, include_details=args.detail
-    )
+    payload = report.build_report(scenario, situations, matrix, result, skipped, args.detail)
     return _header("solve", scenario.name, scenario.digest, "scenario"), payload
 
 

@@ -74,9 +74,7 @@ def ideal_vector(matrix: PayoffMatrix) -> np.ndarray:
 
 def residual_matrix(matrix: PayoffMatrix, ideal: np.ndarray | None = None) -> np.ndarray:
     """Shortfall of each entry from its row's ideal; >= 0, each row has a 0."""
-    if ideal is None:
-        ideal = ideal_vector(matrix)
-    ideal = np.asarray(ideal, dtype=float)
+    ideal = np.asarray(ideal_vector(matrix) if ideal is None else ideal, dtype=float)
     if ideal.shape != (matrix.values.shape[0],):
         raise ScenarioError("ideal vector length does not match the matrix")
     return ideal[:, None] - matrix.values
@@ -112,15 +110,8 @@ def select_from_residuals(
         level = quantized[row, survivors]
         best = level.min()
         survivors = [m for m, v in zip(survivors, level) if v == best]
-        trace.append(
-            SelectionStep(
-                depth=depth,
-                value=float(
-                    min(sorted_residuals[row, m] for m in survivors)
-                ),
-                survivors=tuple(survivors),
-            )
-        )
+        value = float(min(sorted_residuals[row, m] for m in survivors))
+        trace.append(SelectionStep(depth=depth, value=value, survivors=tuple(survivors)))
         if len(survivors) == 1:
             break
     return CompromiseResult(
@@ -154,9 +145,7 @@ def compromise_select(
         compared = residuals
     else:
         raise ScenarioError(f"unknown normalize mode {normalize!r}")
-    result = select_from_residuals(
-        compared, matrix.situations, ideal=ideal, quantum=quantum
-    )
+    result = select_from_residuals(compared, matrix.situations, ideal=ideal, quantum=quantum)
     if compared is residuals:
         return result
     # Report raw-money residuals even when selection compared normalized ones.

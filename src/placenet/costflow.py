@@ -4,16 +4,17 @@ Route costs are the scenario's site-indexed arrays: ``raw_costs[raw]`` is
 (raw warehouse, plant), ``ship_costs[product]`` is (plant, product warehouse,
 store).  Tie rules: ids compare as strings (``"x10" < "x8"``) for a shipment's
 warehouse and between equal-cost choices; the sweep serves equal-cost cells
-by store, then plant position; the minimum total cost wins.  The sweep runs
-as one numpy batch over many flows, each adding its cells in the same order
-as a one-flow sweep, so results are bit-reproducible.  The warehouse pair
-search only adds up costs; ``greedy_flows`` builds shipments, for the flows
-a report shows.  Public functions are pure.
+by store, then plant position; the minimum total cost wins.  Each warehouse
+search scores all plant pairs as one chunked numpy batch, every element
+adding its terms in the order of a one-pair run, so results are
+bit-reproducible.  The searches only add up costs; ``greedy_flows`` builds
+shipments, for the flows a report shows.  Public functions are pure.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .scenario import Scenario
 
 WEIGHTED = "weighted"
 UNIT = "unit"
-_CHUNK_CELLS = 2**14  # sweep cells per batch chunk of the pair search
+_CHUNK_CELLS = 2**14  # cells per batch chunk of the warehouse searches
 
 
 @dataclass(frozen=True)
@@ -53,11 +54,7 @@ class FlowAssignment:
 
 def total_demand(scenario: Scenario) -> dict[str, int]:
     """Componentwise sum of store demands."""
-    totals = {product: 0 for product in scenario.product_ids}
-    for per_product in scenario.demand.values():
-        for product, units in per_product.items():
-            totals[product] += units
-    return totals
+    return {product: sum(_demand(scenario, product)) for product in scenario.product_ids}
 
 
 def raw_requirements(
@@ -70,6 +67,8 @@ def raw_requirements(
             raise ScenarioError(f"no recipe for product {product!r}")
         for rid, per_unit in recipes[product].items():
             requirements[rid] = requirements.get(rid, 0.0) + per_unit * units
+            if not math.isfinite(requirements[rid]):
+                raise ScenarioError(f"recipe for {product}: the {rid} requirement overflows")
     return requirements
 
 
@@ -211,42 +210,59 @@ def greedy_flow(
 
 def select_raw_warehouses(
     scenario: Scenario,
-    plants: tuple[str, ...],
-    plant_raw_requirements: dict[str, dict[str, float]],
+    cases: list[tuple[tuple[str, ...], dict[str, dict[str, float]]]],
     mode: str = WEIGHTED,
-) -> dict[str, str]:
-    """Assign one distinct raw warehouse to each plant at minimum route cost.
+) -> list[dict[str, str] | InfeasibleError | ScenarioError]:
+    """For each (plants, plant raw requirements) case, one distinct raw
+    warehouse per plant at minimum route cost, or the error the case raises.
 
     ``weighted`` scores an assignment by unit route cost times the plant's raw
     requirement; ``unit`` ignores the requirement weights.  Ties resolve to
-    the lexicographically smallest warehouse tuple in plant order.
+    the lexicographically smallest warehouse tuple in plant order.  Cases
+    share their plant count; their (case, assignment) scores are summed in
+    chunks of about ``_CHUNK_CELLS``, terms by plant, then raw.  A case's
+    error is its first infinite term, assignments in generation order.
     """
-    candidates = scenario.sites.raw_warehouses
-    if len(candidates) < len(plants):
-        raise InfeasibleError(
-            f"{len(candidates)} raw warehouse candidates for {len(plants)} plants"
-        )
+    candidates, n = scenario.sites.raw_warehouses, len(cases[0][0]) if cases else 0
+    if len(candidates) < n:
+        error = InfeasibleError(f"{len(candidates)} raw warehouse candidates for {n} plants")
+        return [error] * len(cases)
     if mode not in (WEIGHTED, UNIT):
-        raise ScenarioError(f"unknown raw-warehouse selection mode {mode!r}")
-    choices = np.array(list(itertools.permutations(range(len(candidates)), len(plants))))
-    # One route-cost-times-weight array over candidates per score term, in the
-    # score's summation order: plants, then raws.
-    terms = [
-        (i, rid, scenario.raw_costs[rid][:, scenario.sites.plants.index(plant)] * weight)
-        for i, plant in enumerate(plants)
-        for rid in scenario.raw_ids
-        if (weight := plant_raw_requirements[plant].get(rid, 0.0) if mode == WEIGHTED else 1.0)
-    ]
-    scores = np.array([term[choices[:, i]] for i, _rid, term in terms]).reshape(-1, len(choices))
-    if np.isinf(scores).any():
-        c, t = np.argwhere(np.isinf(scores.T))[0]
-        i, rid, _term = terms[t]
-        scenario.check_carried(rid)
-        source, warehouse = scenario.sites.extraction[rid], candidates[choices[c, i]]
-        raise InfeasibleError(f"no {rid} route {source} -> {warehouse} -> {plants[i]}")
-    cost = sum(scores, np.zeros(len(choices)))
-    ties = choices[cost == cost.min()]
-    return dict(zip(plants, min(tuple(candidates[w] for w in choice) for choice in ties)))
+        return [ScenarioError(f"unknown raw-warehouse selection mode {mode!r}")] * len(cases)
+    perms = np.array(list(itertools.permutations(range(len(candidates)), n)))
+    labels = [tuple(candidates[w] for w in perm) for perm in perms]
+    ranked = sorted(range(len(perms)), key=labels.__getitem__)  # so argmin wins ties
+    terms = [(i, rid) for i in range(n) for rid in scenario.raw_ids]
+    found: list = []
+    step = max(1, _CHUNK_CELLS // len(perms))
+    for start in range(0, len(cases), step):
+        chunk = cases[start : start + step]
+        cols = np.array([[scenario.sites.plants.index(p) for p in plants] for plants, _ in chunk])
+        weights = np.array(
+            [[need[plants[i]].get(rid, 0.0) for i, rid in terms] for plants, need in chunk]
+        )
+        weights = (weights if mode == WEIGHTED else np.ones_like(weights)).T[:, :, None]
+        cost = np.array(
+            [scenario.raw_costs[rid][perms[:, i], cols[:, i, None]] for i, rid in terms]
+        ).reshape(len(terms), len(chunk), len(perms))  # (term, case, permutation)
+        # A zero weight adds 0.0 rather than cost * 0, which is NaN for an inf cost.
+        scores = np.multiply(cost, weights, out=np.zeros(cost.shape), where=weights != 0)
+        total = sum(scores, np.zeros(cost.shape[1:]))
+        bad = np.isinf(scores).any(axis=(0, 2)).tolist()
+        for c, ((plants, _), j) in enumerate(zip(chunk, total[:, ranked].argmin(axis=1).tolist())):
+            if not bad[c]:
+                found.append(dict(zip(plants, labels[ranked[j]])))
+                continue
+            k, t = np.argwhere(np.isinf(scores[:, c].T))[0]
+            i, rid = terms[t]
+            route = f"{scenario.sites.extraction[rid]} -> {candidates[perms[k, i]]} -> {plants[i]}"
+            error = InfeasibleError(f"no {rid} route {route}")
+            try:
+                scenario.check_carried(rid)
+            except ScenarioError as exc:
+                error = exc
+            found.append(error)
+    return found
 
 
 def select_product_warehouses(
@@ -275,11 +291,11 @@ def select_product_warehouses(
         for costs in scenario.ship_costs.values()
         for i in np.flatnonzero((np.isinf(costs).sum(axis=1) >= 2).any(axis=1))
     }
+    needed = {product: sum(_demand(scenario, product)) for product in scenario.product_ids}
     found: list = [None] * len(cases)
     for c, (plants, outputs) in enumerate(cases):
         if blocked.intersection(plants) or any(
-            sum(_supply(plants, outputs, product)) < sum(_demand(scenario, product))
-            for product in scenario.product_ids
+            sum(_supply(plants, outputs, product)) < units for product, units in needed.items()
         ):
             try:
                 for pair in itertools.combinations(candidates, 2):

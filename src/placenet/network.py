@@ -70,8 +70,7 @@ def build_network(
     edge costs are ignored in that mode.  Undirected instances are ingested
     by listing both arcs.
     """
-    ids = [node.id for node in nodes]
-    if sorted(ids) != list(range(len(nodes))):
+    if sorted(node.id for node in nodes) != list(range(len(nodes))):
         raise ScenarioError("node ids must be unique and dense 0..n-1")
     for node in nodes:
         if not (math.isfinite(node.x) and math.isfinite(node.y)):
@@ -87,10 +86,7 @@ def build_network(
         if grid_costs is not None:
             a, b = by_id[edge.tail], by_id[edge.head]
             dx, dy = abs(a.x - b.x), abs(a.y - b.y)
-            cost = {
-                commodity: h * dx + v * dy
-                for commodity, (h, v) in grid_costs.items()
-            }
+            cost = {commodity: h * dx + v * dy for commodity, (h, v) in grid_costs.items()}
             edge = Edge(edge.tail, edge.head, cost)
         for commodity, value in edge.cost.items():
             if value < 0:

@@ -37,8 +37,7 @@ def output_value(scenario: Scenario, plant: str, product: str, quantity: float) 
         raise ScenarioError("quantity must be >= 0")
     if quantity == 0:
         return 0.0
-    j_factor = scenario.production.factors[plant][product]
-    value = j_factor
+    value = scenario.production.factors[plant][product]
     for rid, exponent in scenario.production.exponents[product].items():
         spend = (
             scenario.commodities[rid].purchase_price

@@ -243,10 +243,12 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         nodes.append(Node(i, x, y))
     node_labels = list(index)
 
-    def node_ref(label: Any, context: str) -> str:
+    def node_ref(label: Any, context: str, plants: tuple[str, ...] | None = None) -> str:
         label = str(label)
         if label not in index:
             raise ScenarioError(f"{context}: unknown node id {label!r}")
+        if plants is not None and label not in plants:
+            raise ScenarioError(f"{context}: {label!r} is not a plant candidate")
         return label
 
     commodities: dict[str, Commodity] = {}
@@ -266,6 +268,9 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
             ),
             storage_fee=_nonneg(spec.get("storage_fee", 0.0), f"commodity {cid}: storage_fee"),
         )
+        for key in ("unit_cost", "purchase_price"):
+            if kind == PRODUCT and getattr(commodities[cid], key):
+                raise ScenarioError(f"commodity {cid}: {key} has no effect on a product")
     raw_ids = [c.id for c in commodities.values() if c.kind == RAW]
     product_ids = [c.id for c in commodities.values() if c.kind == PRODUCT]
 
@@ -388,7 +393,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
     factors: dict[str, dict[str, float]] = {}
     factor_spec = _require(production_spec, "factors", "production")
     for plant, entries in _entries(factor_spec, "production.factors"):
-        node_ref(plant, "production.factors")
+        node_ref(plant, "production.factors", sites.plants)
         factors[plant] = {}
         for product, j_factor in _entries(entries, f"production.factors[{plant}]"):
             commodity_ref(product, f"production factor at {plant}", PRODUCT)
@@ -419,7 +424,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
 
     capacity: dict[str, dict[str, float]] = {}
     for plant, entries in _entries(production_spec.get("capacity", {}), "production.capacity"):
-        node_ref(plant, "production.capacity")
+        node_ref(plant, "production.capacity", sites.plants)
         capacity[plant] = {
             commodity_ref(product, f"capacity at {plant}", PRODUCT): _nonneg(
                 value, f"capacity at {plant} for {product}"
@@ -436,8 +441,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         if len(pair) != 2 or pair[0] == pair[1]:
             raise ScenarioError(f"{what}: plants must be two distinct nodes")
         for plant in pair:
-            if plant not in sites.plants:
-                raise ScenarioError(f"{what}: {plant!r} is not a plant candidate")
+            node_ref(plant, what, sites.plants)
         output = {}
         output_spec = _require(spec, "output", what)
         for plant, entries in _entries(output_spec, f"{what}.output"):

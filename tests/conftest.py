@@ -1,4 +1,5 @@
 import heapq
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -37,6 +38,14 @@ def route_cost(scenario: Scenario, commodity: str, from_label: str, to_label: st
     ]
     index = scenario.node_index
     return dijkstra_distances(len(index), edges, index[from_label])[index[to_label]]
+
+
+def bench_scenario(workload: str, seed: int, out: Path) -> Path:
+    """The scenario file that ``bench/gen.py`` writes into ``out``."""
+    spec = importlib.util.spec_from_file_location("gen", REPO_ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.write_inputs(workload, seed, out)["scenario"]
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ from placenet import (
     enumerate_situations,
     evaluate_all,
 )
+from placenet import costflow
 from placenet.agents import agent3_revenue, payoff_vector
 from conftest import leg_scenario
 
@@ -64,6 +65,25 @@ class TestEnumeration:
             demand={"S": {"p1": 6}},
         )
         assert len(enumerate_situations(scenario)) == 10
+
+    def test_demand_is_summed_once_per_enumeration(self, s8_dict, monkeypatch):
+        """Demand does not depend on the plant pair: one pair and all six
+        each sum it once."""
+        one_pair = copy.deepcopy(s8_dict)
+        one_pair["sites"]["plants"] = ["x7", "x12"]
+        for plant in ("x13", "x18"):
+            del one_pair["production"]["factors"][plant]
+        one_pair["production"]["splits"] = one_pair["production"]["splits"][:1]
+        summed = costflow.total_demand
+        calls = []
+        monkeypatch.setattr(costflow, "total_demand", lambda s: calls.append(s) or summed(s))
+        counts = {}
+        for doc in (one_pair, s8_dict):
+            scenario = Scenario.from_dict(doc)
+            calls.clear()
+            pairs = len(enumerate_situations(scenario))
+            counts[pairs] = len(calls)
+        assert counts == {1: 1, 6: 1}
 
 
 class TestAgentOne:

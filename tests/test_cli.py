@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES, REPO_ROOT
+from conftest import FIXTURES, REPO_ROOT, bench_scenario
 
 
 def run_cli(*args, cwd=REPO_ROOT):
@@ -206,15 +206,10 @@ class TestSolve:
     def test_bench_scenarios_match_pins(self, tmp_path, workload, seed):
         """The benchmark's generated scenarios, plain and with --detail, give
         the reports pinned in bench/pins.json."""
-        import importlib.util
-
         from placenet.cli import main
 
-        spec = importlib.util.spec_from_file_location("gen", REPO_ROOT / "bench" / "gen.py")
-        gen = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen)
         pins = json.loads((REPO_ROOT / "bench" / "pins.json").read_text())
-        scenario = gen.write_inputs(workload, seed, tmp_path)["scenario"]
+        scenario = bench_scenario(workload, seed, tmp_path)
         out = tmp_path / "report.json"
         for extra, key in (((), workload), (("--detail",), workload + ".detail")):
             args = ["solve", "-s", str(scenario), "--format", "json", "--out", str(out), *extra]
@@ -474,6 +469,61 @@ class TestMalformedInput:
         assert capsys.readouterr().err.endswith(
             ": edge (0, 1) cost for a1 must be finite and >= 0\n"
         )
+
+
+# (path into example_s8, value, what the error says): a field that would have
+# no effect on any solve is refused rather than silently ignored.
+NO_EFFECT = [
+    (("commodities", 2, "unit_cost"), 3, "commodity b1: unit_cost has no effect on a product"),
+    (
+        ("commodities", 4, "purchase_price"),
+        0.5,
+        "commodity b3: purchase_price has no effect on a product",
+    ),
+    (
+        ("production", "factors", "x2"),
+        {"b1": 1.0},
+        "production.factors: 'x2' is not a plant candidate",
+    ),
+    (
+        ("production", "capacity"),
+        {"x7": {"b1": 10}, "x14": {"b1": 5}},
+        "production.capacity: 'x14' is not a plant candidate",
+    ),
+]
+
+
+@pytest.mark.parametrize("path, value, message", NO_EFFECT, ids=[c[2] for c in NO_EFFECT])
+def test_field_without_effect_exits_2_naming_it(s8_dict, tmp_path, capsys, path, value, message):
+    from placenet.cli import main
+
+    doc = copy.deepcopy(s8_dict)
+    _set(doc, path, value)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["solve", "-s", str(scenario)]) == 2
+    assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
+
+
+@pytest.mark.parametrize("raw_routes", ["priced", "free"])
+def test_overflowing_raw_requirement_exits_2(s8_dict, tmp_path, capsys, raw_routes):
+    """Recipes of 1e308 make a raw requirement overflow to inf.  It used to
+    end in a false "no a1 route" (exit 3), or, with free raw routes, in a
+    traceback from inf * 0 = NaN scores."""
+    from placenet.cli import main
+
+    doc = copy.deepcopy(s8_dict)
+    for recipe in doc["recipes"].values():
+        recipe.update(dict.fromkeys(recipe, 1e308))
+    if raw_routes == "free":
+        for edge in doc["edges"]:
+            edge["cost"].update({rid: 0 for rid in ("a1", "a2") if rid in edge["cost"]})
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    for mode in ("weighted", "unit"):
+        assert main(["solve", "-s", str(scenario), "--warehouse-selection", mode]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: recipe for b1: the a1 requirement overflows\n")
 
 
 # (command, input file, path into it, malformed value, what the error says)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -17,6 +18,7 @@ from placenet import (
     enumerate_situations,
     greedy_flow,
     greedy_flows,
+    load_scenario,
     plant_economics,
     product_unit_total_cost,
     raw_requirements,
@@ -27,7 +29,7 @@ from placenet import (
 )
 from placenet.cli import main as placenet_main
 from placenet.costflow import FlowAssignment, Shipment
-from conftest import leg_scenario, route_cost
+from conftest import bench_scenario, dijkstra_distances, leg_scenario, route_cost
 
 
 class TestTotalDemand:
@@ -235,7 +237,7 @@ class TestWarehouseSelection:
             capacity={"P1": {"p1": 100}, "P2": {"p1": 100}},
         )
         requirements = {"P1": {"r0": 2.0}, "P2": {"r0": 2.0}}
-        choice = select_raw_warehouses(scenario, ("P1", "P2"), requirements)
+        choice = chosen_raw(scenario, ("P1", "P2"), requirements)
         # RW0 is strictly cheaper, so either assignment has equal total only
         # between the two plants; the smaller tuple (RW0 first) must win.
         assert choice == {"P1": "RW0", "P2": "RW1"}
@@ -247,7 +249,7 @@ class TestWarehouseSelection:
             demand={"S": {"p1": 1}},
         )
         with pytest.raises(InfeasibleError, match="candidates"):
-            select_raw_warehouses(
+            chosen_raw(
                 scenario, ("P1", "P2", "P3"), {p: {"r0": 1.0} for p in ("P1", "P2", "P3")}
             )
 
@@ -322,8 +324,8 @@ class TestWarehouseSelection:
         scenario = Scenario.from_dict(doc)
         requirements = {"P1": {"r0": 10.0}, "P2": {"r0": 1.0}}
         # routes: P1 via RW0 = 2, via RW1 = 4; P2 via RW0 = 2, via RW1 = 12
-        weighted = select_raw_warehouses(scenario, ("P1", "P2"), requirements, mode="weighted")
-        unit = select_raw_warehouses(scenario, ("P1", "P2"), requirements, mode="unit")
+        weighted = chosen_raw(scenario, ("P1", "P2"), requirements, mode="weighted")
+        unit = chosen_raw(scenario, ("P1", "P2"), requirements, mode="unit")
         assert weighted == {"P1": "RW0", "P2": "RW1"}  # 2*10 + 12*1 < 4*10 + 2*1
         assert unit == {"P1": "RW1", "P2": "RW0"}  # 4 + 2 < 2 + 12
 
@@ -511,6 +513,12 @@ def returned(result):
     return result
 
 
+def chosen_raw(scenario, plants, requirements, mode="weighted"):
+    """``select_raw_warehouses`` on one case: its assignment, or its error raised."""
+    (result,) = select_raw_warehouses(scenario, [(plants, requirements)], mode)
+    return returned(result)
+
+
 def network_doc(
     cost,
     *,
@@ -586,7 +594,8 @@ def leg_cases(draw):
 
     Candidate orders are drawn, so string order (W10 < W8 < W9) and site
     order disagree; some draws leave commodities off legs (inf routes), give
-    plants too little output or capacity, or too few raw warehouses.
+    plants too little output or capacity, or too few raw warehouses, and some
+    pin a pair's split, which may not conserve demand.
     """
 
     def order(ids, n):
@@ -601,6 +610,7 @@ def leg_cases(draw):
     # Up to two fragile sites: only legs that touch one may lack a commodity.
     fragile = draw(st.sets(st.sampled_from(plants + warehouses + stores), max_size=2))
     legs = st.sampled_from([None, 0, 1, 2, 3]), st.integers(0, 3)
+    demand = {s: {p: draw(st.integers(0, 3)) for p in products} for s in stores}
     doc = network_doc(
         lambda c, t, h: draw(legs[not fragile & {t, h}]),
         plants=plants,
@@ -609,13 +619,24 @@ def leg_cases(draw):
         raw_warehouses=raw_warehouses,
         warehouses=warehouses,
         stores=stores,
-        demand={s: {p: draw(st.integers(0, 3)) for p in products} for s in stores},
+        demand=demand,
         capacity={
             plant: {p: draw(st.integers(0, 6)) for p in products}
             for plant in plants
             if draw(st.booleans())
         },
     )
+    # The first plant's share of a pinned split is drawn and the second takes
+    # the rest, or one unit more, which does not conserve demand.
+    totals = {p: sum(per_store[p] for per_store in demand.values()) for p in products}
+    doc["production"]["splits"] = []
+    for pair in itertools.combinations(plants, 2):
+        if draw(st.booleans()):
+            first = {p: draw(st.integers(0, totals[p])) for p in products}
+            extra = draw(st.sampled_from([0, 0, 1]))
+            second = {p: totals[p] - first[p] + extra for p in products}
+            output = {pair[0]: first, pair[1]: second}
+            doc["production"]["splits"].append({"plants": list(pair), "output": output})
     scenario = Scenario.from_dict(doc)
     outputs = {plant: {p: draw(st.integers(0, 9)) for p in products} for plant in plants}
     requirements = {plant: {rid: float(draw(st.integers(0, 3))) for rid in raws} for plant in plants}
@@ -636,7 +657,7 @@ class TestOracleEquivalence:
         assert outcome(returned, found) == outcome(
             oracle_select_product_warehouses, scenario, plants, outputs
         )
-        assert outcome(select_raw_warehouses, scenario, plants, requirements, mode) == outcome(
+        assert outcome(chosen_raw, scenario, plants, requirements, mode) == outcome(
             oracle_select_raw_warehouses, scenario, plants, requirements, mode
         )
 
@@ -666,12 +687,45 @@ class TestOracleEquivalence:
             )
 
 
-    @pytest.mark.parametrize("chunk_cells", [1, 100])
+    @pytest.mark.parametrize("chunk_cells", [1, 30, 100])
     def test_chunks_do_not_change_the_search(self, s8, monkeypatch, chunk_cells):
-        """One plant pair per chunk, or a few, gives what one chunk gives."""
+        """One plant pair per chunk, or a few, gives what one chunk gives.  A
+        pair has 12 raw assignments and 48 product-pair sweep cells, so 30
+        cells take the raw stage in three chunks and 100 the pair search in
+        three."""
         whole = enumerated(s8, "weighted")
         monkeypatch.setattr("placenet.costflow._CHUNK_CELLS", chunk_cells)
         assert enumerated(s8, "weighted") == whole
+
+    @pytest.mark.parametrize("mode", ["weighted", "unit"])
+    @pytest.mark.parametrize("workload", ["synth-transit", "synth-wide"])
+    def test_bench_raw_choices_match_scalar_code(self, tmp_path, monkeypatch, workload, mode):
+        """Every plant pair of a benchmark scenario (seed 0) in one batched
+        call, against the scalar oracle; integer costs make many ties."""
+        scenario = load_scenario(bench_scenario(workload, 0, tmp_path))
+        edges = {
+            rid: [(e.tail, e.head, e.cost[rid]) for e in scenario.network.edges if rid in e.cost]
+            for rid in scenario.raw_ids
+        }
+
+        @functools.cache
+        def row(commodity, source):  # one Dijkstra per (raw, source) for the oracle
+            index = scenario.node_index
+            return dijkstra_distances(len(index), edges[commodity], index[source])
+
+        monkeypatch.setitem(globals(), "route_cost", lambda s, c, a, b: row(c, a)[s.node_index[b]])
+        totals, cases = total_demand(scenario), []
+        for pair in itertools.combinations(scenario.sites.plants, 2):
+            override = scenario.production.splits.get(frozenset(pair))
+            try:
+                outputs = allocate_output(totals, pair, scenario.production.capacity_for, override)
+            except InfeasibleError:
+                continue
+            cases.append((pair, {p: raw_requirements(outputs[p], scenario.recipes) for p in pair}))
+        found = select_raw_warehouses(scenario, cases, mode)
+        assert [outcome(returned, result) for result in found] == [
+            outcome(oracle_select_raw_warehouses, scenario, *case, mode) for case in cases
+        ]
 
 
 class TestTransportationBound:

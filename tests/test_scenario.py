@@ -93,6 +93,11 @@ class TestLoad:
         doc["edges"][0]["capacity"] = {}
         Scenario.from_dict(doc)  # loads: an empty field asks for nothing
 
+    def test_zero_product_costs_load(self, s8_dict):
+        doc = copy.deepcopy(s8_dict)
+        doc["commodities"][2].update(unit_cost=0, purchase_price=0.0)
+        Scenario.from_dict(doc)  # loads: a zero cost has nothing to ignore
+
 
 class TestRoundTrip:
     def test_to_dict_round_trips(self, s8):
