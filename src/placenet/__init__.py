@@ -36,7 +36,7 @@ from .costflow import (
     total_demand,
 )
 from .errors import InfeasibleError, ScenarioError
-from .network import Edge, Network, Node, build_network, shortest_paths
+from .network import shortest_paths
 from .optimizers import (
     LoadingInstance,
     LoadingItem,

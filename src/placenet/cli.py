@@ -55,7 +55,7 @@ def cmd_paths(args: argparse.Namespace) -> tuple[str, dict]:
     scenario = load_scenario(args.scenario)
     scenario.check_carried(args.commodity)
     labels = scenario.node_labels
-    dist = shortest_paths(scenario.network, args.commodity, range(len(labels)))
+    dist = shortest_paths(len(labels), scenario.edges[args.commodity], range(len(labels)))
     payload = {
         "scenario": scenario.name,
         "digest": scenario.digest,

@@ -221,7 +221,9 @@ def select_raw_warehouses(
     the lexicographically smallest warehouse tuple in plant order.  Cases
     share their plant count; their (case, assignment) scores are summed in
     chunks of about ``_CHUNK_CELLS``, terms by plant, then raw.  A case's
-    error is its first infinite term, assignments in generation order.
+    error is its first infinite term, assignments in generation order: a
+    missing route, or a finite route cost whose weighted term overflows.  A
+    winning total past the float range is an overflow of its largest term.
     """
     candidates, n = scenario.sites.raw_warehouses, len(cases[0][0]) if cases else 0
     if len(candidates) < n:
@@ -246,15 +248,24 @@ def select_raw_warehouses(
             [scenario.raw_costs[rid][perms[:, i], cols[:, i, None]] for i, rid in terms]
         ).reshape(len(terms), len(chunk), len(perms))  # (term, case, permutation)
         # A zero weight adds 0.0 rather than cost * 0, which is NaN for an inf cost.
-        scores = np.multiply(cost, weights, out=np.zeros(cost.shape), where=weights != 0)
-        total = sum(scores, np.zeros(cost.shape[1:]))
+        with np.errstate(over="ignore"):  # a product or sum past the float range is inf
+            scores = np.multiply(cost, weights, out=np.zeros(cost.shape), where=weights != 0)
+            total = sum(scores, np.zeros(cost.shape[1:]))
         bad = np.isinf(scores).any(axis=(0, 2)).tolist()
         for c, ((plants, _), j) in enumerate(zip(chunk, total[:, ranked].argmin(axis=1).tolist())):
-            if not bad[c]:
-                found.append(dict(zip(plants, labels[ranked[j]])))
+            k = ranked[j]
+            if bad[c]:
+                k, t = np.argwhere(np.isinf(scores[:, c].T))[0]
+            elif math.isfinite(total[c, k]):
+                found.append(dict(zip(plants, labels[k])))
                 continue
-            k, t = np.argwhere(np.isinf(scores[:, c].T))[0]
+            else:  # every total overflows: blame the winner's largest term
+                t = scores[:, c, k].argmax()
             i, rid = terms[t]
+            if math.isfinite(cost[t, c, k]):
+                route = f"the {rid} route cost to plant {plants[i]}"
+                found.append(ScenarioError(f"{route} overflows its raw-warehouse score"))
+                continue
             route = f"{scenario.sites.extraction[rid]} -> {candidates[perms[k, i]]} -> {plants[i]}"
             error = InfeasibleError(f"no {rid} route {route}")
             try:

@@ -3,7 +3,8 @@
 A scenario is a single JSON document (see docs/formats.md).  String node ids
 are mapped to dense integer indices at load time; everything downstream works
 with the dense indices and the scenario keeps the label mapping for reporting.
-Scenarios are immutable after load.
+Each commodity's edges become (tails, heads, costs) arrays in edge order, and
+route costs come from those.  Scenarios are immutable after load.
 """
 
 from __future__ import annotations
@@ -18,13 +19,16 @@ from typing import Any
 import numpy as np
 
 from .errors import ScenarioError
-from .network import Edge, Network, Node, build_network, shortest_paths
+from .network import shortest_paths
 
 DEFAULT_PLANT_CAPACITY = 10.0
 DEFAULT_HANDLING_RATE = 0.2
 
 RAW = "raw"
 PRODUCT = "product"
+
+Edges = tuple[np.ndarray, np.ndarray, np.ndarray]  # (tails, heads, costs) in edge order
+_NO_EDGES: Edges = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
 
 
 @dataclass(frozen=True)
@@ -73,14 +77,17 @@ class ProductionParams:
 
 
 class Scenario:
-    """A fully validated problem instance with site-indexed route costs."""
+    """A fully validated problem instance with site-indexed route costs.
+
+    ``edges`` maps each commodity that some edge carries to its edge arrays.
+    """
 
     def __init__(
         self,
         *,
         name: str,
         node_labels: list[str],
-        network: Network,
+        edges: dict[str, Edges],
         commodities: dict[str, Commodity],
         recipes: dict[str, dict[str, float]],
         sites: Sites,
@@ -95,7 +102,7 @@ class Scenario:
         self.name = name
         self.node_labels = node_labels
         self.node_index = {label: i for i, label in enumerate(node_labels)}
-        self.network = network
+        self.edges = edges
         self.commodities = commodities
         self.raw_ids = [c.id for c in commodities.values() if c.kind == RAW]
         self.product_ids = [c.id for c in commodities.values() if c.kind == PRODUCT]
@@ -111,25 +118,25 @@ class Scenario:
         # Route costs by site position; inf where there is no route.
         # raw_costs[raw][rw, plant] = D[extraction, rw] + D[rw, plant]
         # ship_costs[product][plant, pw, store] = D[plant, pw] + D[pw, store]
-        # Only the rows of the legs' sources are computed, in sorted commodity
-        # order so that the first bad edge cost reported does not depend on kind.
+        # Only the rows of the legs' sources are computed.
         raw_legs = (sites.raw_warehouses, sites.plants)
         ship_legs = (sites.plants, sites.product_warehouses, sites.stores)
         legs = {rid: ((sites.extraction[rid],), *raw_legs) for rid in self.raw_ids}
         legs |= {product: ship_legs for product in self.product_ids}
-        costs = {commodity: self._legs(commodity, *legs[commodity]) for commodity in sorted(legs)}
+        costs = {commodity: self._legs(commodity, *legs[commodity]) for commodity in legs}
         self.raw_costs = {rid: costs[rid][0] for rid in self.raw_ids}
         self.ship_costs = {product: costs[product] for product in self.product_ids}
 
     def _legs(self, commodity: str, *groups: tuple[str, ...]) -> np.ndarray:
         """D[a, b] + D[b, c] over three label groups, shape (a, b, c)."""
         a, b, c = ([self.node_index[label] for label in group] for group in groups)
-        rows = shortest_paths(self.network, commodity, a + b)
+        edges = self.edges.get(commodity, _NO_EDGES)
+        rows = shortest_paths(len(self.node_labels), edges, a + b)
         return rows[: len(a), b][:, :, None] + rows[len(a) :, c][None, :, :]
 
     def check_carried(self, commodity: str) -> None:
         """Raise ScenarioError when no edge carries the commodity."""
-        if commodity not in self.network.commodities:
+        if commodity not in self.edges:
             raise ScenarioError(f"no edge carries commodity {commodity!r}")
 
     def to_dict(self) -> dict[str, Any]:
@@ -233,14 +240,13 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
     if not node_specs:
         raise ScenarioError("nodes: list must be nonempty")
     index: dict[str, int] = {}
-    nodes: list[Node] = []
+    coords: list[tuple[float, float]] = []
     for i, spec in enumerate(node_specs):
         label = str(_require(spec, "id", f"nodes[{i}]"))
         if label in index:
             raise ScenarioError(f"nodes: duplicate id {label!r}")
         index[label] = i
-        x, y = (_number(spec.get(axis, 0.0), f"nodes[{i}].{axis}") for axis in "xy")
-        nodes.append(Node(i, x, y))
+        coords.append(tuple(_number(spec.get(axis, 0.0), f"nodes[{i}].{axis}") for axis in "xy"))
     node_labels = list(index)
 
     def node_ref(label: Any, context: str, plants: tuple[str, ...] | None = None) -> str:
@@ -292,7 +298,8 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
                 _nonneg(_require(spec, "vertical", f"grid_costs[{cid}]"), "vertical cost"),
             )
 
-    edges: list[Edge] = []
+    ends: list[tuple[int, int]] = []
+    carried: dict[str, tuple[list[int], list[float]]] = {}  # commodity -> edges[i], costs
     for i, spec in enumerate(_items(_require(data, "edges", "scenario"), "edges")):
         tail = node_ref(_require(spec, "from", f"edges[{i}]"), f"edges[{i}].from")
         head = node_ref(_require(spec, "to", f"edges[{i}]"), f"edges[{i}].to")
@@ -304,8 +311,31 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
             raise _unenforced(f"edges[{i}].capacity")
         if grid_costs is None and not cost:
             raise ScenarioError(f"edges[{i}]: needs a cost map (no grid_costs given)")
-        edges.append(Edge(index[tail], index[head], cost))
-    network = build_network(nodes, edges, grid_costs)
+        if grid_costs is not None and cost:
+            raise ScenarioError(f"edges[{i}].cost has no effect when grid_costs is given")
+        for cid, value in cost.items():
+            rows, values = carried.setdefault(cid, ([], []))
+            rows.append(i)
+            values.append(value)
+        ends.append((index[tail], index[head]))
+    tails, heads = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+    loops = np.flatnonzero(tails == heads)
+    if loops.size:
+        i = loops[0]
+        raise ScenarioError(f"edges[{i}]: self-loop at node {node_labels[tails[i]]!r}")
+    if grid_costs is None:
+        edges = {
+            cid: (tails[rows], heads[rows], np.array(values))
+            for cid, (rows, values) in carried.items()
+        }
+    else:
+        x, y = np.array(coords).T
+        # The cost of covering each edge's displacement along grid directions
+        # (none without edges); one past the float range is inf or NaN, and is
+        # refused below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            dx, dy = abs(x[tails] - x[heads]), abs(y[tails] - y[heads])
+            edges = {c: (tails, heads, h * dx + v * dy) for c, (h, v) in grid_costs.items() if ends}
 
     recipes: dict[str, dict[str, float]] = {}
     for product, entries in _entries(_require(data, "recipes", "scenario"), "recipes"):
@@ -468,6 +498,13 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
     handling_rate = _nonneg(data.get("handling_rate", DEFAULT_HANDLING_RATE), "handling_rate")
     notes = tuple(str(n) for n in _items(data.get("notes", []), "notes"))
 
+    for cid in sorted(edges):
+        tails, heads, costs = edges[cid]
+        bad = np.flatnonzero(~(np.isfinite(costs) & (costs >= 0)))
+        if bad.size:
+            tail, head = tails[bad[0]], heads[bad[0]]
+            raise ScenarioError(f"edge ({tail}, {head}) cost for {cid} must be finite and >= 0")
+
     if digest is None:
         digest = hashlib.sha256(
             json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
@@ -476,7 +513,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
     return Scenario(
         name=name,
         node_labels=node_labels,
-        network=network,
+        edges=edges,
         commodities=commodities,
         recipes=recipes,
         sites=sites,

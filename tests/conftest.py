@@ -31,11 +31,16 @@ def dijkstra_distances(n, edges, source):
     return dist
 
 
+def edge_triples(scenario: Scenario, commodity: str) -> list[tuple[int, int, float]]:
+    """(tail, head, cost) of each edge carrying the commodity, in edge order."""
+    if commodity not in scenario.edges:
+        return []
+    return list(zip(*(column.tolist() for column in scenario.edges[commodity])))
+
+
 def route_cost(scenario: Scenario, commodity: str, from_label: str, to_label: str) -> float:
     """Minimum route cost between two labelled nodes, by the Dijkstra oracle."""
-    edges = [
-        (e.tail, e.head, e.cost[commodity]) for e in scenario.network.edges if commodity in e.cost
-    ]
+    edges = edge_triples(scenario, commodity)
     index = scenario.node_index
     return dijkstra_distances(len(index), edges, index[from_label])[index[to_label]]
 

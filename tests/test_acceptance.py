@@ -237,7 +237,7 @@ def test_criterion_6_oracle_equivalence(s8):
     for _ in range(100):
         n = rng.randint(4, 8)
         net, edges = random_graph(rng, n, rng.randint(n, 2 * n))
-        dist = shortest_paths(net, "c", range(n))
+        dist = shortest_paths(n, net, range(n))
         graphs += 1
         for source in range(n):
             oracle = dijkstra_distances(n, edges, source)
@@ -258,7 +258,7 @@ def test_criterion_7_invariant_suites(s8, pipeline):
     failures = []
 
     for commodity in ("a1", "a2", "b1", "b2", "b3"):
-        dist = shortest_paths(s8.network, commodity, range(len(s8.node_labels)))
+        dist = shortest_paths(len(s8.node_labels), s8.edges[commodity], range(len(s8.node_labels)))
         n = dist.shape[0]
         # dist[i,k] <= dist[i,j] + dist[j,k] for all ordered triples
         composed = dist[:, :, None] + dist[None, :, :]

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import FIXTURES, REPO_ROOT, bench_scenario
@@ -180,18 +181,22 @@ class TestSolve:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-    def test_solve_never_builds_a_full_matrix(self, tmp_path, monkeypatch):
+    def test_solve_never_builds_a_full_matrix(self, tmp_path, monkeypatch, s8):
         import placenet.scenario
         from placenet.cli import main
 
         kernel = placenet.scenario.shortest_paths
         calls = []
 
-        def rows_only(net, commodity, sources):
+        def rows_only(n, edges, sources):
             sources = list(sources)
+            commodity = next(
+                c for c, arrays in s8.edges.items()
+                if all(np.array_equal(a, b) for a, b in zip(arrays, edges))
+            )
             calls.append(commodity)
-            assert len(sources) < len(net), f"full matrix built for {commodity}"
-            return kernel(net, commodity, sources)
+            assert len(sources) < n, f"full matrix built for {commodity}"
+            return kernel(n, edges, sources)
 
         monkeypatch.setattr(placenet.scenario, "shortest_paths", rows_only)
         out = tmp_path / "report.json"
@@ -461,6 +466,8 @@ class TestMalformedInput:
         from placenet.cli import main
 
         doc = copy.deepcopy(s8_dict)
+        for edge in doc["edges"]:
+            del edge["cost"]  # grid_costs price every edge
         doc["nodes"][0]["x"] = 1e308
         doc["grid_costs"] = {c: {"horizontal": 10, "vertical": 1} for c in ("a1", "b1")}
         scenario = tmp_path / "scenario.json"
@@ -489,6 +496,11 @@ NO_EFFECT = [
         ("production", "capacity"),
         {"x7": {"b1": 10}, "x14": {"b1": 5}},
         "production.capacity: 'x14' is not a plant candidate",
+    ),
+    (
+        ("grid_costs",),
+        {"a1": {"horizontal": 1, "vertical": 1}},
+        "edges[0].cost has no effect when grid_costs is given",
     ),
 ]
 
@@ -524,6 +536,46 @@ def test_overflowing_raw_requirement_exits_2(s8_dict, tmp_path, capsys, raw_rout
         assert main(["solve", "-s", str(scenario), "--warehouse-selection", mode]) == 2
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", "error: recipe for b1: the a1 requirement overflows\n")
+
+
+def test_overflowing_raw_score_exits_2(s8_dict, tmp_path, capsys):
+    """Recipes of 1e306 keep every raw requirement finite, but a requirement
+    times a finite route cost overflows.  That used to end in a false "no a2
+    route" (exit 3) after numpy overflow warnings."""
+    from placenet.cli import main
+
+    doc = copy.deepcopy(s8_dict)
+    for recipe in doc["recipes"].values():
+        recipe.update(dict.fromkeys(recipe, 1e306))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["solve", "-s", str(scenario)]) == 2
+    out = capsys.readouterr()
+    message = "the a2 route cost to plant x7 overflows its raw-warehouse score"
+    assert (out.out, out.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "also, message",
+    [
+        ((), "edges[1]: self-loop at node 'x1'"),
+        # every per-edge error comes first, and the self-loop before any recipe error
+        ((("edges", 5, "cost", "a1"), -1), "edges[5] cost for a1 must be a finite number >= 0"),
+        ((("recipes", "b1", "a1"), -1), "edges[1]: self-loop at node 'x1'"),
+    ],
+    ids=["self-loop", "edge-error-first", "recipe-error-after"],
+)
+def test_self_loop_exits_2_naming_the_edge(s8_dict, tmp_path, capsys, also, message):
+    from placenet.cli import main
+
+    doc = copy.deepcopy(s8_dict)
+    doc["edges"][1]["to"] = "x1"
+    if also:
+        _set(doc, *also)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["solve", "-s", str(scenario)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {scenario}: {message}")
 
 
 # (command, input file, path into it, malformed value, what the error says)
@@ -672,6 +724,15 @@ PATHS_PINS = [
 ]
 
 
+# sha256 of `paths --format json` on bench/gen.py's synth-transit scenario,
+# seed 0, for a raw and a product, recorded before the edge arrays replaced
+# the per-edge objects.
+GRID_PATHS_PINS = [
+    ("a2", "14f5b799067d359cd0c56b87437b675ae5828cbcddca2030929891ac7a9a0a94"),
+    ("b1", "a638cf9eee5c78f3fb179e7f8cc86709340e093e60509a9524e00598f62a09b6"),
+]
+
+
 class TestPaths:
     def test_prints_reference_leg_costs(self):
         proc = run_cli("paths", "-s", FIXTURES / "example_s8.json", "--commodity", "a1")
@@ -707,6 +768,16 @@ class TestPaths:
         out = tmp_path / "paths.txt"
         args = ["paths", "-s", str(FIXTURES / "example_s8.json"), "--commodity", commodity]
         assert main([*args, "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("commodity, digest", GRID_PATHS_PINS)
+    def test_grid_costs_output_matches_pin(self, tmp_path, commodity, digest):
+        """A grid_costs scenario: every edge cost derived from coordinates."""
+        from placenet.cli import main
+
+        out = tmp_path / "paths.json"
+        args = ["paths", "-s", str(bench_scenario("synth-transit", 0, tmp_path))]
+        assert main([*args, "--commodity", commodity, "--format", "json", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

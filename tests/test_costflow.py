@@ -29,7 +29,7 @@ from placenet import (
 )
 from placenet.cli import main as placenet_main
 from placenet.costflow import FlowAssignment, Shipment
-from conftest import bench_scenario, dijkstra_distances, leg_scenario, route_cost
+from conftest import bench_scenario, dijkstra_distances, edge_triples, leg_scenario, route_cost
 
 
 class TestTotalDemand:
@@ -703,10 +703,7 @@ class TestOracleEquivalence:
         """Every plant pair of a benchmark scenario (seed 0) in one batched
         call, against the scalar oracle; integer costs make many ties."""
         scenario = load_scenario(bench_scenario(workload, 0, tmp_path))
-        edges = {
-            rid: [(e.tail, e.head, e.cost[rid]) for e in scenario.network.edges if rid in e.cost]
-            for rid in scenario.raw_ids
-        }
+        edges = {rid: edge_triples(scenario, rid) for rid in scenario.raw_ids}
 
         @functools.cache
         def row(commodity, source):  # one Dijkstra per (raw, source) for the oracle
@@ -841,6 +838,27 @@ class TestErrorPaths:
         with pytest.raises(ScenarioError, match="^output value of p1 at plant P3 overflows$"):
             enumerate_situations(Scenario.from_dict(doc), skipped=skipped)
         assert skipped == [(("P1", "P4"), "allocation of p1 exceeds capacity at P4")]
+
+    OVERFLOWS = "overflows its raw-warehouse score"
+
+    @pytest.mark.parametrize(
+        "p1_leg, p2_leg, error, message",
+        [
+            # each weighted term is 1e308, and every assignment's total overflows
+            (0.5, 0.5, ScenarioError, f"the r1 route cost to plant P1 {OVERFLOWS}"),
+            # P2's finite route cost of 2 times its requirement of 1e308 overflows
+            (0.5, 1.5, ScenarioError, f"the r1 route cost to plant P2 {OVERFLOWS}"),
+            # a missing route met first keeps its error
+            (None, 1.5, InfeasibleError, "no r1 route Xr1 -> R8 -> P1"),
+        ],
+        ids=["total", "term", "missing-route"],
+    )
+    def test_raw_score_overflow_is_invalid_input(self, p1_leg, p2_leg, error, message):
+        legs = {"P1": p1_leg, "P2": p2_leg}
+        doc = network_doc(lambda c, t, h: legs.get(h, 0.5) if c == "r1" else 1, plants=("P1", "P2"))
+        requirements = {"P1": {"r1": 1e308}, "P2": {"r1": 1e308}}
+        (caught,) = select_raw_warehouses(Scenario.from_dict(doc), [(("P1", "P2"), requirements)])
+        assert type(caught) is error and str(caught) == message
 
     @pytest.mark.parametrize("commodity", ["r2", "p2"])
     def test_commodity_no_edge_carries_is_invalid_input(self, tmp_path, capsys, commodity):
