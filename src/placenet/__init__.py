@@ -10,10 +10,6 @@ classical subproblem solvers (transportation, loading, production planning).
 from .agents import (
     Situation,
     agent1_components,
-    agent1_payoff,
-    agent2_payoff,
-    agent3_payoff,
-    build_situation,
     enumerate_situations,
     evaluate_all,
 )
@@ -29,7 +25,6 @@ from .costflow import (
     FlowAssignment,
     greedy_flow,
     greedy_flows,
-    product_unit_total_cost,
     raw_requirements,
     select_product_warehouses,
     select_raw_warehouses,
@@ -53,7 +48,6 @@ from .production import (
     PlantEconomics,
     allocate_output,
     cobb_douglas,
-    output_value,
     plant_economics,
 )
 from .scenario import Scenario, load_scenario

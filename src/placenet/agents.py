@@ -1,4 +1,4 @@
-"""Placement situations and the three agents' payoff functions.
+"""Placement situations and the three agents' payoff matrix.
 
 Agent 1 owns warehouses and transport, agent 2 owns the plants, agent 3 owns
 the stores.  Enumeration completes every plant pair together: demand summed
@@ -41,24 +41,6 @@ class Situation:
     @property
     def label(self) -> str:
         return ",".join(self.plants)
-
-
-def build_situation(
-    scenario: Scenario,
-    plants: tuple[str, str],
-    warehouse_mode: str = costflow.WEIGHTED,
-) -> Situation:
-    """Complete a plant pair into a full situation.
-
-    Order of induced choices: output allocation (split override when the
-    scenario pins one), per-plant raw requirements, raw warehouse assignment,
-    then the product warehouse pair with its greedy flow cost.
-    """
-    skipped: list[tuple[tuple[str, str], str]] = []
-    situations = _complete(scenario, [plants], warehouse_mode, skipped)
-    if skipped:
-        raise InfeasibleError(skipped[0][1])
-    return situations[0]
 
 
 def enumerate_situations(
@@ -179,20 +161,6 @@ def agent1_components(
     }
 
 
-def agent1_payoff(
-    scenario: Scenario, situation: Situation, income: tuple[float, float] | None = None
-) -> float:
-    c = agent1_components(scenario, situation, income)
-    return (
-        c["raw_income"] - c["raw_cost"] + c["product_income"] - c["product_cost"] - c["flow_cost"]
-    )
-
-
-def agent2_payoff(scenario: Scenario, situation: Situation) -> float:
-    """Sum of plant net profits over the situation's allocation."""
-    return sum(econ.net_profit for econ in situation.economics.values())
-
-
 def agent3_revenue(scenario: Scenario) -> float:
     """Retail revenue; fixed by demand and prices, identical in every column."""
     return sum(
@@ -202,43 +170,29 @@ def agent3_revenue(scenario: Scenario) -> float:
     )
 
 
-def agent3_payoff(scenario: Scenario, situation: Situation, revenue: float | None = None) -> float:
-    purchase_cost = sum(
-        costflow.product_unit_total_cost(scenario, econ.unit_value, econ.product)
-        * econ.quantity
-        for econ in situation.economics.values()
-    )
-    return (agent3_revenue(scenario) if revenue is None else revenue) - purchase_cost
+def evaluate_all(scenario: Scenario, situations: list[Situation]) -> PayoffMatrix:
+    """Agents-by-situations payoff matrix, columns in situation order.
 
-
-def payoff_vector(
-    scenario: Scenario,
-    situation: Situation,
-    income: tuple[float, float] | None = None,
-    revenue: float | None = None,
-) -> tuple[float, float, float]:
-    return (
-        agent1_payoff(scenario, situation, income),
-        agent2_payoff(scenario, situation),
-        agent3_payoff(scenario, situation, revenue),
-    )
-
-
-def evaluate_all(
-    scenario: Scenario,
-    situations: list[Situation] | None = None,
-    warehouse_mode: str = costflow.WEIGHTED,
-) -> PayoffMatrix:
-    """Agents-by-situations payoff matrix, columns in enumeration order."""
-    if situations is None:
-        situations = enumerate_situations(scenario, warehouse_mode)
+    Agent 1 nets its ``agent1_components``; agent 2 earns the plants' net
+    profits; agent 3 earns the retail revenue less what it pays for the
+    products, unit value plus storage fee per unit.
+    """
     if not situations:
         raise InfeasibleError("no feasible situation to evaluate")
     income, revenue = storage_income(scenario), agent3_revenue(scenario)
-    columns = [payoff_vector(scenario, situation, income, revenue) for situation in situations]
-    values = np.array(columns, dtype=float).T
+    columns = []
+    for situation in situations:
+        c = agent1_components(scenario, situation, income)
+        agent1 = c["raw_income"] - c["raw_cost"] + c["product_income"] - c["product_cost"]
+        economics = situation.economics.values()
+        purchase_cost = sum(
+            (e.unit_value + scenario.commodities[e.product].storage_fee) * e.quantity
+            for e in economics
+        )
+        agent2 = sum(e.net_profit for e in economics)
+        columns.append((agent1 - c["flow_cost"], agent2, revenue - purchase_cost))
     return PayoffMatrix(
-        values=values,
+        values=np.array(columns, dtype=float).T,
         situations=tuple(s.label for s in situations),
         agents=AGENT_LABELS,
     )

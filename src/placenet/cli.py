@@ -15,6 +15,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import agents, compromise, costflow, optimizers, report
 from .errors import InfeasibleError, ScenarioError
 from .network import shortest_paths
@@ -54,8 +56,12 @@ def cmd_solve(args: argparse.Namespace) -> tuple[str, dict]:
 def cmd_paths(args: argparse.Namespace) -> tuple[str, dict]:
     scenario = load_scenario(args.scenario)
     scenario.check_carried(args.commodity)
-    labels = scenario.node_labels
-    dist = shortest_paths(len(labels), scenario.edges[args.commodity], range(len(labels)))
+    labels, (tails, heads, costs) = scenario.node_labels, scenario.edges[args.commodity]
+    dist = shortest_paths(len(labels), (tails, heads, costs), range(len(labels)))
+    if np.isinf(dist).any():  # no route, or every route's cost past the float range
+        hops = shortest_paths(len(labels), (tails, heads, np.zeros_like(costs)), range(len(labels)))
+        for a, b in np.argwhere(np.isinf(dist) & (hops == 0))[:1].tolist():
+            scenario.check_route(args.commodity, labels[a], labels[b])
     payload = {
         "scenario": scenario.name,
         "digest": scenario.digest,

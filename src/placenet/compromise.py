@@ -124,12 +124,7 @@ def select_from_residuals(
     )
 
 
-def compromise_select(
-    matrix: PayoffMatrix,
-    *,
-    normalize: str = NORMALIZE_NONE,
-    quantum: float = 1e-9,
-) -> CompromiseResult:
+def compromise_select(matrix: PayoffMatrix, *, normalize: str = NORMALIZE_NONE) -> CompromiseResult:
     """Ideal vector, residuals, then minmax selection on a payoff matrix.
 
     ``normalize='by_ideal'`` divides each row's residuals by |ideal| before
@@ -145,7 +140,7 @@ def compromise_select(
         compared = residuals
     else:
         raise ScenarioError(f"unknown normalize mode {normalize!r}")
-    result = select_from_residuals(compared, matrix.situations, ideal=ideal, quantum=quantum)
+    result = select_from_residuals(compared, matrix.situations, ideal=ideal)
     if compared is residuals:
         return result
     # Report raw-money residuals even when selection compared normalized ones.

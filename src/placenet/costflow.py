@@ -72,16 +72,6 @@ def raw_requirements(
     return requirements
 
 
-def product_unit_total_cost(scenario: Scenario, plant_unit_price: float, product: str) -> float:
-    """Store-side unit cost: plant price plus the product storage fee.
-
-    Transport to the store is accounted in the flow assignment, not here.
-    """
-    if plant_unit_price < 0:
-        raise ScenarioError("plant unit price must be >= 0")
-    return plant_unit_price + scenario.commodities[product].storage_fee
-
-
 def _supply(plants, outputs, product) -> list[int]:
     return [outputs.get(plant, {}).get(product, 0) for plant in plants]
 
@@ -181,7 +171,8 @@ def _check_flow(scenario, plants, outputs, warehouses) -> None:
         cost = scenario.ship_costs[product][rows][:, cols].min(axis=1)
         if np.isinf(cost).any():
             plant, store = np.argwhere(np.isinf(cost))[0]
-            scenario.check_carried(product)
+            for warehouse in warehouses:
+                scenario.check_route(product, plants[plant], warehouse, stores[store])
             raise InfeasibleError(
                 f"no {product} route from {plants[plant]} to {stores[store]} via {warehouses}"
             )
@@ -266,13 +257,12 @@ def select_raw_warehouses(
                 route = f"the {rid} route cost to plant {plants[i]}"
                 found.append(ScenarioError(f"{route} overflows its raw-warehouse score"))
                 continue
-            route = f"{scenario.sites.extraction[rid]} -> {candidates[perms[k, i]]} -> {plants[i]}"
-            error = InfeasibleError(f"no {rid} route {route}")
+            route = scenario.sites.extraction[rid], candidates[perms[k, i]], plants[i]
             try:
-                scenario.check_carried(rid)
+                scenario.check_route(rid, *route)
+                found.append(InfeasibleError(f"no {rid} route {' -> '.join(route)}"))
             except ScenarioError as exc:
-                error = exc
-            found.append(error)
+                found.append(exc)
     return found
 
 

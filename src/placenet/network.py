@@ -17,6 +17,7 @@ import numpy as np
 INF = math.inf
 
 
+@np.errstate(over="ignore")  # a route cost past the float range is inf
 def shortest_paths(
     n: int, edges: tuple[np.ndarray, np.ndarray, np.ndarray], sources: Sequence[int]
 ) -> np.ndarray:
@@ -29,7 +30,7 @@ def shortest_paths(
     improves nothing.  Costs are finite and >= 0 and float addition is
     monotone, so the order of relaxation does not matter: a cell ends at the
     minimum over paths of the edge costs summed from the source onwards,
-    which is what Dijkstra computes.  Inf where unreachable.
+    which is what Dijkstra computes.  Inf where no route's cost is finite.
     """
     tails, heads, costs = edges
     sources = np.asarray(sources, dtype=np.intp)

@@ -25,47 +25,15 @@ def cobb_douglas(j_factor: float, k_spend: float, l_spend: float, a: float, b: f
     return j_factor * k_spend**a * l_spend**b
 
 
-def output_value(scenario: Scenario, plant: str, product: str, quantity: float) -> float:
-    """Production-function value of a plant's entire release of one product.
-
-    Input spends are the money spent on each raw for the full quantity
-    (purchase price times recipe units times quantity); the exponents come
-    from the scenario's per-product table.  Generalizes cobb_douglas to any
-    number of raws.
-    """
-    if quantity < 0:
-        raise ScenarioError("quantity must be >= 0")
-    if quantity == 0:
-        return 0.0
-    value = scenario.production.factors[plant][product]
-    for rid, exponent in scenario.production.exponents[product].items():
-        spend = (
-            scenario.commodities[rid].purchase_price
-            * scenario.recipes[product].get(rid, 0.0)
-            * quantity
-        )
-        try:
-            value *= spend**exponent
-        except OverflowError:
-            value = math.inf
-    if not math.isfinite(value):  # an overflow, or an overflow times a zero spend
-        raise ScenarioError(f"output value of {product} at plant {plant} overflows")
-    return value
-
-
 @dataclass(frozen=True)
 class PlantEconomics:
-    """One (plant, product) row: spends, output value, unit value, profit."""
+    """One (plant, product) row: input cost, output value, unit value, profit."""
 
     plant: str
     product: str
     quantity: int
-    input_spend: dict[str, float]
+    input_cost: float
     total_value: float
-
-    @property
-    def total_input_cost(self) -> float:
-        return sum(self.input_spend.values())
 
     @property
     def unit_value(self) -> float:
@@ -73,12 +41,19 @@ class PlantEconomics:
 
     @property
     def net_profit(self) -> float:
-        return self.total_value - self.total_input_cost
+        return self.total_value - self.input_cost
 
 
 def plant_economics(scenario: Scenario, plant: str, product: str, quantity: int) -> PlantEconomics:
+    """A plant's economics for its entire release of one product.
+
+    Input spends are the money spent on each raw for the full quantity
+    (purchase price times recipe units times quantity).  The output value is
+    the production function over them, ``cobb_douglas`` generalized to any
+    number of raws, with the scenario's per-product exponents.
+    """
     capacity = scenario.production.capacity_for(plant, product)
-    if quantity > capacity:
+    if not 0 <= quantity <= capacity:
         raise InfeasibleError(
             f"plant {plant} asked to make {quantity} of {product}, capacity {capacity:g}"
         )
@@ -86,13 +61,17 @@ def plant_economics(scenario: Scenario, plant: str, product: str, quantity: int)
         rid: scenario.commodities[rid].purchase_price * per_unit * quantity
         for rid, per_unit in scenario.recipes[product].items()
     }
-    return PlantEconomics(
-        plant=plant,
-        product=product,
-        quantity=quantity,
-        input_spend=spends,
-        total_value=output_value(scenario, plant, product, quantity),
-    )
+    value = 0.0
+    if quantity:
+        value = scenario.production.factors[plant][product]
+        for rid, exponent in scenario.production.exponents[product].items():
+            try:
+                value *= spends.get(rid, 0.0) ** exponent
+            except OverflowError:
+                value = math.inf
+        if not math.isfinite(value):  # an overflow, or an overflow times a zero spend
+            raise ScenarioError(f"output value of {product} at plant {plant} overflows")
+    return PlantEconomics(plant, product, quantity, sum(spends.values()), value)
 
 
 def allocate_output(

@@ -127,6 +127,7 @@ class Scenario:
         self.raw_costs = {rid: costs[rid][0] for rid in self.raw_ids}
         self.ship_costs = {product: costs[product] for product in self.product_ids}
 
+    @np.errstate(over="ignore")  # a leg cost past the float range is inf
     def _legs(self, commodity: str, *groups: tuple[str, ...]) -> np.ndarray:
         """D[a, b] + D[b, c] over three label groups, shape (a, b, c)."""
         a, b, c = ([self.node_index[label] for label in group] for group in groups)
@@ -138,6 +139,16 @@ class Scenario:
         """Raise ScenarioError when no edge carries the commodity."""
         if commodity not in self.edges:
             raise ScenarioError(f"no edge carries commodity {commodity!r}")
+
+    def check_route(self, commodity: str, *labels: str) -> None:
+        """Raise ScenarioError when no edge carries the commodity, or when the route
+        through ``labels`` exists, so that its cost, found inf, is past the float range."""
+        self.check_carried(commodity)
+        tails, heads, costs = self.edges[commodity]
+        nodes = [self.node_index[label] for label in labels]
+        hops = shortest_paths(len(self.node_labels), (tails, heads, np.zeros_like(costs)), nodes[:-1])
+        if not hops[range(len(hops)), nodes[1:]].any():  # 0 where a hop has a route
+            raise ScenarioError(f"the {commodity} route cost {' -> '.join(labels)} overflows")
 
     def to_dict(self) -> dict[str, Any]:
         """Canonical dict in the documented file format (round-trips)."""
@@ -498,12 +509,11 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
     handling_rate = _nonneg(data.get("handling_rate", DEFAULT_HANDLING_RATE), "handling_rate")
     notes = tuple(str(n) for n in _items(data.get("notes", []), "notes"))
 
-    for cid in sorted(edges):
+    for cid in sorted(edges):  # only a grid cost can fail here, so i is also the edge index
         tails, heads, costs = edges[cid]
-        bad = np.flatnonzero(~(np.isfinite(costs) & (costs >= 0)))
-        if bad.size:
-            tail, head = tails[bad[0]], heads[bad[0]]
-            raise ScenarioError(f"edge ({tail}, {head}) cost for {cid} must be finite and >= 0")
+        for i in np.flatnonzero(~(np.isfinite(costs) & (costs >= 0)))[:1].tolist():
+            ends = f"{node_labels[tails[i]]} -> {node_labels[heads[i]]}"
+            raise ScenarioError(f"edges[{i}] ({ends}) cost for {cid} must be finite and >= 0")
 
     if digest is None:
         digest = hashlib.sha256(

@@ -19,7 +19,6 @@ from placenet import (
     LoadingItem,
     PlanInstance,
     TransportInstance,
-    build_situation,
     compromise_select,
     enumerate_situations,
     evaluate_all,

@@ -3,18 +3,9 @@ import copy
 import numpy as np
 import pytest
 
-from placenet import (
-    Scenario,
-    agent1_components,
-    agent1_payoff,
-    agent2_payoff,
-    agent3_payoff,
-    build_situation,
-    enumerate_situations,
-    evaluate_all,
-)
+from placenet import Scenario, agent1_components, enumerate_situations, evaluate_all
 from placenet import costflow
-from placenet.agents import agent3_revenue, payoff_vector
+from placenet.agents import agent3_revenue
 from conftest import leg_scenario
 
 # Cheapest-first flow totals over the fixture leg tables, checked by hand.
@@ -40,6 +31,17 @@ DERIVED_RAW_NETS = {
 @pytest.fixture(scope="module")
 def s8_situations(s8):
     return enumerate_situations(s8)
+
+
+@pytest.fixture(scope="module")
+def s8_payoffs(s8, s8_situations):
+    return evaluate_all(s8, s8_situations).values
+
+
+def only_payoffs(scenario):
+    """The payoff column of a scenario with one plant pair."""
+    (situation,) = enumerate_situations(scenario)
+    return evaluate_all(scenario, [situation]).values[:, 0]
 
 
 class TestEnumeration:
@@ -87,7 +89,7 @@ class TestEnumeration:
 
 
 class TestAgentOne:
-    def test_first_situation_decomposition(self, s8, s8_situations):
+    def test_first_situation_decomposition(self, s8, s8_situations, s8_payoffs):
         situation = s8_situations[0]
         c = agent1_components(s8, situation)
         assert c["raw_income"] == 2464
@@ -95,7 +97,7 @@ class TestAgentOne:
         assert c["product_income"] == 1236
         assert c["product_income"] - c["product_cost"] == pytest.approx(675.47, abs=0.01)
         assert c["flow_cost"] == 206
-        assert agent1_payoff(s8, situation) == pytest.approx(1985.47, abs=0.01)
+        assert s8_payoffs[0, 0] == pytest.approx(1985.47, abs=0.01)
 
     def test_storage_income_total(self, s8, s8_situations):
         c = agent1_components(s8, s8_situations[0])
@@ -109,8 +111,8 @@ class TestAgentOne:
                 DERIVED_RAW_NETS[situation.label], abs=1e-9
             )
 
-    def test_decomposition_identity(self, s8, s8_situations):
-        for situation in s8_situations:
+    def test_decomposition_identity(self, s8, s8_situations, s8_payoffs):
+        for situation, payoff in zip(s8_situations, s8_payoffs[0]):
             c = agent1_components(s8, situation)
             total = (
                 c["raw_income"]
@@ -119,7 +121,7 @@ class TestAgentOne:
                 - c["product_cost"]
                 - c["flow_cost"]
             )
-            assert agent1_payoff(s8, situation) == pytest.approx(total, abs=1e-6)
+            assert payoff == pytest.approx(total, abs=1e-6)
 
     def test_zero_fee_scenario_zero_payoff(self):
         scenario = leg_scenario(
@@ -131,17 +133,15 @@ class TestAgentOne:
         for commodity in doc["commodities"]:
             commodity["storage_fee"] = 0
             commodity["unit_cost"] = 0
-        scenario = Scenario.from_dict(doc)
-        situation = build_situation(scenario, ("P1", "P2"))
-        assert agent1_payoff(scenario, situation) == 0
+        assert only_payoffs(Scenario.from_dict(doc))[0] == 0
 
 
 class TestAgentTwo:
-    def test_first_situation(self, s8, s8_situations):
-        assert agent2_payoff(s8, s8_situations[0]) == pytest.approx(338.66, abs=0.01)
+    def test_first_situation(self, s8_payoffs):
+        assert s8_payoffs[1, 0] == pytest.approx(338.66, abs=0.01)
 
-    def test_third_situation(self, s8, s8_situations):
-        assert agent2_payoff(s8, s8_situations[2]) == pytest.approx(361.52, abs=0.01)
+    def test_third_situation(self, s8_payoffs):
+        assert s8_payoffs[1, 2] == pytest.approx(361.52, abs=0.01)
 
     def test_zero_production(self):
         scenario = leg_scenario(
@@ -149,16 +149,15 @@ class TestAgentTwo:
             warehouses={"W1": {"S": {"p1": 1}}, "W2": {"S": {"p1": 1}}},
             demand={"S": {"p1": 0}},
         )
-        situation = build_situation(scenario, ("P1", "P2"))
-        assert agent2_payoff(scenario, situation) == 0
+        assert only_payoffs(scenario)[1] == 0
 
 
 class TestAgentThree:
     def test_revenue_component(self, s8):
         assert agent3_revenue(s8) == 5410
 
-    def test_first_situation(self, s8, s8_situations):
-        assert agent3_payoff(s8, s8_situations[0]) == pytest.approx(1371.34, abs=0.01)
+    def test_first_situation(self, s8_payoffs):
+        assert s8_payoffs[2, 0] == pytest.approx(1371.34, abs=0.01)
 
     def test_revenue_constant_across_situations(self, s8, s8_situations):
         revenues = {agent3_revenue(s8) for _ in s8_situations}
@@ -171,16 +170,14 @@ class TestAgentThree:
             demand={"S": {"p1": 2}},
             capacity={"P1": {"p1": 10}, "P2": {"p1": 10}},
         )
-        situation = build_situation(scenario, ("P1", "P2"))
+        (situation,) = enumerate_situations(scenario)
         total_cost = sum(
             (econ.unit_value + scenario.commodities["p1"].storage_fee) * econ.quantity
             for econ in situation.economics.values()
         )
         doc = scenario.to_dict()
         doc["demand"]["retail_prices"]["p1"] = total_cost / 2  # 2 units sold
-        adjusted = Scenario.from_dict(doc)
-        situation = build_situation(adjusted, ("P1", "P2"))
-        assert agent3_payoff(adjusted, situation) == pytest.approx(0, abs=1e-9)
+        assert only_payoffs(Scenario.from_dict(doc))[2] == pytest.approx(0, abs=1e-9)
 
 
 class TestEvaluateAll:
@@ -205,27 +202,39 @@ class TestEvaluateAll:
         assert matrix.values[0] == pytest.approx(expected, abs=0.01)
 
     def test_single_situation_consistency(self, s8, s8_situations):
-        matrix = evaluate_all(s8, s8_situations[:1])
-        vec = payoff_vector(s8, s8_situations[0])
-        assert matrix.values[:, 0] == pytest.approx(vec)
+        """A column is agent 1's components netted, the plants' net profits,
+        and retail revenue less unit value plus storage fee per unit bought."""
+        situation = s8_situations[0]
+        c = agent1_components(s8, situation)
+        economics = situation.economics.values()
+        bought = sum(
+            (e.unit_value + s8.commodities[e.product].storage_fee) * e.quantity for e in economics
+        )
+        agent1 = c["raw_income"] - c["raw_cost"] + c["product_income"] - c["product_cost"]
+        expected = [
+            agent1 - c["flow_cost"],
+            sum(e.net_profit for e in economics),
+            agent3_revenue(s8) - bought,
+        ]
+        assert evaluate_all(s8, [situation]).values[:, 0] == pytest.approx(expected)
 
-    def test_columns_equal_per_situation_payoffs_exactly(self, s8, s8_situations):
+    def test_columns_equal_per_situation_payoffs_exactly(self, s8, s8_situations, s8_payoffs):
         """The scenario-wide income and revenue, computed once per matrix, give
-        the same bits as each situation's own payoff_vector."""
-        matrix = evaluate_all(s8, s8_situations)
-        columns = [payoff_vector(s8, situation) for situation in s8_situations]
-        assert matrix.values.T.tolist() == [list(column) for column in columns]
+        the same bits as a matrix of each situation alone."""
+        columns = [evaluate_all(s8, [situation]).values[:, 0] for situation in s8_situations]
+        assert s8_payoffs.T.tolist() == [column.tolist() for column in columns]
 
     def test_recomputation_is_bit_identical(self, s8):
-        first = evaluate_all(s8)
-        second = evaluate_all(s8)
+        first = evaluate_all(s8, enumerate_situations(s8))
+        second = evaluate_all(s8, enumerate_situations(s8))
         assert np.array_equal(first.values, second.values)
 
-    def test_retail_price_shift_linearity(self, s8, s8_dict):
-        base = evaluate_all(s8).values
+    def test_retail_price_shift_linearity(self, s8, s8_dict, s8_payoffs):
+        base = s8_payoffs
         doc = copy.deepcopy(s8_dict)
         doc["demand"]["retail_prices"]["b1"] += 7
-        shifted = evaluate_all(Scenario.from_dict(doc)).values
+        scenario = Scenario.from_dict(doc)
+        shifted = evaluate_all(scenario, enumerate_situations(scenario)).values
         total_b1 = 17
         assert shifted[2] == pytest.approx(base[2] + 7 * total_b1, abs=1e-9)
         assert shifted[0] == pytest.approx(base[0], abs=1e-9)

@@ -27,12 +27,12 @@ def run_cli(*args, cwd=REPO_ROOT):
 
 class TestSolve:
     def test_json_report_matches_library(self, s8):
-        from placenet import compromise_select, evaluate_all
+        from placenet import compromise_select, enumerate_situations, evaluate_all
 
         proc = run_cli("solve", "-s", FIXTURES / "example_s8.json", "--format", "json")
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
-        matrix = evaluate_all(s8)
+        matrix = evaluate_all(s8, enumerate_situations(s8))
         assert payload["situations"] == list(matrix.situations)
         for row, expected in zip(payload["payoffs"], matrix.values):
             assert row == pytest.approx(list(expected))
@@ -462,7 +462,7 @@ class TestMalformedInput:
         assert err.startswith("error: ") and message in err
 
     def test_first_bad_commodity_is_reported(self, s8_dict, tmp_path, capsys):
-        # Both a1 and b1 overflow to an inf cost on edge (0, 1); a1 sorts first.
+        # Both a1 and b1 overflow to an inf cost on edges[0], x1 -> x2; a1 sorts first.
         from placenet.cli import main
 
         doc = copy.deepcopy(s8_dict)
@@ -474,7 +474,7 @@ class TestMalformedInput:
         scenario.write_text(json.dumps(doc))
         assert main(["solve", "-s", str(scenario)]) == 2
         assert capsys.readouterr().err.endswith(
-            ": edge (0, 1) cost for a1 must be finite and >= 0\n"
+            ": edges[0] (x1 -> x2) cost for a1 must be finite and >= 0\n"
         )
 
 
@@ -553,6 +553,57 @@ def test_overflowing_raw_score_exits_2(s8_dict, tmp_path, capsys):
     out = capsys.readouterr()
     message = "the a2 route cost to plant x7 overflows its raw-warehouse score"
     assert (out.out, out.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "commodity, leg, path",
+    [("a1", "x1 -> x2 -> x7", "x1 -> x7"), ("b1", "x7 -> x8 -> x14", "x7 -> x14")],
+)
+def test_overflowing_route_cost_exits_2(s8_dict, tmp_path, capsys, commodity, leg, path):
+    """Every edge of one commodity at 1e308: each edge cost is finite, but a
+    route over two edges costs more than a float holds.  That used to read as
+    no route: `solve` ended in a false "no a1 route" (exit 3) after a numpy
+    overflow warning, and `paths` printed null."""
+    from placenet.cli import main
+
+    doc = copy.deepcopy(s8_dict)
+    for edge in doc["edges"]:
+        if commodity in edge["cost"]:
+            edge["cost"][commodity] = 1e308
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    for mode in ("weighted", "unit"):
+        assert main(["solve", "-s", str(scenario), "--warehouse-selection", mode]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: the {commodity} route cost {leg} overflows\n")
+    assert main(["paths", "-s", str(scenario), "--commodity", commodity]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: the {commodity} route cost {path} overflows\n")
+
+
+def test_overflowing_costlier_route_changes_nothing(s8_dict, tmp_path, capsys):
+    """A detour x1 -> z -> x2 of two 1e308 edges costs more than a float
+    holds, but the direct edge is cheaper: every route cost, and so the
+    report, stays as it was."""
+    from placenet.cli import main
+
+    doc = copy.deepcopy(s8_dict)
+    doc["nodes"].append({"id": "z", "x": 0, "y": 0})
+    doc["edges"] += [
+        {"from": "x1", "to": "z", "cost": {"a1": 1e308}},
+        {"from": "z", "to": "x2", "cost": {"a1": 1e308}},
+    ]
+    outputs = []
+    for i, data in enumerate((s8_dict, doc)):
+        scenario = tmp_path / f"scenario{i}.json"
+        scenario.write_text(json.dumps(data))
+        for command in (["solve", "--detail"], ["paths", "--commodity", "a1"]):
+            assert main([*command, "-s", str(scenario), "--format", "json"]) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+    (base, base_paths, detour, detour_paths) = outputs
+    assert {**detour, "digest": base["digest"]} == base
+    assert [row[:-1] for row in detour_paths["dist"][:-1]] == base_paths["dist"]
+    assert detour_paths["dist"][0][-1] == 1e308
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -10,23 +11,24 @@ from hypothesis import strategies as st
 
 from placenet import (
     InfeasibleError,
+    PlantEconomics,
     Scenario,
     ScenarioError,
     TransportInstance,
     allocate_output,
-    build_situation,
     enumerate_situations,
+    evaluate_all,
     greedy_flow,
     greedy_flows,
     load_scenario,
     plant_economics,
-    product_unit_total_cost,
     raw_requirements,
     select_product_warehouses,
     select_raw_warehouses,
     solve_transportation,
     total_demand,
 )
+from placenet.agents import agent3_revenue
 from placenet.cli import main as placenet_main
 from placenet.costflow import FlowAssignment, Shipment
 from conftest import bench_scenario, dijkstra_distances, edge_triples, leg_scenario, route_cost
@@ -85,14 +87,25 @@ class TestRawRequirements:
                 assert rc[rid] == a * r1[rid] + b * r2[rid]
 
 
+def product_unit_total_cost(scenario, plant_unit_price, product):
+    """Store-side unit cost, plant price plus the product storage fee, as the
+    payoff matrix charges agent 3: its first situation, made to release one
+    unit of ``product`` at ``plant_unit_price``."""
+    situation = enumerate_situations(scenario)[0]
+    plant = situation.plants[0]
+    release = PlantEconomics(plant, product, 1, 0.0, plant_unit_price)
+    situation = dataclasses.replace(situation, economics={(plant, product): release})
+    return agent3_revenue(scenario) - evaluate_all(scenario, [situation]).values[2, 0]
+
+
 class TestProductUnitTotalCost:
     def test_situation_one_value(self, s8):
         assert product_unit_total_cost(s8, 38.15, "b1") == pytest.approx(57.15)
 
     def test_zero(self):
         scenario = leg_scenario(
-            plants={"P": {"W": {"p1": 1}}},
-            warehouses={"W": {"S": {"p1": 1}}},
+            plants={"P1": {"W1": {"p1": 1}, "W2": {"p1": 1}}, "P2": {"W1": {"p1": 1}, "W2": {"p1": 1}}},
+            warehouses={"W1": {"S": {"p1": 1}}, "W2": {"S": {"p1": 1}}},
             demand={"S": {"p1": 0}},
         )
         fee_free = scenario.to_dict()
@@ -222,11 +235,13 @@ class TestGreedyFlow:
 
 class TestWarehouseSelection:
     def test_raw_selection_first_situation(self, s8):
-        situation = build_situation(s8, ("x7", "x12"))
+        situation = enumerate_situations(s8)[0]
+        assert situation.plants == ("x7", "x12")
         assert situation.raw_warehouses == {"x7": "x2", "x12": "x5"}
 
     def test_raw_selection_second_situation(self, s8):
-        situation = build_situation(s8, ("x7", "x13"))
+        situation = enumerate_situations(s8)[1]
+        assert situation.plants == ("x7", "x13")
         assert situation.raw_warehouses == {"x7": "x2", "x13": "x3"}
 
     def test_raw_selection_tie_breaks_lexicographically(self):
@@ -675,8 +690,10 @@ class TestOracleEquivalence:
         assert outcome(enumerated, scenario, mode) == outcome(oracle_enumerate, scenario, mode)
 
     def test_fixture_matches_scalar_code(self, s8):
-        for plants in itertools.combinations(s8.sites.plants, 2):
-            situation = build_situation(s8, plants)
+        situations = enumerate_situations(s8)
+        assert len(situations) == math.comb(len(s8.sites.plants), 2)
+        for situation in situations:
+            plants = situation.plants
             (built,) = greedy_flows(s8, [(plants, situation.outputs, situation.product_warehouses)])
             pair, flow = oracle_select_product_warehouses(s8, plants, situation.outputs)
             assert situation.product_warehouses == pair

@@ -67,7 +67,21 @@ class TestBuildNetwork:
             warnings.simplefilter("error")
             with pytest.raises(ScenarioError) as caught:
                 grid_scenario(s8_dict, {"a1": (horizontal, 1)}, (1e308, 0), (-1e308, 0))
-        assert str(caught.value) == "edge (0, 1) cost for a1 must be finite and >= 0"
+        assert str(caught.value) == "edges[0] (x1 -> x2) cost for a1 must be finite and >= 0"
+
+    def test_grid_cost_overflow_names_the_first_edge_by_index_and_labels(self, s8_dict):
+        doc = copy.deepcopy(s8_dict)
+        for edge in doc["edges"]:
+            del edge["cost"]
+        doc["grid_costs"] = {"b2": {"horizontal": 2, "vertical": 1}}
+        moved = next(node for node in doc["nodes"] if node["id"] == "x7")
+        moved["x"] = 1e308
+        i, edge = next((i, e) for i, e in enumerate(doc["edges"]) if "x7" in (e["from"], e["to"]))
+        assert i > 0
+        with pytest.raises(ScenarioError) as caught:
+            Scenario.from_dict(doc)
+        ends = f"{edge['from']} -> {edge['to']}"
+        assert str(caught.value) == f"edges[{i}] ({ends}) cost for b2 must be finite and >= 0"
 
     def test_explicit_costs_in_edge_order(self, s8, s8_dict):
         assert sorted(s8.edges) == ["a1", "a2", "b1", "b2", "b3"]

@@ -88,7 +88,7 @@ class TestAllocateOutput:
 class TestPlantEconomics:
     def test_first_plant_profit(self, s8):
         econ = plant_economics(s8, "x7", "b1", 10)
-        assert econ.total_input_cost == 370
+        assert econ.input_cost == 370
         assert econ.net_profit == pytest.approx(11.48, abs=0.01)
 
     def test_zero_quantity(self, s8):
@@ -107,6 +107,25 @@ class TestPlantEconomics:
                 assert econ.unit_value * econ.quantity == pytest.approx(
                     econ.total_value, abs=1e-9
                 )
+
+    def test_output_value_is_cobb_douglas_of_the_spends(self, s8):
+        """Every fixture (plant, product) at every quantity up to capacity:
+        the same bits as ``cobb_douglas`` over the two raws' spends."""
+        checked = 0
+        for plant in s8.sites.plants:
+            for product in s8.product_ids:
+                (a1, e1), (a2, e2) = s8.production.exponents[product].items()
+                for quantity in range(11):
+                    spend1, spend2 = (
+                        s8.commodities[rid].purchase_price * s8.recipes[product][rid] * quantity
+                        for rid in (a1, a2)
+                    )
+                    j = s8.production.factors[plant][product]
+                    econ = plant_economics(s8, plant, product, quantity)
+                    assert econ.total_value == cobb_douglas(j, spend1, spend2, e1, e2)
+                    assert econ.input_cost == spend1 + spend2
+                    checked += 1
+        assert checked == 132
 
     def test_capacity_enforced(self, s8):
         with pytest.raises(InfeasibleError, match="capacity"):

@@ -147,7 +147,7 @@ class TestFuzzedFixtures:
             except ScenarioError:
                 continue
             try:
-                matrix = evaluate_all(scenario)
+                matrix = evaluate_all(scenario, enumerate_situations(scenario))
                 compromise_select(matrix)
             except (ScenarioError, InfeasibleError):
                 continue
