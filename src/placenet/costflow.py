@@ -7,8 +7,11 @@ warehouse and between equal-cost choices; the sweep serves equal-cost cells
 by store, then plant position; the minimum total cost wins.  Each warehouse
 search scores all plant pairs as one chunked numpy batch, every element
 adding its terms in the order of a one-pair run, so results are
-bit-reproducible.  The searches only add up costs; ``greedy_flows`` builds
-shipments, for the flows a report shows.  Public functions are pure.
+bit-reproducible.  The product-warehouse search sweeps only the flows whose
+lower bound (each store's demand times its cheapest cell) is within
+``_BOUND_SLACK`` of a first swept total, as no other flow can win.  The
+searches only add up costs; ``greedy_flows`` builds shipments, for the flows
+a report shows.  Public functions are pure.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from .scenario import Scenario
 WEIGHTED = "weighted"
 UNIT = "unit"
 _CHUNK_CELLS = 2**14  # cells per batch chunk of the warehouse searches
+# A bound and a flow total each add n nonnegative terms, so rounding moves
+# each by at most about n * 2**-53 of its value, far below this for n < 10**6.
+_BOUND_SLACK = 1e-9  # relative slack of the pair search's pruning
 
 
 @dataclass(frozen=True)
@@ -41,15 +47,6 @@ class FlowAssignment:
 
     shipments: dict[tuple[str, str], tuple[Shipment, ...]]
     total_cost: float
-
-    def shipped_from(self, plant: str, product: str) -> int:
-        return sum(
-            s.units
-            for (prod, _store), entries in self.shipments.items()
-            if prod == product
-            for s in entries
-            if s.plant == plant
-        )
 
 
 def total_demand(scenario: Scenario) -> dict[str, int]:
@@ -105,24 +102,55 @@ def _sweep(cost, supply, demand, total):
     return total, order, costs, units.T
 
 
-def _sweeps(scenario, cases, cols):
-    """Sweeps each (plants, outputs) case through each of its product
-    warehouse tuples ``cols[case]`` (choice, warehouse position; one row
-    serves every case).  Returns the (case, choice) totals and, per product,
-    the legs (case, plant, choice, warehouse, store) with the sweep's order,
-    costs and units.  Cases share their plant count; no cell may be
-    unreachable."""
+def _elements(scenario, cases):
+    """The (plants, outputs) cases' plant rows (case, plant position) and,
+    per product, their supplies (case, plant position)."""
     rows = np.array([[scenario.sites.plants.index(p) for p in plants] for plants, _ in cases], int)
-    (n_cases, n_plants), n_choices = rows.shape, cols.shape[1]
-    total, sweeps = np.zeros(n_cases * n_choices), []
+    products = scenario.product_ids
+    return rows, [np.array([_supply(*case, product) for case in cases]) for product in products]
+
+
+def _sweeps(scenario, rows, cols, supplies):
+    """Sweeps each element: plants ``rows`` (element, plant position) with
+    ``supplies`` (per product, element × plant) via warehouses ``cols``
+    (element, warehouse position).  Yields per chunk of about
+    ``_CHUNK_CELLS`` sweep cells its first element, totals and, per product,
+    legs (element, plant, warehouse, store) with the sweep's order, costs
+    and units.  No cell may be unreachable."""
+    step = max(1, _CHUNK_CELLS // max(1, len(scenario.sites.stores) * rows.shape[1]))
+    for start in range(0, len(rows), step):
+        chunk = slice(start, start + step)
+        total, sweeps = np.zeros(len(rows[chunk])), []
+        for product, supply in zip(scenario.product_ids, supplies):
+            legs = scenario.ship_costs[product][rows[chunk, :, None], cols[chunk, None]]
+            cost = legs.min(axis=2).transpose(0, 2, 1)  # (element, store, plant)
+            total, *swept = _sweep(cost, supply[chunk], _demand(scenario, product), total)
+            sweeps.append((product, legs, *swept))
+        yield start, total, sweeps
+
+
+def _totals(scenario, rows, cols, supplies):
+    """The elements' flow totals, as ``_sweeps`` adds them up."""
+    totals = [total for _, total, _ in _sweeps(scenario, rows, cols, supplies)]
+    return np.concatenate([np.zeros(0), *totals])
+
+
+@np.errstate(over="ignore")  # a bound past the float range is inf
+def _bounds(scenario, rows, cols):
+    """Each (case, pair) flow's lower bound: each store's demand times its
+    cheapest cell from the case's plants ``rows`` via the pair's warehouses
+    ``cols``, summed over stores, then products; cases in chunks of about
+    ``_CHUNK_CELLS`` (plant, pair, store) cells."""
+    bound = np.zeros((len(rows), len(cols)))
+    step = max(1, _CHUNK_CELLS // max(1, rows.shape[1] * len(cols) * len(scenario.sites.stores)))
     for product in scenario.product_ids:
-        legs = scenario.ship_costs[product][rows[:, :, None, None], cols[:, None]]
-        cost = legs.min(axis=3).transpose(0, 2, 3, 1)  # (case, choice, store, plant)
-        supply = np.repeat([_supply(*case, product) for case in cases], n_choices, axis=0)
-        cells = cost.reshape(n_cases * n_choices, len(scenario.sites.stores), n_plants)
-        total, *swept = _sweep(cells, supply, _demand(scenario, product), total)
-        sweeps.append((product, legs, *swept))
-    return total.reshape(n_cases, n_choices), sweeps
+        demand = np.array(_demand(scenario, product), float)
+        need = np.flatnonzero(demand)  # a store without demand adds nothing
+        table = scenario.ship_costs[product][:, cols][..., need].min(axis=2)  # (plant, pair, store)
+        for start in range(0, len(rows), step):
+            cells = table[rows[start : start + step]].min(axis=1, initial=math.inf)
+            bound[start : start + step] += (cells * demand[need]).sum(axis=-1)
+    return bound
 
 
 def greedy_flows(
@@ -130,7 +158,7 @@ def greedy_flows(
     cases: list[tuple[tuple[str, ...], dict[str, dict[str, int]], tuple[str, ...]]],
 ) -> list[FlowAssignment]:
     """Each (plants, outputs, warehouses) case's cheapest-first flow, as
-    ``greedy_flow`` builds it, from one batched sweep.  Cases share their
+    ``greedy_flow`` builds it, from chunked batched sweeps.  Cases share their
     plant and warehouse counts; none may have short supply or an unreachable
     cell.  A shipment goes via the string-smallest of its cell's cheapest
     warehouses."""
@@ -138,21 +166,24 @@ def greedy_flows(
         return []
     stores, warehouses = scenario.sites.stores, scenario.sites.product_warehouses
     vias = [sorted(via) for *_, via in cases]  # argmin keeps the first: string order
-    cols = np.array([[[warehouses.index(w) for w in via]] for via in vias], int)
-    total, sweeps = _sweeps(scenario, [case[:2] for case in cases], cols)
+    cols = np.array([[warehouses.index(w) for w in via] for via in vias], int)
+    rows, supplies = _elements(scenario, [case[:2] for case in cases])
     shipments: list[dict[tuple[str, str], list[Shipment]]] = [{} for _ in cases]
-    for product, legs, order, costs, units in sweeps:
-        via = legs[:, :, 0].argmin(axis=2)  # (case, plant, store)
-        case, rank = np.nonzero(units > 0)
-        store, plant = np.divmod(order[case, rank], via.shape[1])
-        columns = case, store, plant, via[case, plant, store], units[case, rank], costs[case, rank]
-        for c, s, p, w, sent, unit_cost in zip(*(column.tolist() for column in columns)):
-            shipments[c].setdefault((product, stores[s]), []).append(
-                Shipment(cases[c][0][p], sent, vias[c][w], unit_cost)
-            )
+    totals: list[float] = []
+    for start, total, sweeps in _sweeps(scenario, rows, cols, supplies):
+        for product, legs, order, costs, units in sweeps:
+            via = legs.argmin(axis=2)  # (element, plant, store)
+            case, _ = hit = np.nonzero(units > 0)
+            store, plant = np.divmod(order[hit], via.shape[1])
+            columns = case + start, store, plant, via[case, plant, store], units[hit], costs[hit]
+            for c, s, p, w, sent, unit_cost in zip(*(column.tolist() for column in columns)):
+                shipments[c].setdefault((product, stores[s]), []).append(
+                    Shipment(cases[c][0][p], sent, vias[c][w], unit_cost)
+                )
+        totals += total.tolist()
     return [
         FlowAssignment({key: tuple(v) for key, v in shipped.items()}, cost)
-        for shipped, cost in zip(shipments, total[:, 0].tolist())
+        for shipped, cost in zip(shipments, totals)
     ]
 
 
@@ -274,10 +305,14 @@ def select_product_warehouses(
     least greedy flow cost and that cost, or the error the case raises.
 
     The cases' plant tuples have one size.  Ties resolve to the
-    lexicographically smallest (id, id) pair, comparing ids as strings.  All
-    (case, pair) flows run as one batched sweep, in chunks of about
-    ``_CHUNK_CELLS`` cells, that adds up costs and builds no shipments
-    (``greedy_flows`` builds the winners' flows when they are wanted).  A
+    lexicographically smallest (id, id) pair, comparing ids as strings.
+    Chunked batched sweeps add up the flows and build no shipments
+    (``greedy_flows`` builds the winners' when they are wanted).  Each unit
+    ships through some cell, so a flow costs at least its bound, the sum of
+    each store's demand times its cheapest cell.  Pass 1 sweeps each case's
+    first smallest-bound pair; pass 2 every other pair whose bound is within
+    ``_BOUND_SLACK`` of that total.  A pair left out costs more than that
+    total, so winners, ties and totals are those of sweeping every pair.  A
     case with short supply or an unreachable cell instead checks each pair
     in turn as ``greedy_flow`` does, so its error is the first one that loop
     meets.
@@ -285,31 +320,37 @@ def select_product_warehouses(
     candidates = scenario.sites.product_warehouses
     if len(candidates) < 2:
         return [InfeasibleError("need at least 2 product warehouse candidates") for _ in cases]
+    if not cases:
+        return []
     pairs = sorted(itertools.combinations(candidates, 2))  # so the first minimum wins ties
+    rows, supplies = _elements(scenario, cases)
     # A plant's cell is unreachable through some pair iff two warehouses miss it.
-    blocked = {
-        scenario.sites.plants[i]
-        for costs in scenario.ship_costs.values()
-        for i in np.flatnonzero((np.isinf(costs).sum(axis=1) >= 2).any(axis=1))
-    }
-    needed = {product: sum(_demand(scenario, product)) for product in scenario.product_ids}
+    blocked = np.zeros(len(scenario.sites.plants), bool)
+    for costs in scenario.ship_costs.values():
+        blocked |= (np.isinf(costs).sum(axis=1) >= 2).any(axis=1)
+    checked = blocked[rows].any(axis=1)
+    for product, supply in zip(scenario.product_ids, supplies):
+        checked |= supply.sum(axis=1) < sum(_demand(scenario, product))
     found: list = [None] * len(cases)
-    for c, (plants, outputs) in enumerate(cases):
-        if blocked.intersection(plants) or any(
-            sum(_supply(plants, outputs, product)) < units for product, units in needed.items()
-        ):
-            try:
-                for pair in itertools.combinations(candidates, 2):
-                    _check_flow(scenario, plants, outputs, pair)
-            except (InfeasibleError, ScenarioError) as exc:
-                found[c] = exc
-    live = [c for c, result in enumerate(found) if result is None]
-    cells = len(pairs) * len(scenario.sites.stores) * len(cases[live[0]][0]) if live else 1
-    step = max(1, _CHUNK_CELLS // max(1, cells))
-    cols = np.array([[[candidates.index(w) for w in pair] for pair in pairs]])  # one row for all
-    for start in range(0, len(live), step):
-        chunk = live[start : start + step]
-        total, _ = _sweeps(scenario, [cases[c] for c in chunk], cols)
-        for c, j, cost in zip(chunk, total.argmin(axis=1).tolist(), total.min(axis=1).tolist()):
-            found[c] = pairs[j], cost  # argmin keeps the first minimum
+    for c in np.flatnonzero(checked).tolist():
+        try:
+            for pair in itertools.combinations(candidates, 2):
+                _check_flow(scenario, *cases[c], pair)
+        except (InfeasibleError, ScenarioError) as exc:
+            found[c] = exc
+    live = np.array([c for c, result in enumerate(found) if result is None], int)
+    rows, supplies = rows[live], [supply[live] for supply in supplies]
+    cols = np.array([[candidates.index(w) for w in pair] for pair in pairs])
+    bound = _bounds(scenario, rows, cols)
+    index, first = np.arange(len(live)), bound.argmin(axis=1)  # the first smallest bound
+    first_total = _totals(scenario, rows, cols[first], supplies)
+    keep = bound / (1 + _BOUND_SLACK) <= first_total[:, None]  # all of them if that is inf
+    keep[index, first] = False
+    case, pair = np.nonzero(keep)
+    totals = np.full(bound.shape, math.inf)  # a pair not swept cannot win
+    totals[index, first] = first_total
+    totals[case, pair] = _totals(scenario, rows[case], cols[pair], [s[case] for s in supplies])
+    best = totals.argmin(axis=1).tolist()  # argmin keeps the first minimum
+    for c, j, cost in zip(live.tolist(), best, totals.min(axis=1).tolist()):
+        found[c] = pairs[j], cost
     return found

@@ -207,7 +207,7 @@ class TestSolve:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == pin
 
     @pytest.mark.parametrize("workload", ["synth-wide", "synth-transit"])
-    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("seed", [0, 1, 11, 17])
     def test_bench_scenarios_match_pins(self, tmp_path, workload, seed):
         """The benchmark's generated scenarios, plain and with --detail, give
         the reports pinned in bench/pins.json."""

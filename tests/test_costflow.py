@@ -28,6 +28,7 @@ from placenet import (
     solve_transportation,
     total_demand,
 )
+from placenet import costflow
 from placenet.agents import agent3_revenue
 from placenet.cli import main as placenet_main
 from placenet.costflow import FlowAssignment, Shipment
@@ -506,6 +507,33 @@ def enumerated(scenario, mode):
     return {"situations": situations, "skipped": skipped}
 
 
+def cached_route_cost(scenario, commodities):
+    """``route_cost`` on ``scenario`` for ``commodities``, from one Dijkstra
+    per (commodity, source)."""
+    edges = {commodity: edge_triples(scenario, commodity) for commodity in commodities}
+
+    @functools.cache
+    def row(commodity, source):
+        index = scenario.node_index
+        return dijkstra_distances(len(index), edges[commodity], index[source])
+
+    return lambda s, c, a, b: row(c, a)[s.node_index[b]]
+
+
+def allocated(scenario):
+    """Each plant pair of ``scenario`` whose output allocation succeeds, with
+    that allocation, in pair order."""
+    totals, cases = total_demand(scenario), []
+    for pair in itertools.combinations(scenario.sites.plants, 2):
+        override = scenario.production.splits.get(frozenset(pair))
+        try:
+            outputs = allocate_output(totals, pair, scenario.production.capacity_for, override)
+        except InfeasibleError:
+            continue
+        cases.append((pair, outputs))
+    return cases
+
+
 def searched(scenario, cases):
     """``select_product_warehouses`` in ``oracle_select_product_warehouses``'s
     form: each winner's (pair, flow), its shipments from one ``greedy_flows``
@@ -704,12 +732,15 @@ class TestOracleEquivalence:
             )
 
 
-    @pytest.mark.parametrize("chunk_cells", [1, 30, 100])
+    @pytest.mark.parametrize("chunk_cells", [1, 30, 100, 200])
     def test_chunks_do_not_change_the_search(self, s8, monkeypatch, chunk_cells):
         """One plant pair per chunk, or a few, gives what one chunk gives.  A
-        pair has 12 raw assignments and 48 product-pair sweep cells, so 30
-        cells take the raw stage in three chunks and 100 the pair search in
-        three."""
+        plant pair has 12 raw assignments and 6 warehouse pairs × 4 stores ×
+        2 plants = 48 bound cells, and a flow has 8 sweep cells; the pair
+        search's pass 1 sweeps 6 flows and pass 2 the 4 that the bound
+        leaves.  So 30 cells take the raw stage in three chunks, the bound in
+        six and each pass in two; 100 take the bound in three, and 200 in
+        chunks of 4 and 2 plant pairs."""
         whole = enumerated(s8, "weighted")
         monkeypatch.setattr("placenet.costflow._CHUNK_CELLS", chunk_cells)
         assert enumerated(s8, "weighted") == whole
@@ -720,26 +751,115 @@ class TestOracleEquivalence:
         """Every plant pair of a benchmark scenario (seed 0) in one batched
         call, against the scalar oracle; integer costs make many ties."""
         scenario = load_scenario(bench_scenario(workload, 0, tmp_path))
-        edges = {rid: edge_triples(scenario, rid) for rid in scenario.raw_ids}
-
-        @functools.cache
-        def row(commodity, source):  # one Dijkstra per (raw, source) for the oracle
-            index = scenario.node_index
-            return dijkstra_distances(len(index), edges[commodity], index[source])
-
-        monkeypatch.setitem(globals(), "route_cost", lambda s, c, a, b: row(c, a)[s.node_index[b]])
-        totals, cases = total_demand(scenario), []
-        for pair in itertools.combinations(scenario.sites.plants, 2):
-            override = scenario.production.splits.get(frozenset(pair))
-            try:
-                outputs = allocate_output(totals, pair, scenario.production.capacity_for, override)
-            except InfeasibleError:
-                continue
-            cases.append((pair, {p: raw_requirements(outputs[p], scenario.recipes) for p in pair}))
+        monkeypatch.setitem(globals(), "route_cost", cached_route_cost(scenario, scenario.raw_ids))
+        cases = [
+            (pair, {p: raw_requirements(outputs[p], scenario.recipes) for p in pair})
+            for pair, outputs in allocated(scenario)
+        ]
         found = select_raw_warehouses(scenario, cases, mode)
         assert [outcome(returned, result) for result in found] == [
             outcome(oracle_select_raw_warehouses, scenario, *case, mode) for case in cases
         ]
+
+
+def counted_sweeps(monkeypatch):
+    """A list that gets the element count of each ``costflow._sweep`` call."""
+    swept, sweep = [], costflow._sweep
+
+    def counted(cost, *args):
+        swept.append(len(cost))
+        return sweep(cost, *args)
+
+    monkeypatch.setattr(costflow, "_sweep", counted)
+    return swept
+
+
+def priced(legs):
+    """Unit legs, except the p1 legs that ``legs`` prices by (tail, head)."""
+    return lambda c, t, h: legs.get((t, h), 1) if c == "p1" else 1
+
+
+class TestPairPruning:
+    """The pair search sweeps only the pairs whose lower bound is within the
+    slack of the first total, and answers as if it swept every pair."""
+
+    PLANTS, OUTPUTS = ("P8", "P9"), {"P8": {"p1": 2}, "P9": {"p1": 2}}
+
+    def search(self, legs):
+        """The search and the scalar oracle on the two plants, each store
+        wanting 2 units of p1 via W8, W9 or W10 (pairs in string order:
+        (W8, W10), (W8, W9), (W9, W10))."""
+        scenario = Scenario.from_dict(network_doc(priced(legs), plants=self.PLANTS))
+        (found,) = searched(scenario, [(self.PLANTS, self.OUTPUTS)])
+        oracle = outcome(oracle_select_product_warehouses, scenario, self.PLANTS, self.OUTPUTS)
+        assert outcome(returned, found) == oracle
+        return scenario, found
+
+    def test_smallest_bound_pair_can_lose(self):
+        # Unit costs by warehouse: W8 1 from P8, 10 from P9; W9 3; W10 100.
+        # (W8, W10) has the first smallest bound, 2*1 + 2*1, but P8 runs dry
+        # after S8 and S10 pays 10 a unit from P9: 22.  (W8, W9) has the same
+        # bound and costs 2*1 + 2*3 = 8, (W9, W10) costs 12.
+        legs = {("P8", "W8"): 0, ("P9", "W8"): 9, ("P8", "W9"): 2, ("P9", "W9"): 2}
+        legs |= {(w, s): c for w, c in [("W8", 1), ("W9", 1), ("W10", 50)] for s in ("S8", "S10")}
+        legs |= {(p, "W10"): 50 for p in self.PLANTS}
+        _, (pair, flow) = self.search(legs)
+        assert (pair, flow.total_cost) == (("W8", "W9"), 8.0)
+
+    def test_later_pair_with_smaller_bound_ties_and_loses(self):
+        # (W8, W9) has the smallest bound, 14, and is swept first; (W8, W10)
+        # ties its total of 16 with a bound of exactly 16 and comes first in
+        # string order; (W9, W10) costs 18.
+        legs = {("P8", "W8"): 3, ("P8", "W9"): 0, ("P8", "W10"): 3}
+        legs |= {("P9", "W8"): 3, ("P9", "W9"): 1, ("P9", "W10"): 4}
+        legs |= {("W8", "S8"): 0, ("W8", "S10"): 2, ("W9", "S8"): 4, ("W9", "S10"): 4}
+        legs |= {("W10", "S8"): 1, ("W10", "S10"): 3}
+        scenario, (pair, flow) = self.search(legs)
+        assert (pair, flow.total_cost) == (("W8", "W10"), 16.0)
+        totals = [
+            greedy_flow(scenario, self.PLANTS, self.OUTPUTS, via).total_cost
+            for via in [("W8", "W10"), ("W8", "W9"), ("W9", "W10")]
+        ]
+        assert totals == [16.0, 16.0, 18.0]
+
+    def test_overflowing_totals_prune_nothing(self, monkeypatch):
+        # Every cell costs 1e308, so every flow and every bound is inf.
+        swept = counted_sweeps(monkeypatch)
+        legs = {(p, w): 1e308 for p in self.PLANTS for w in ("W8", "W9", "W10")}
+        legs |= {(w, s): 0 for w in ("W8", "W9", "W10") for s in ("S8", "S10")}
+        _, (pair, flow) = self.search(legs)
+        assert (pair, flow.total_cost) == (("W8", "W10"), math.inf)
+        assert swept == [1, 2, 1]  # pass 1, pass 2 with no pair pruned, the winner's shipments
+
+    def bench_cases(self, tmp_path):
+        scenario = load_scenario(bench_scenario("synth-wide", 0, tmp_path))
+        cases = allocated(scenario)
+        assert (len(cases), math.comb(len(scenario.sites.product_warehouses), 2)) == (110, 28)
+        return scenario, cases
+
+    def test_bench_search_matches_scalar_code(self, tmp_path, monkeypatch):
+        """Every plant pair of synth-wide seed 0 that allocation leaves, in
+        one call, against the scalar oracle, totals bit for bit; again with
+        4096 cells per chunk, which splits the bound into chunks of 4 cases
+        and pass 2 into chunks of 128 flows."""
+        scenario, cases = self.bench_cases(tmp_path)
+        route = cached_route_cost(scenario, scenario.product_ids)
+        monkeypatch.setitem(globals(), "route_cost", route)
+        expected = [
+            (pair, flow.total_cost)
+            for pair, flow in (oracle_select_product_warehouses(scenario, *c) for c in cases)
+        ]
+        assert select_product_warehouses(scenario, cases) == expected
+        monkeypatch.setattr("placenet.costflow._CHUNK_CELLS", 4096)
+        assert select_product_warehouses(scenario, cases) == expected
+
+    def test_bench_search_sweeps_fewer_than_half_the_flows(self, tmp_path, monkeypatch):
+        """synth-wide seed 0 has 110 × 28 (plant pair, warehouse pair) flows;
+        the bound leaves fewer than half of them to sweep."""
+        scenario, cases = self.bench_cases(tmp_path)
+        swept = counted_sweeps(monkeypatch)
+        select_product_warehouses(scenario, cases)
+        assert sum(swept) / len(scenario.product_ids) < 110 * 28 / 2
 
 
 class TestTransportationBound:
