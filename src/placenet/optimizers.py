@@ -4,8 +4,10 @@ All three are pure solvers over small dense instances:
 
 * transportation -- northwest-corner initial basic plan improved to optimality
   with the potentials method (reduced costs on nonbasic cells, stepping-stone
-  cycle pivots).  The basic cells form a spanning tree over the rows and
-  columns, so the potentials and each pivot cycle come from one walk over it;
+  cycle pivots).  The basis is one ordered dict of cell -> units whose order
+  is the reported ``basis``.  Its cells form a spanning tree over the rows and
+  columns, so one walk over it per pivot gives the potentials and the parent
+  map that the pivot cycle climbs;
 * loading -- unbounded integer knapsack (no per-item count limit) by the stage
   recurrence f_i(x) = max over m_i of (r_i m_i + f_{i+1}(x - w_i m_i));
 * production planning -- dense simplex on the standard-form augmentation with
@@ -119,14 +121,15 @@ def balance(instance: TransportInstance) -> TransportInstance:
 
 
 def _northwest_corner(supply: tuple[float, ...], demand: tuple[float, ...]):
+    """The initial basis, {(i, j): units} in the order the corner walk adds cells."""
     m, n = len(supply), len(demand)
     left_supply = list(supply)
     left_demand = list(demand)
-    cells: list[list[Any]] = []
+    basis: dict[tuple[int, int], float] = {}
     i = j = 0
-    while len(cells) < m + n - 1:
+    while len(basis) < m + n - 1:
         units = min(left_supply[i], left_demand[j])
-        cells.append([i, j, units])
+        basis[i, j] = units
         left_supply[i] -= units
         left_demand[j] -= units
         if i == m - 1 and j == n - 1:
@@ -139,56 +142,48 @@ def _northwest_corner(supply: tuple[float, ...], demand: tuple[float, ...]):
             i += 1
         else:
             j += 1
-    return cells
+    return basis
 
 
-def _walk(cells, m, root):
-    """Parent of each node reached from root over the basic cells, in visiting
-    order (the root's is None).  Row i is node i, column j is node m + j."""
-    adjacent: dict[int, list[int]] = {}
-    for i, j, _ in cells:
-        adjacent.setdefault(i, []).append(m + j)
-        adjacent.setdefault(m + j, []).append(i)
-    parent, queue = {root: None}, [root]
+def _tree(basis, costs, m, n):
+    """One walk over the basic cells from row 0 (row i is node i, column j is
+    node m + j).  Returns each node's (parent, joining cell), None for row 0,
+    and the potentials: u_i + v_j = c_ij on every basic cell with u_0 = 0, each
+    set from its parent's as the walk reaches it."""
+    adjacent: list[list[int]] = [[] for _ in range(m + n)]
+    for i, j in basis:
+        adjacent[i].append(m + j)
+        adjacent[m + j].append(i)
+    parent: dict[int, Any] = {0: None}
+    potential = [0.0] * (m + n)
+    queue = [0]
     for node in queue:
-        for other in adjacent.get(node, ()):
+        for other in adjacent[node]:
             if other not in parent:
-                parent[other] = node
+                i, j = (node, other - m) if node < m else (other, node - m)
+                parent[other] = node, (i, j)
+                potential[other] = costs[i][j] - potential[node]
                 queue.append(other)
-    return parent
-
-
-def _edge(a, b, m):
-    """The cell joining nodes a and b."""
-    return min(a, b), max(a, b) - m
-
-
-def _potentials(cells, costs, m, n):
-    """u_i + v_j = c_ij on every basic cell, with u_0 = 0: each potential
-    follows from its parent's along the unique tree path from row 0."""
-    parent = _walk(cells, m, 0)
     if len(parent) < m + n:
         raise RuntimeError("degenerate basis is disconnected")
-    potential = [0.0] * (m + n)
-    for node, up in parent.items():
-        if up is not None:
-            i, j = _edge(node, up, m)
-            potential[node] = costs[i][j] - potential[up]
-    return potential[:m], potential[m:]
+    return parent, potential
 
 
-def _find_cycle(cells, start, m):
+def _cycle(parent, entering, m):
     """The entering cell, then the tree path from its row to its column: the
-    unique alternating row/column cycle the entering cell closes."""
-    parent = _walk(cells, m, start[0])
-    node = m + start[1]
-    if node not in parent:
-        raise RuntimeError("no pivot cycle found (basis is not a spanning tree)")
-    path = []
+    unique alternating row/column cycle it closes.  Both ends climb the walk's
+    parent map to their lowest common ancestor."""
+    rising, depth = [], {entering[0]: 0}  # cells up from the row; node -> cells below it
+    node = entering[0]
     while parent[node] is not None:
-        path.append(_edge(node, parent[node], m))
-        node = parent[node]
-    return [start, *reversed(path)]
+        node, cell = parent[node]
+        rising.append(cell)
+        depth[node] = len(rising)
+    falling, node = [], m + entering[1]
+    while node not in depth:
+        node, cell = parent[node]
+        falling.append(cell)
+    return [entering, *rising[: depth[node]], *reversed(falling)]
 
 
 def solve_transportation(instance: TransportInstance) -> TransportPlan:
@@ -209,36 +204,35 @@ def solve_transportation(instance: TransportInstance) -> TransportPlan:
     m, n = len(instance.supply), len(instance.demand)
     costs = instance.costs
     cost_matrix = np.array(costs, dtype=float)
-    cells = _northwest_corner(instance.supply, instance.demand)
+    basis = _northwest_corner(instance.supply, instance.demand)
 
     for _ in range(_MAX_PIVOTS):
-        u, v = _potentials(cells, costs, m, n)
-        _finite(u + v, "transport potentials")
+        parent, potential = _tree(basis, costs, m, n)
+        _finite(potential, "transport potentials")
+        u, v = potential[:m], potential[m:]
         reduced = cost_matrix - np.array(u)[:, None] - np.array(v)
-        rows, cols, _ = zip(*cells)
-        reduced[rows, cols] = 0.0
+        reduced[tuple(zip(*basis))] = 0.0
         # nanargmin: the first minimum in row-major order, as a strict < scan finds it
         entering = divmod(int(np.nanargmin(reduced)), n)
         if not reduced[entering] < -_EPS:
             break
-        cycle = _find_cycle(cells, entering, m)
+        cycle = _cycle(parent, entering, m)
         losing = cycle[1::2]
-        by_cell = {(cell[0], cell[1]): cell for cell in cells}
-        theta = min(by_cell[c][2] for c in losing)
-        leaving = min(c for c in losing if by_cell[c][2] <= theta + _EPS)
-        for position, c in enumerate(cycle):
-            if c == entering:
-                continue
-            by_cell[c][2] += theta if position % 2 == 0 else -theta
-        cells = [c for c in cells if (c[0], c[1]) != leaving]
-        cells.append([entering[0], entering[1], theta])
+        theta = min(basis[c] for c in losing)
+        leaving = min(c for c in losing if basis[c] <= theta + _EPS)
+        for c in cycle[2::2]:
+            basis[c] += theta
+        for c in losing:
+            basis[c] -= theta
+        del basis[leaving]
+        basis[entering] = theta
     else:
         raise InfeasibleError(
             f"the transportation solver hit its pivot limit ({_MAX_PIVOTS}) before an optimum"
         )
 
     allocation = [[0.0] * n for _ in range(m)]
-    for i, j, units in cells:
+    for (i, j), units in basis.items():
         allocation[i][j] = units
     objective = _finite(
         sum(costs[i][j] * allocation[i][j] for i in range(m) for j in range(n)),
@@ -247,7 +241,7 @@ def solve_transportation(instance: TransportInstance) -> TransportPlan:
     return TransportPlan(
         allocation=tuple(tuple(row) for row in allocation),
         objective=objective,
-        basis=tuple((i, j) for i, j, _ in cells),
+        basis=tuple(basis),
         balanced=fictitious is None,
         fictitious=fictitious,
         potentials=(tuple(u), tuple(v)),
@@ -317,9 +311,10 @@ class LoadingSolution:
 def solve_loading(instance: LoadingInstance) -> LoadingSolution:
     """Stage-by-stage dynamic program with backward count reconstruction.
 
-    The table rows run i = 1..n+1 with the boundary row identically zero; ties
-    during reconstruction take the smallest count, which makes the reported
-    counts deterministic.
+    The table rows run i = 1..n+1 with the boundary row identically zero.
+    Reconstruction takes the smallest count whose value equals the table entry
+    exactly (the DP stored that same float expression), so the counts reach
+    the objective and are deterministic.
     """
     n = len(instance.items)
     capacity = instance.capacity
@@ -337,9 +332,7 @@ def solve_loading(instance: LoadingInstance) -> LoadingSolution:
     for i in range(1, n + 1):
         item = instance.items[i - 1]
         for m_i in range(x // item.weight + 1):
-            if math.isclose(
-                table[i][x], item.profit * m_i + table[i + 1][x - item.weight * m_i]
-            ):
+            if table[i][x] == item.profit * m_i + table[i + 1][x - item.weight * m_i]:
                 counts[item.name] = m_i
                 x -= item.weight * m_i
                 break
@@ -444,8 +437,8 @@ def solve_production_plan(
 
     The continuous solve shifts x by its lower bounds and runs the dense
     simplex with the box rows written out explicitly.  ``integer=True``
-    searches the integer box exhaustively instead and refuses boxes larger
-    than 10**6 points.
+    searches the integers in [ceil(lower), floor(upper)] exhaustively instead
+    and refuses boxes larger than 10**6 points.
     """
     lower = np.asarray(instance.lower, dtype=float)
     upper = np.asarray(instance.upper, dtype=float)
@@ -459,7 +452,7 @@ def solve_production_plan(
         raise InfeasibleError("obligatory plan lower bounds violate the resource limits")
 
     if integer:
-        ranges = [range(int(lo), int(hi) + 1) for lo, hi in zip(instance.lower, instance.upper)]
+        ranges = [range(math.ceil(lo), int(hi) + 1) for lo, hi in zip(instance.lower, instance.upper)]
         size = math.prod(r.stop - r.start for r in ranges)  # len() overflows on huge boxes
         if size > 10**6:
             raise ScenarioError(f"integer mode refused: {size} candidate plans > 10^6")

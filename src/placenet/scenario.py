@@ -97,7 +97,6 @@ class Scenario:
         handling_rate: float,
         notes: tuple[str, ...],
         digest: str,
-        source: dict[str, Any],
     ):
         self.name = name
         self.node_labels = node_labels
@@ -114,7 +113,6 @@ class Scenario:
         self.handling_rate = handling_rate
         self.notes = notes
         self.digest = digest
-        self._source = source  # as parsed by load_scenario; from_dict swaps in a private copy
         # Route costs by site position; inf where there is no route.
         # raw_costs[raw][rw, plant] = D[extraction, rw] + D[rw, plant]
         # ship_costs[product][plant, pw, store] = D[plant, pw] + D[pw, store]
@@ -150,16 +148,9 @@ class Scenario:
         if not hops[range(len(hops)), nodes[1:]].any():  # 0 where a hop has a route
             raise ScenarioError(f"the {commodity} route cost {' -> '.join(labels)} overflows")
 
-    def to_dict(self) -> dict[str, Any]:
-        """Canonical dict in the documented file format (round-trips)."""
-        return json.loads(json.dumps(self._source))
-
     @staticmethod
     def from_dict(data: dict[str, Any], *, digest: str | None = None) -> "Scenario":
-        scenario = _scenario_from_dict(data, digest=digest)
-        # private deep copy so later mutation of the caller's dict cannot leak in
-        scenario._source = json.loads(json.dumps(data))
-        return scenario
+        return _scenario_from_dict(data, digest=digest)
 
 
 def read_document(path: Path) -> tuple[Any, str]:
@@ -533,6 +524,5 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         handling_rate=handling_rate,
         notes=notes,
         digest=digest,
-        source=data,
     )
 

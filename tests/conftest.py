@@ -68,7 +68,7 @@ def s8_dict() -> dict:
     return json.loads((FIXTURES / "example_s8.json").read_text())
 
 
-def leg_scenario(
+def leg_document(
     *,
     plants: dict[str, dict[str, dict[str, float]]],
     warehouses: dict[str, dict[str, dict[str, float]]],
@@ -77,8 +77,8 @@ def leg_scenario(
     retail: dict[str, float] | None = None,
     splits: list[dict] | None = None,
     capacity: dict[str, dict[str, float]] | None = None,
-) -> Scenario:
-    """Build a small scenario from explicit leg-cost tables.
+) -> dict:
+    """A small scenario document from explicit leg-cost tables.
 
     ``plants[plant][wh]`` and ``warehouses[wh][store]`` map to per-product
     transport costs; the raw side is a fixed single-raw stub with unit costs
@@ -130,4 +130,9 @@ def leg_scenario(
             **({"splits": splits} if splits else {}),
         },
     }
-    return Scenario.from_dict(doc)
+    return doc
+
+
+def leg_scenario(**tables) -> Scenario:
+    """The scenario of ``leg_document(**tables)``."""
+    return Scenario.from_dict(leg_document(**tables))

@@ -6,7 +6,7 @@ import pytest
 from placenet import Scenario, agent1_components, enumerate_situations, evaluate_all
 from placenet import costflow
 from placenet.agents import agent3_revenue
-from conftest import leg_scenario
+from conftest import leg_document, leg_scenario
 
 # Cheapest-first flow totals over the fixture leg tables, checked by hand.
 DERIVED_FLOW_COSTS = {
@@ -124,12 +124,11 @@ class TestAgentOne:
             assert payoff == pytest.approx(total, abs=1e-6)
 
     def test_zero_fee_scenario_zero_payoff(self):
-        scenario = leg_scenario(
+        doc = leg_document(
             plants={"P1": {"W1": {"p1": 0}, "W2": {"p1": 0}}, "P2": {"W1": {"p1": 0}, "W2": {"p1": 0}}},
             warehouses={"W1": {"S": {"p1": 0}}, "W2": {"S": {"p1": 0}}},
             demand={"S": {"p1": 0}},
         )
-        doc = scenario.to_dict()
         for commodity in doc["commodities"]:
             commodity["storage_fee"] = 0
             commodity["unit_cost"] = 0
@@ -164,18 +163,18 @@ class TestAgentThree:
         assert revenues == {5410}
 
     def test_prices_equal_costs_gives_zero(self):
-        scenario = leg_scenario(
+        doc = leg_document(
             plants={"P1": {"W1": {"p1": 1}, "W2": {"p1": 2}}, "P2": {"W1": {"p1": 1}, "W2": {"p1": 2}}},
             warehouses={"W1": {"S": {"p1": 1}}, "W2": {"S": {"p1": 1}}},
             demand={"S": {"p1": 2}},
             capacity={"P1": {"p1": 10}, "P2": {"p1": 10}},
         )
+        scenario = Scenario.from_dict(doc)
         (situation,) = enumerate_situations(scenario)
         total_cost = sum(
             (econ.unit_value + scenario.commodities["p1"].storage_fee) * econ.quantity
             for econ in situation.economics.values()
         )
-        doc = scenario.to_dict()
         doc["demand"]["retail_prices"]["p1"] = total_cost / 2  # 2 units sold
         assert only_payoffs(Scenario.from_dict(doc))[2] == pytest.approx(0, abs=1e-9)
 

@@ -968,6 +968,15 @@ class TestSolvers:
         proc = run_cli("plan", path)
         assert proc.returncode == 3
 
+    def test_plan_integer_below_a_fractional_lower_bound_exits_3(self, tmp_path):
+        path = tmp_path / "plan.json"
+        doc = {"lower": [0.5], "upper": [2], "resource_use": [[1]], "resource_limits": [0.7]}
+        path.write_text(json.dumps(doc | {"profit": [3]}))
+        assert run_cli("plan", path).returncode == 0  # x = 0.7 in the continuous plan
+        proc = run_cli("plan", path, "--integer")
+        assert proc.returncode == 3
+        assert proc.stderr == "infeasible: no integer plan satisfies the resource limits\n"
+
     @pytest.mark.parametrize("extra", [(), ("--integer",)])
     def test_plan_overflow_prints_only_the_error(self, tmp_path, extra):
         doc = json.loads((FIXTURES / "plan_small.json").read_text())

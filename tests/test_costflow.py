@@ -32,7 +32,14 @@ from placenet import costflow
 from placenet.agents import agent3_revenue
 from placenet.cli import main as placenet_main
 from placenet.costflow import FlowAssignment, Shipment
-from conftest import bench_scenario, dijkstra_distances, edge_triples, leg_scenario, route_cost
+from conftest import (
+    bench_scenario,
+    dijkstra_distances,
+    edge_triples,
+    leg_document,
+    leg_scenario,
+    route_cost,
+)
 
 
 class TestTotalDemand:
@@ -104,12 +111,11 @@ class TestProductUnitTotalCost:
         assert product_unit_total_cost(s8, 38.15, "b1") == pytest.approx(57.15)
 
     def test_zero(self):
-        scenario = leg_scenario(
+        fee_free = leg_document(
             plants={"P1": {"W1": {"p1": 1}, "W2": {"p1": 1}}, "P2": {"W1": {"p1": 1}, "W2": {"p1": 1}}},
             warehouses={"W1": {"S": {"p1": 1}}, "W2": {"S": {"p1": 1}}},
             demand={"S": {"p1": 0}},
         )
-        fee_free = scenario.to_dict()
         fee_free["commodities"][1]["storage_fee"] = 0
         from placenet import Scenario
 

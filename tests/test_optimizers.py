@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -56,6 +57,31 @@ def brute_force_transport(instance: TransportInstance) -> float:
     return best
 
 
+def random_transport(rng: random.Random) -> TransportInstance:
+    """A small instance mixing what the basis walk has to handle: balanced or
+    unbalanced either way, zero rows and columns, tied or fractional costs, and
+    amounts in steps of 1, 1/4 (exact sums) or 1/10 (inexact sums)."""
+    m, n = rng.randint(1, 6), rng.randint(1, 6)
+    step = rng.choice((1.0, 0.25, 0.1))
+
+    def amounts(count: int, total: int) -> tuple[float, ...]:
+        cuts = sorted(rng.randint(0, total) for _ in range(count - 1))  # repeats give zeros
+        return tuple(step * (b - a) for a, b in zip([0, *cuts], [*cuts, total]))
+
+    total = rng.randint(0, 40)
+    supply = amounts(m, total)
+    demand = amounts(n, total if rng.random() < 0.4 else rng.randint(0, 40))
+    top = rng.choice((1, 3, 9))  # small ranges tie many costs
+    costs = tuple(
+        tuple(
+            round(rng.uniform(0, top), 2) if rng.random() < 0.3 else float(rng.randint(0, top))
+            for _ in range(n)
+        )
+        for _ in range(m)
+    )
+    return TransportInstance(supply=supply, demand=demand, costs=costs)
+
+
 def brute_force_loading(instance: LoadingInstance) -> float:
     best = 0.0
     ranges = [range(instance.capacity // item.weight + 1) for item in instance.items]
@@ -92,6 +118,9 @@ def plan_vertices(instance: PlanInstance):
         if np.all(rows @ x <= rhs + 1e-7):
             vertices.append(x)
     return vertices
+
+
+RANDOM_TRANSPORT_PIN = "9ce6377b677260f992b6c506ff7d1e99e31943e163b3e6f8f60396090724eaf0"
 
 
 class TestBalance:
@@ -177,7 +206,17 @@ class TestTransportation:
             assert np.allclose(allocation.sum(axis=1), supply)
             assert np.allclose(allocation.sum(axis=0), demand)
             assert np.all(allocation >= 0)
-            assert len(plan.basis) <= m + n - 1
+            # a spanning tree: m + n - 1 distinct cells that reach every row and column
+            m, n = allocation.shape  # with a fictitious row or column, if any
+            assert len(set(plan.basis)) == len(plan.basis) == m + n - 1
+            reached, grew = {0}, True  # row i is node i, column j is node m + j
+            while grew:
+                grew = False
+                for i, j in plan.basis:
+                    if (i in reached) != (m + j in reached):
+                        reached |= {i, m + j}
+                        grew = True
+            assert reached == set(range(m + n))
 
     def test_duality_at_optimum(self):
         rng = random.Random(13)
@@ -200,6 +239,20 @@ class TestTransportation:
                     if (i, j) not in basis:
                         assert u[i] + v[j] <= costs[i][j] + 1e-9
 
+    def test_random_instances_match_pin(self):
+        """Allocation, objective, basis order, potentials and the fictitious
+        side stay bit-identical on 300 random instances."""
+        rng = random.Random(20261018)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            try:
+                p = solve_transportation(random_transport(rng))
+                state = (p.allocation, p.objective, p.basis, p.potentials, p.fictitious)
+            except (InfeasibleError, RuntimeError) as exc:
+                state = (type(exc).__name__, str(exc))
+            digest.update(repr(state).encode())
+        assert digest.hexdigest() == RANDOM_TRANSPORT_PIN
+
 
 class TestLoading:
     def test_two_item_hand_case(self):
@@ -210,6 +263,15 @@ class TestLoading:
         solution = solve_loading(instance)
         assert solution.counts == {"a": 1, "b": 1}
         assert solution.objective == 7
+
+    def test_near_tie_counts_reach_the_objective(self):
+        # b's profit is within 1e-9 relative of a's: only a's count reaches the objective
+        instance = LoadingInstance(
+            capacity=1, items=(LoadingItem("a", 1, 1e9 + 1), LoadingItem("b", 1, 1e9))
+        )
+        solution = solve_loading(instance)
+        assert solution.counts == {"a": 1, "b": 0}
+        assert solution.objective == 1e9 + 1
 
     def test_zero_capacity(self):
         instance = LoadingInstance(capacity=0, items=(LoadingItem("a", 2, 3),))
@@ -382,6 +444,14 @@ class TestProductionPlan:
             if 2 * a + 3 * b <= 11
         )
         assert objective == pytest.approx(best)
+
+    def test_integer_mode_respects_a_fractional_lower_bound(self):
+        # the integers in [0.5, 2] start at 1, which uses more than the limit
+        instance = PlanInstance(
+            lower=(0.5,), upper=(2,), resource_use=((1,),), resource_limits=(0.7,), profit=(3,)
+        )
+        with pytest.raises(InfeasibleError, match="no integer plan satisfies the resource limits"):
+            solve_production_plan(instance, integer=True)
 
     def test_integer_mode_refuses_huge_boxes(self):
         for upper in (200, 1e300):  # 1e300 overflows len() of the box's ranges

@@ -99,28 +99,6 @@ class TestLoad:
         Scenario.from_dict(doc)  # loads: a zero cost has nothing to ignore
 
 
-class TestRoundTrip:
-    def test_to_dict_round_trips(self, s8):
-        first = s8.to_dict()
-        second = Scenario.from_dict(first).to_dict()
-        assert first == second
-
-    def test_reload_matches_file(self, s8, s8_dict):
-        assert s8.to_dict() == s8_dict
-
-    def test_caller_mutation_does_not_leak_in(self, s8_dict):
-        doc = copy.deepcopy(s8_dict)
-        scenario = Scenario.from_dict(doc)
-        doc["name"] = "changed"
-        doc["demand"]["stores"]["x14"]["b1"] += 1
-        doc["nodes"].pop()
-        assert scenario.to_dict() == s8_dict
-
-    def test_to_dict_returns_a_fresh_copy(self, s8, s8_dict):
-        s8.to_dict()["demand"]["stores"]["x14"]["b1"] += 1
-        assert s8.to_dict() == s8_dict
-
-
 class TestFuzzedFixtures:
     def test_mutations_fail_cleanly_or_run(self, s8_dict):
         """Mutated fixtures raise ScenarioError or InfeasibleError, or run end
