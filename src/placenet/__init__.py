@@ -23,7 +23,6 @@ from .compromise import (
 )
 from .costflow import (
     FlowAssignment,
-    greedy_flow,
     greedy_flows,
     raw_requirements,
     select_product_warehouses,

@@ -55,15 +55,8 @@ def enumerate_situations(
     """
     if len(scenario.sites.plants) < 2:
         raise InfeasibleError("need at least 2 plant candidates")
+    skipped = [] if skipped is None else skipped
     pairs = list(itertools.combinations(scenario.sites.plants, 2))
-    return _complete(scenario, pairs, warehouse_mode, [] if skipped is None else skipped)
-
-
-def _complete(scenario, pairs, warehouse_mode, skipped) -> list[Situation]:
-    """The pairs' situations, with the same skips and errors, in the same
-    order, as completing one pair after the other.  Allocation and raw
-    requirements go pair by pair, each warehouse search as one batch over the
-    pairs left, and plant economics once per (plant, product, quantity)."""
     totals = costflow.total_demand(scenario)
     staged = [_allocate(scenario, totals, plants) for plants in pairs]
     raws = functools.partial(costflow.select_raw_warehouses, scenario, mode=warehouse_mode)

@@ -157,13 +157,17 @@ def greedy_flows(
     scenario: Scenario,
     cases: list[tuple[tuple[str, ...], dict[str, dict[str, int]], tuple[str, ...]]],
 ) -> list[FlowAssignment]:
-    """Each (plants, outputs, warehouses) case's cheapest-first flow, as
-    ``greedy_flow`` builds it, from chunked batched sweeps.  Cases share their
-    plant and warehouse counts; none may have short supply or an unreachable
-    cell.  A shipment goes via the string-smallest of its cell's cheapest
-    warehouses."""
+    """Each (plants, outputs, warehouses) case's flow, from chunked batched
+    sweeps: per product, each (plant, store) cell costs the least over the
+    warehouses of its two legs and ships, cheapest first, then by store, then
+    plant position, what its plant and store have left, via the string-smallest
+    of its cheapest warehouses.  Cases share their plant and warehouse counts;
+    the first with short supply, an unreachable cell or an overflowing route
+    raises its ``_check_flow`` error, and the others fill every store."""
     if not cases:
         return []
+    for case in cases:
+        _check_flow(scenario, *case)
     stores, warehouses = scenario.sites.stores, scenario.sites.product_warehouses
     vias = [sorted(via) for *_, via in cases]  # argmin keeps the first: string order
     cols = np.array([[warehouses.index(w) for w in via] for via in vias], int)
@@ -188,8 +192,8 @@ def greedy_flows(
 
 
 def _check_flow(scenario, plants, outputs, warehouses) -> None:
-    """Raise the error ``greedy_flow`` meets first: short supply or an
-    unreachable (plant, store) cell, product by product."""
+    """Raise a flow's first error, product by product: short supply, or an
+    unreachable (plant, store) cell (an overflow if its route exists)."""
     stores = scenario.sites.stores
     rows = [scenario.sites.plants.index(plant) for plant in plants]
     cols = [scenario.sites.product_warehouses.index(w) for w in warehouses]
@@ -207,27 +211,6 @@ def _check_flow(scenario, plants, outputs, warehouses) -> None:
             raise InfeasibleError(
                 f"no {product} route from {plants[plant]} to {stores[store]} via {warehouses}"
             )
-
-
-def greedy_flow(
-    scenario: Scenario,
-    plants: tuple[str, ...],
-    outputs: dict[str, dict[str, int]],
-    warehouses: tuple[str, ...],
-) -> FlowAssignment:
-    """Fill demand cheapest-shipment-first, bounded by each plant's output.
-
-    For every product the (plant, store) unit cost is the minimum over the
-    chosen warehouses of the two route legs.  Cells are served in ascending
-    unit-cost order; among equal costs the lowest store position goes first,
-    then the lowest plant position.  Shipments conserve units exactly: every
-    store is filled and no plant exceeds its allocated output.  Plants and
-    warehouses must be plant and product-warehouse candidates.
-    """
-    _check_flow(scenario, plants, outputs, warehouses)
-    # With enough supply and every cell reachable, the sweep fills all demand:
-    # a store left short would have found every plant empty.
-    return greedy_flows(scenario, [(plants, outputs, warehouses)])[0]
 
 
 def select_raw_warehouses(
@@ -314,7 +297,7 @@ def select_product_warehouses(
     ``_BOUND_SLACK`` of that total.  A pair left out costs more than that
     total, so winners, ties and totals are those of sweeping every pair.  A
     case with short supply or an unreachable cell instead checks each pair
-    in turn as ``greedy_flow`` does, so its error is the first one that loop
+    in turn as ``greedy_flows`` does, so its error is the first one that loop
     meets.
     """
     candidates = scenario.sites.product_warehouses

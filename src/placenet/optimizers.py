@@ -97,13 +97,13 @@ class TransportPlan:
 
 
 def balance(instance: TransportInstance) -> TransportInstance:
-    """Append a zero-cost fictitious source or destination to even the totals.
-
-    Idempotent: a balanced instance is returned unchanged.
-    """
+    """Append a zero-cost fictitious source or destination to even the totals,
+    unless they differ by no more than the rounding of their n-term sums,
+    n * 2**-52 of the larger.  Idempotent: a balanced instance is returned unchanged."""
     total_supply = sum(instance.supply)
     total_demand = sum(instance.demand)
-    if math.isclose(total_supply, total_demand):
+    rounding = (len(instance.supply) + len(instance.demand)) * 2**-52
+    if abs(total_supply - total_demand) <= rounding * max(total_supply, total_demand):
         return instance
     if total_supply > total_demand:
         extra = total_supply - total_demand
@@ -292,8 +292,10 @@ class LoadingInstance:
         def item(i: int, spec: Any) -> LoadingItem:
             what = f"items[{i}]"
             weight = scaled(_require(spec, "weight", what), f"{what}.weight")
+            if not math.isclose(weight, round(weight), rel_tol=2**-51):  # 3 roundings of 2**-53
+                raise ScenarioError(f"{what}.weight / quantum must be an integer, got {weight!r}")
             profit = _number(_require(spec, "profit", what), f"{what}.profit")
-            return LoadingItem(str(spec.get("name", f"item{i}")), int(round(weight)), profit)
+            return LoadingItem(str(spec.get("name", f"item{i}")), round(weight), profit)
 
         specs = _expect(_require(data, "items", "loading instance"), list, "items")
         items = tuple(item(i, spec) for i, spec in enumerate(specs))

@@ -76,50 +76,37 @@ class ProductionParams:
         return self.capacity.get(plant, {}).get(product, DEFAULT_PLANT_CAPACITY)
 
 
+@dataclass(eq=False)  # identity equality: generated == would compare numpy arrays
 class Scenario:
     """A fully validated problem instance with site-indexed route costs.
 
     ``edges`` maps each commodity that some edge carries to its edge arrays.
     """
 
-    def __init__(
-        self,
-        *,
-        name: str,
-        node_labels: list[str],
-        edges: dict[str, Edges],
-        commodities: dict[str, Commodity],
-        recipes: dict[str, dict[str, float]],
-        sites: Sites,
-        demand: dict[str, dict[str, int]],
-        retail_prices: dict[str, float],
-        production: ProductionParams,
-        handling_rate: float,
-        notes: tuple[str, ...],
-        digest: str,
-    ):
-        self.name = name
-        self.node_labels = node_labels
-        self.node_index = {label: i for i, label in enumerate(node_labels)}
-        self.edges = edges
-        self.commodities = commodities
-        self.raw_ids = [c.id for c in commodities.values() if c.kind == RAW]
-        self.product_ids = [c.id for c in commodities.values() if c.kind == PRODUCT]
-        self.recipes = recipes
-        self.sites = sites
-        self.demand = demand
-        self.retail_prices = retail_prices
-        self.production = production
-        self.handling_rate = handling_rate
-        self.notes = notes
-        self.digest = digest
+    name: str
+    node_labels: list[str]
+    edges: dict[str, Edges]
+    commodities: dict[str, Commodity]
+    recipes: dict[str, dict[str, float]]
+    sites: Sites
+    demand: dict[str, dict[str, int]]
+    retail_prices: dict[str, float]
+    production: ProductionParams
+    handling_rate: float
+    notes: tuple[str, ...]
+    digest: str
+
+    def __post_init__(self):
+        self.node_index = {label: i for i, label in enumerate(self.node_labels)}
+        self.raw_ids = [c.id for c in self.commodities.values() if c.kind == RAW]
+        self.product_ids = [c.id for c in self.commodities.values() if c.kind == PRODUCT]
         # Route costs by site position; inf where there is no route.
         # raw_costs[raw][rw, plant] = D[extraction, rw] + D[rw, plant]
         # ship_costs[product][plant, pw, store] = D[plant, pw] + D[pw, store]
         # Only the rows of the legs' sources are computed.
-        raw_legs = (sites.raw_warehouses, sites.plants)
-        ship_legs = (sites.plants, sites.product_warehouses, sites.stores)
-        legs = {rid: ((sites.extraction[rid],), *raw_legs) for rid in self.raw_ids}
+        raw_legs = (self.sites.raw_warehouses, self.sites.plants)
+        ship_legs = (self.sites.plants, self.sites.product_warehouses, self.sites.stores)
+        legs = {rid: ((self.sites.extraction[rid],), *raw_legs) for rid in self.raw_ids}
         legs |= {product: ship_legs for product in self.product_ids}
         costs = {commodity: self._legs(commodity, *legs[commodity]) for commodity in legs}
         self.raw_costs = {rid: costs[rid][0] for rid in self.raw_ids}
@@ -295,9 +282,9 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         grid_costs = {}
         for cid, spec in _entries(data["grid_costs"], "grid_costs"):
             commodity_ref(cid, "grid_costs")
-            grid_costs[cid] = (
-                _nonneg(_require(spec, "horizontal", f"grid_costs[{cid}]"), "horizontal cost"),
-                _nonneg(_require(spec, "vertical", f"grid_costs[{cid}]"), "vertical cost"),
+            grid_costs[cid] = tuple(
+                _nonneg(_require(spec, key, f"grid_costs[{cid}]"), f"grid_costs[{cid}].{key}")
+                for key in ("horizontal", "vertical")
             )
 
     ends: list[tuple[int, int]] = []
@@ -487,6 +474,9 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
                 output[plant][product] = units
         if set(output) != set(pair):
             raise ScenarioError(f"{what}: output must cover exactly both plants")
+        if frozenset(pair) in splits:
+            first = list(splits).index(frozenset(pair))
+            raise ScenarioError(f"{what}: plants repeat the pair of production.splits[{first}]")
         splits[frozenset(pair)] = output
 
     production = ProductionParams(

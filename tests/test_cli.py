@@ -271,6 +271,62 @@ class TestSolve:
         assert not target.parent.exists()
 
 
+def _report_without_digest(doc, tmp_path, capsys) -> str:
+    """`solve --detail --format json` on ``doc``, its digest blanked."""
+    from placenet.cli import main
+
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "-s", str(path), "--detail", "--format", "json"]) == 0
+    return re.sub(r'"digest": "[0-9a-f]{64}"', '"digest": ""', capsys.readouterr().out, count=1)
+
+
+def _split_edge(doc: dict) -> None:
+    """Route ``edges[5]`` through a new relay node, its integer costs split in two."""
+    edge = doc["edges"].pop(5)
+    doc["nodes"].append({"id": "relay", "x": 0, "y": 0})
+    doc["edges"] += [
+        {"from": edge["from"], "to": "relay", "cost": {c: v // 2 for c, v in edge["cost"].items()}},
+        {"from": "relay", "to": edge["to"], "cost": {c: v - v // 2 for c, v in edge["cost"].items()}},
+    ]
+
+
+# Edits of example_s8 that leave every route cost, and so the report, as it is.
+SAME_ROUTES = {
+    "dearer parallel edge": lambda d: d["edges"].append(
+        {**d["edges"][7], "cost": {c: v + 1 for c, v in d["edges"][7]["cost"].items()}}
+    ),
+    "edge split through a relay": _split_edge,
+    "node without edges": lambda d: d["nodes"].append({"id": "lonely", "x": 5, "y": 5}),
+}
+
+
+class TestSolveMetamorphic:
+    """Edits that change no route cost change nothing in `solve --detail`
+    but the digest."""
+
+    @pytest.mark.parametrize("field", ["edges", "nodes"])
+    @pytest.mark.parametrize("workload", ["example_s8", "synth-wide", "synth-transit"])
+    def test_shuffled_lists_give_the_same_report(self, tmp_path, capsys, workload, field):
+        if workload == "example_s8":
+            path = FIXTURES / "example_s8.json"
+        else:
+            path = bench_scenario(workload, 0, tmp_path)
+        doc = json.loads(path.read_text())
+        base = _report_without_digest(doc, tmp_path, capsys)
+        rng = random.Random(f"{workload}-{field}")
+        for _ in range(3):
+            rng.shuffle(doc[field])
+            assert _report_without_digest(doc, tmp_path, capsys) == base
+
+    @pytest.mark.parametrize("edit", list(SAME_ROUTES))
+    def test_edits_that_keep_every_route_cost(self, tmp_path, capsys, s8_dict, edit):
+        base = _report_without_digest(s8_dict, tmp_path, capsys)
+        doc = copy.deepcopy(s8_dict)
+        SAME_ROUTES[edit](doc)
+        assert _report_without_digest(doc, tmp_path, capsys) == base
+
+
 def _solver_instances() -> dict[str, tuple[str, dict]]:
     """The solver fixtures and seeded instances: zero supplies and demands, a
     northwest corner that exhausts a row and a column at once, tied costs and
@@ -401,7 +457,7 @@ MALFORMED = [
     (("nodes", 3, "y"), None, "nodes[3].y"),
     (("edges", 0, "cost", "a1"), "zz", "edges[0] cost for a1"),
     (("commodities", 0, "storage_fee"), "free", "commodity a1: storage_fee"),
-    (("grid_costs",), {"a1": {"horizontal": "h", "vertical": 1}}, "horizontal cost"),
+    (("grid_costs",), {"a1": {"horizontal": "h", "vertical": 1}}, "grid_costs[a1].horizontal"),
     (("production", "factors", "x7", "b1"), "j", "production factor at x7 for b1"),
     (("production", "exponents", "b2", "a1"), [0.5], "exponent for b2/a1"),
     (("demand", "stores", "x14", "b1"), "five", "demand for x14: b1 units"),
@@ -649,6 +705,14 @@ REJECTED = [
     ("plan", "plan_small", ("profit",), [1e308, 1e308], "the plan objective overflowed"),
     ("solve", "example_s8", ("nodes", 0), 5, "nodes[0] must be an object"),
     ("solve", "example_s8", ("grid_costs",), {"a1": 3}, "grid_costs[a1] must be an object"),
+    (
+        "solve",
+        "example_s8",
+        ("grid_costs",),
+        {"a1": {"horizontal": 1, "vertical": -1}},
+        "grid_costs[a1].vertical must be a finite number >= 0, got -1.0",
+    ),
+    ("load", "loading_small", ("items", 0, "weight"), 1.4, "items[0].weight / quantum must be an"),
     (
         "solve",
         "example_s8",

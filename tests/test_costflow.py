@@ -18,7 +18,6 @@ from placenet import (
     allocate_output,
     enumerate_situations,
     evaluate_all,
-    greedy_flow,
     greedy_flows,
     load_scenario,
     plant_economics,
@@ -40,6 +39,12 @@ from conftest import (
     leg_scenario,
     route_cost,
 )
+
+
+def one_flow(scenario, plants, outputs, warehouses):
+    """The flow of one (plants, outputs, warehouses) case."""
+    (flow,) = greedy_flows(scenario, [(plants, outputs, warehouses)])
+    return flow
 
 
 class TestTotalDemand:
@@ -131,7 +136,7 @@ class TestGreedyFlow:
             "x7": {"b1": 7, "b2": 10, "b3": 10},
             "x12": {"b1": 10, "b2": 7, "b3": 6},
         }
-        flow = greedy_flow(s8, ("x7", "x12"), outputs, ("x8", "x11"))
+        flow = one_flow(s8, ("x7", "x12"), outputs, ("x8", "x11"))
         b1 = {
             store: [(s.plant, s.units) for s in flow.shipments[("b1", store)]]
             for store in ("x14", "x15", "x16", "x17")
@@ -148,7 +153,7 @@ class TestGreedyFlow:
             "x7": {"b1": 7, "b2": 10, "b3": 10},
             "x12": {"b1": 10, "b2": 7, "b3": 6},
         }
-        flow = greedy_flow(s8, ("x7", "x12"), outputs, ("x8", "x11"))
+        flow = one_flow(s8, ("x7", "x12"), outputs, ("x8", "x11"))
         assert flow.total_cost == 206
 
     def test_single_full_shipment(self):
@@ -157,7 +162,7 @@ class TestGreedyFlow:
             warehouses={"W": {"S": {"p1": 3}}},
             demand={"S": {"p1": 4}},
         )
-        flow = greedy_flow(scenario, ("P",), {"P": {"p1": 4}}, ("W",))
+        flow = one_flow(scenario, ("P",), {"P": {"p1": 4}}, ("W",))
         assert flow.shipments[("p1", "S")] == (
             flow.shipments[("p1", "S")][0],
         )
@@ -170,7 +175,7 @@ class TestGreedyFlow:
             "x12": {"b1": 9, "b2": 7, "b3": 6},
         }
         with pytest.raises(InfeasibleError, match="cannot cover|cover"):
-            greedy_flow(s8, ("x7", "x12"), outputs, ("x8", "x11"))
+            one_flow(s8, ("x7", "x12"), outputs, ("x8", "x11"))
 
     def test_negative_output_ships_nothing(self):
         scenario = leg_scenario(
@@ -180,7 +185,7 @@ class TestGreedyFlow:
             capacity={"P1": {"p1": 100}, "P2": {"p1": 100}},
         )
         outputs = {"P1": {"p1": -2}, "P2": {"p1": 6}}
-        flow = greedy_flow(scenario, ("P1", "P2"), outputs, ("W",))
+        flow = one_flow(scenario, ("P1", "P2"), outputs, ("W",))
         assert flow.shipments == {("p1", "S"): (Shipment("P2", 4, "W", 6.0),)}
         assert flow.total_cost == 24
 
@@ -204,7 +209,7 @@ class TestGreedyFlow:
                 capacity={"P1": {"p1": 100}, "P2": {"p1": 100}},
             )
             outputs = {"P1": {"p1": first}, "P2": {"p1": total - first}}
-            flow = greedy_flow(scenario, ("P1", "P2"), outputs, ("W1", "W2"))
+            flow = one_flow(scenario, ("P1", "P2"), outputs, ("W1", "W2"))
             shipped = {s: 0 for s in stores}
             per_plant = {"P1": 0, "P2": 0}
             for (product, store), entries in flow.shipments.items():
@@ -234,8 +239,8 @@ class TestGreedyFlow:
                 )
 
             outputs = {"P1": {"p1": 6}, "P2": {"p1": 6}}
-            base = greedy_flow(build(["A", "B", "C"]), ("P1", "P2"), outputs, ("W",))
-            relabeled = greedy_flow(build(["C", "A", "B"]), ("P1", "P2"), outputs, ("W",))
+            base = one_flow(build(["A", "B", "C"]), ("P1", "P2"), outputs, ("W",))
+            relabeled = one_flow(build(["C", "A", "B"]), ("P1", "P2"), outputs, ("W",))
             # Same multiset of store demands and costs, relabeled: equal total.
             assert base.total_cost == relabeled.total_cost
 
@@ -360,7 +365,7 @@ class TestWarehouseSelection:
         }
         [(best_pair, best_cost)] = select_product_warehouses(s8, [(("x7", "x12"), outputs)])
         for pair in itertools.combinations(s8.sites.product_warehouses, 2):
-            flow = greedy_flow(s8, ("x7", "x12"), outputs, pair)
+            flow = one_flow(s8, ("x7", "x12"), outputs, pair)
             assert best_cost <= flow.total_cost
 
 
@@ -699,7 +704,7 @@ class TestOracleEquivalence:
     @given(leg_cases())
     def test_matches_scalar_code_exactly(self, case):
         scenario, plants, outputs, requirements, subset, mode = case
-        assert outcome(greedy_flow, scenario, plants, outputs, subset) == outcome(
+        assert outcome(one_flow, scenario, plants, outputs, subset) == outcome(
             oracle_greedy_flow, scenario, plants, outputs, subset
         )
         (found,) = searched(scenario, [(plants, outputs)])
@@ -823,7 +828,7 @@ class TestPairPruning:
         scenario, (pair, flow) = self.search(legs)
         assert (pair, flow.total_cost) == (("W8", "W10"), 16.0)
         totals = [
-            greedy_flow(scenario, self.PLANTS, self.OUTPUTS, via).total_cost
+            one_flow(scenario, self.PLANTS, self.OUTPUTS, via).total_cost
             for via in [("W8", "W10"), ("W8", "W9"), ("W9", "W10")]
         ]
         assert totals == [16.0, 16.0, 18.0]
@@ -876,7 +881,7 @@ class TestTransportationBound:
         problem that the warehouse minimum prices, so it never beats its optimum."""
         scenario, plants, outputs, _, warehouses, _ = case
         try:
-            flow = greedy_flow(scenario, plants, outputs, warehouses)
+            flow = one_flow(scenario, plants, outputs, warehouses)
         except InfeasibleError:
             return
         stores = scenario.sites.stores

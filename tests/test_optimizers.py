@@ -18,6 +18,7 @@ from placenet import (
     solve_production_plan,
     solve_transportation,
 )
+from placenet.optimizers import _simplex_max
 
 
 def brute_force_transport(instance: TransportInstance) -> float:
@@ -145,6 +146,19 @@ class TestBalance:
         once = balance(instance)
         assert balance(once) is once
 
+    def test_totals_one_unit_apart_at_1e10_are_unbalanced(self):
+        # within math.isclose's 1e-9, yet balancing them as equal leaves a unit unserved
+        plan = solve_transportation(
+            TransportInstance(supply=(1e10,), demand=(1e10 + 1,), costs=((1,),))
+        )
+        assert plan.fictitious == ("source", 1)
+        assert plan.allocation == ((1e10,), (1.0,))
+
+    def test_totals_equal_up_to_the_rounding_of_their_sums_are_balanced(self):
+        instance = TransportInstance(supply=(0.1, 0.2), demand=(0.3,), costs=((1,), (2,)))
+        assert sum(instance.supply) != sum(instance.demand)  # 0.30000000000000004
+        assert balance(instance) is instance
+
 
 class TestTransportation:
     def test_one_by_one(self):
@@ -239,6 +253,26 @@ class TestTransportation:
                     if (i, j) not in basis:
                         assert u[i] + v[j] <= costs[i][j] + 1e-9
 
+    def test_random_instances_match_the_simplex(self):
+        """The LP max sum (M - c_ij) x_ij over row sums <= supply and column sums
+        <= demand, M = max c + 1, ships every unit that can ship, so at its
+        optimum sum c_ij x_ij is the transport objective.  300 instances up to
+        6x6, integer or 2-decimal costs, balanced or unbalanced either way."""
+        rng = random.Random(20261019)
+        for _ in range(300):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            supply = tuple(float(rng.randint(0, 12)) for _ in range(m))
+            demand = [float(rng.randint(0, 12)) for _ in range(n)]
+            if rng.random() < 0.3:  # balanced: the last column takes the difference
+                demand[-1] = max(0.0, sum(supply) - sum(demand[:-1]))
+            decimals = rng.choice((0, 2))
+            costs = np.array([[round(rng.uniform(0, 9), decimals) for _ in range(n)] for _ in range(m)])
+            rows = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
+            x = _simplex_max((costs.max() + 1 - costs).ravel(), rows, np.array([*supply, *demand]))
+            instance = TransportInstance(supply, tuple(demand), tuple(map(tuple, costs.tolist())))
+            objective = solve_transportation(instance).objective
+            assert math.isclose(objective, costs.ravel() @ x, rel_tol=1e-9, abs_tol=1e-9)
+
     def test_random_instances_match_pin(self):
         """Allocation, objective, basis order, potentials and the fictitious
         side stay bit-identical on 300 random instances."""
@@ -321,6 +355,21 @@ class TestLoading:
         assert instance.capacity == 4
         assert instance.items[0].weight == 1
         assert solve_loading(instance).objective == 8
+
+    def test_weight_not_an_integer_after_scaling_is_refused(self):
+        # rounded to 1, 3 units of a would load, weighing 4.2 against a capacity of 3
+        data = {"capacity": 3, "items": [{"name": "a", "weight": 1.4, "profit": 1}]}
+        message = r"^items\[0\]\.weight / quantum must be an integer, got 1\.4$"
+        with pytest.raises(ScenarioError, match=message):
+            LoadingInstance.from_dict(data)
+        with pytest.raises(ScenarioError, match="got 5.6"):
+            LoadingInstance.from_dict(data, quantum=0.25)
+
+    # 0.25 / 0.25 is exactly 1; 0.3 / 0.1 and 1.4 / 0.2 fall one rounding short of 3 and 7
+    @pytest.mark.parametrize("weight, quantum, units", [(0.25, 0.25, 1), (0.3, 0.1, 3), (1.4, 0.2, 7)])
+    def test_weight_within_rounding_of_an_integer_loads_as_it(self, weight, quantum, units):
+        data = {"capacity": 3, "items": [{"name": "a", "weight": weight, "profit": 1}]}
+        assert LoadingInstance.from_dict(data, quantum).items[0].weight == units
 
     def test_table_above_ten_million_cells_is_refused(self):
         # (1 item + 2) rows x (capacity + 1) columns; nothing here is solved,

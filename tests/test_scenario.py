@@ -83,6 +83,16 @@ class TestLoad:
         assert len(situations) == 5
         assert skipped and skipped[0][0] == ("x7", "x12")
 
+    def test_second_split_for_a_pair_is_refused(self, s8_dict):
+        # keeping either entry would silently drop the other, and they disagree
+        doc = copy.deepcopy(s8_dict)
+        output = doc["production"]["splits"][0]["output"]
+        swapped = {"x12": output["x7"], "x7": output["x12"]}
+        doc["production"]["splits"].insert(1, {"plants": ["x12", "x7"], "output": swapped})
+        message = r"^production\.splits\[1\]: plants repeat the pair of production\.splits\[0\]$"
+        with pytest.raises(ScenarioError, match=message):
+            Scenario.from_dict(doc)
+
     @pytest.mark.parametrize("limits", [{}, None, "absent"])
     def test_empty_limits_and_capacity_load(self, s8_dict, limits):
         doc = copy.deepcopy(s8_dict)
