@@ -17,8 +17,6 @@ from .compromise import (
     CompromiseResult,
     PayoffMatrix,
     compromise_select,
-    ideal_vector,
-    residual_matrix,
     select_from_residuals,
 )
 from .costflow import (

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import costflow, production
-from .compromise import PayoffMatrix
+from .compromise import PayoffMatrix, _refuse_overflow
 from .errors import InfeasibleError, ScenarioError
 from .scenario import Scenario
 
@@ -168,7 +168,8 @@ def evaluate_all(scenario: Scenario, situations: list[Situation]) -> PayoffMatri
 
     Agent 1 nets its ``agent1_components``; agent 2 earns the plants' net
     profits; agent 3 earns the retail revenue less what it pays for the
-    products, unit value plus storage fee per unit.
+    products, unit value plus storage fee per unit.  A payoff past the float
+    range is refused, naming its agent and situation.
     """
     if not situations:
         raise InfeasibleError("no feasible situation to evaluate")
@@ -184,8 +185,6 @@ def evaluate_all(scenario: Scenario, situations: list[Situation]) -> PayoffMatri
         )
         agent2 = sum(e.net_profit for e in economics)
         columns.append((agent1 - c["flow_cost"], agent2, revenue - purchase_cost))
-    return PayoffMatrix(
-        values=np.array(columns, dtype=float).T,
-        situations=tuple(s.label for s in situations),
-        agents=AGENT_LABELS,
-    )
+    labels = tuple(s.label for s in situations)
+    values = _refuse_overflow(np.array(columns, dtype=float).T, AGENT_LABELS, labels, "payoff")
+    return PayoffMatrix(values=values, situations=labels, agents=AGENT_LABELS)

@@ -20,7 +20,7 @@ import numpy as np
 from . import agents, compromise, costflow, optimizers, report
 from .errors import InfeasibleError, ScenarioError
 from .network import shortest_paths
-from .scenario import load_scenario, read_document
+from .scenario import _expect, load_scenario, read_document
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -109,7 +109,7 @@ def _transport_table(payload: dict) -> list[str]:
 def cmd_load(args: argparse.Namespace) -> tuple[str, dict]:
     data, digest = read_document(args.instance)
     if args.capacity is not None:
-        data = dict(data, capacity=args.capacity)
+        data = dict(_expect(data, dict, "loading instance"), capacity=args.capacity)
     instance = optimizers.LoadingInstance.from_dict(data, quantum=args.quantum)
     solution = optimizers.solve_loading(instance)
     payload = {"digest": digest, "counts": dict(solution.counts), "objective": solution.objective}

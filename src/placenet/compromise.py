@@ -67,42 +67,31 @@ class CompromiseResult:
         return tuple(self.situations[i] for i in self.selected)
 
 
-def ideal_vector(matrix: PayoffMatrix) -> np.ndarray:
-    """Per-agent maximum payoff over all situations."""
-    return matrix.values.max(axis=1)
+# Residuals within one quantum of each other tie.  The quantum is part of the
+# report contract: changing it can change which situations a report selects.
+_QUANTUM = 1e-9
 
 
-def residual_matrix(matrix: PayoffMatrix, ideal: np.ndarray | None = None) -> np.ndarray:
-    """Shortfall of each entry from its row's ideal; >= 0, each row has a 0."""
-    ideal = np.asarray(ideal_vector(matrix) if ideal is None else ideal, dtype=float)
-    if ideal.shape != (matrix.values.shape[0],):
-        raise ScenarioError("ideal vector length does not match the matrix")
-    return ideal[:, None] - matrix.values
+def _refuse_overflow(values: np.ndarray, agents, situations, what: str) -> np.ndarray:
+    """``values`` (agents x situations), or a ScenarioError naming the agent
+    and the situation of the first entry, situation by situation, that is not
+    finite."""
+    for m, k in np.argwhere(~np.isfinite(values.T))[:1].tolist():
+        raise ScenarioError(f"the {agents[k]} {what} of situation {situations[m]} overflows")
+    return values
 
 
-def select_from_residuals(
-    residuals: np.ndarray,
-    situations: tuple[str, ...],
-    *,
-    ideal: np.ndarray | None = None,
-    quantum: float = 1e-9,
-) -> CompromiseResult:
-    """Run the sort-and-minmax selection on a residual matrix taken as given.
-
-    ``quantum`` is the rounding step used for equality when hunting ties;
-    exact money data (2-decimal tables) is unaffected by the default.
-    """
+def select_from_residuals(residuals: np.ndarray, situations: tuple[str, ...]) -> CompromiseResult:
+    """Run the sort-and-minmax selection on a residual matrix taken as given."""
     residuals = np.asarray(residuals, dtype=float)
     if residuals.ndim != 2 or residuals.size == 0:
         raise ScenarioError("residual matrix must be 2-D and nonempty")
     if residuals.shape[1] != len(situations):
         raise ScenarioError("residual matrix width does not match situation labels")
-    if quantum <= 0:
-        raise ScenarioError("quantum must be > 0")
 
     sorted_residuals = np.sort(residuals, axis=0)
     # Compared as floats: an int64 cast overflows on residuals above ~9.2e9.
-    quantized = np.round(sorted_residuals / quantum)
+    quantized = np.round(sorted_residuals / _QUANTUM)
 
     survivors = list(range(residuals.shape[1]))
     trace: list[SelectionStep] = []
@@ -115,7 +104,7 @@ def select_from_residuals(
         if len(survivors) == 1:
             break
     return CompromiseResult(
-        ideal=ideal,
+        ideal=None,
         residuals=residuals,
         sorted_residuals=sorted_residuals,
         selected=tuple(survivors),
@@ -129,19 +118,19 @@ def compromise_select(matrix: PayoffMatrix, *, normalize: str = NORMALIZE_NONE) 
 
     ``normalize='by_ideal'`` divides each row's residuals by |ideal| before
     comparison, for instances whose agents trade in very different money
-    scales; the default compares raw residuals.
+    scales; the default compares raw residuals.  The result reports the raw
+    residuals either way.
     """
-    ideal = ideal_vector(matrix)
-    residuals = residual_matrix(matrix, ideal)
-    if normalize == NORMALIZE_BY_IDEAL:
-        scale = np.where(np.abs(ideal) > 0, np.abs(ideal), 1.0)
-        compared = residuals / scale[:, None]
-    elif normalize == NORMALIZE_NONE:
-        compared = residuals
-    else:
+    if normalize not in (NORMALIZE_NONE, NORMALIZE_BY_IDEAL):
         raise ScenarioError(f"unknown normalize mode {normalize!r}")
-    result = select_from_residuals(compared, matrix.situations, ideal=ideal)
-    if compared is residuals:
-        return result
-    # Report raw-money residuals even when selection compared normalized ones.
-    return replace(result, residuals=residuals, sorted_residuals=np.sort(residuals, axis=0))
+    labels = matrix.agents, matrix.situations
+    ideal = matrix.values.max(axis=1)
+    with np.errstate(over="ignore"):
+        residuals = _refuse_overflow(ideal[:, None] - matrix.values, *labels, "residual")
+        compared = residuals
+        if normalize == NORMALIZE_BY_IDEAL:
+            scale = np.where(np.abs(ideal) > 0, np.abs(ideal), 1.0)
+            compared = _refuse_overflow(residuals / scale[:, None], *labels, "normalized residual")
+    result = select_from_residuals(compared, matrix.situations)
+    sorted_residuals = result.sorted_residuals if compared is residuals else np.sort(residuals, axis=0)
+    return replace(result, ideal=ideal, residuals=residuals, sorted_residuals=sorted_residuals)

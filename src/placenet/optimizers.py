@@ -286,19 +286,23 @@ class LoadingInstance:
         if not quantum > 0:
             raise ScenarioError("quantum must be > 0")
 
-        def scaled(value: Any, what: str) -> float:
-            return _number(_number(value, what) / quantum, f"{what} / quantum")
+        def scaled(value: Any, what: str) -> int | float:
+            """The value in quanta: the nearest integer when within float
+            rounding of it (3 roundings of 2**-53), else the float itself."""
+            number = _number(_number(value, what) / quantum, f"{what} / quantum")
+            return round(number) if math.isclose(number, round(number), rel_tol=2**-51) else number
 
         def item(i: int, spec: Any) -> LoadingItem:
             what = f"items[{i}]"
             weight = scaled(_require(spec, "weight", what), f"{what}.weight")
-            if not math.isclose(weight, round(weight), rel_tol=2**-51):  # 3 roundings of 2**-53
+            if isinstance(weight, float):
                 raise ScenarioError(f"{what}.weight / quantum must be an integer, got {weight!r}")
             profit = _number(_require(spec, "profit", what), f"{what}.profit")
-            return LoadingItem(str(spec.get("name", f"item{i}")), round(weight), profit)
+            return LoadingItem(str(spec.get("name", f"item{i}")), weight, profit)
 
         specs = _expect(_require(data, "items", "loading instance"), list, "items")
         items = tuple(item(i, spec) for i, spec in enumerate(specs))
+        # a limit rounds down, but not by a float rounding
         capacity = math.floor(scaled(_require(data, "capacity", "loading instance"), "capacity"))
         return LoadingInstance(capacity=capacity, items=items)
 

@@ -612,6 +612,32 @@ def test_overflowing_raw_score_exits_2(s8_dict, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "path, message",
+    [
+        (("demand", "retail_prices", "b1"), "the agent3 payoff of situation x7,x12 overflows"),
+        (("handling_rate",), "the agent1 payoff of situation x7,x12 overflows"),
+        (("commodities", 0, "storage_fee"), "the agent1 payoff of situation x7,x12 overflows"),
+        (("commodities", 0, "unit_cost"), "the agent1 payoff of situation x7,x12 overflows"),
+    ],
+    ids=["retail_price", "handling_rate", "storage_fee", "unit_cost"],
+)
+def test_overflowing_payoff_names_the_agent_and_situation(
+    s8_dict, tmp_path, capsys, path, message
+):
+    """Each field at 1e308 is finite, but a payoff it enters is not.  That
+    used to end in "payoff matrix entries must be finite", naming nothing."""
+    from placenet.cli import main
+
+    doc = copy.deepcopy(s8_dict)
+    _set(doc, path, 1e308)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["solve", "-s", str(scenario)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "commodity, leg, path",
     [("a1", "x1 -> x2 -> x7", "x1 -> x7"), ("b1", "x7 -> x8 -> x14", "x7 -> x14")],
 )
@@ -978,6 +1004,21 @@ class TestSolvers:
         proc = run_cli("load", FIXTURES / "loading_small.json", "--capacity", "0")
         assert proc.returncode == 0
         assert "objective z = 0" in proc.stdout
+
+    @pytest.mark.parametrize("document", [[1, 2], "x", [[1, 2]]], ids=["list", "string", "pairs"])
+    def test_load_capacity_on_a_non_object_exits_2(self, tmp_path, capsys, document):
+        # --capacity used to merge into the document before it was checked
+        from placenet.cli import main
+
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(document))
+        for extra in ([], ["--capacity", "5"]):
+            assert main(["load", str(path), *extra]) == 2
+            out = capsys.readouterr()
+            assert (out.out, out.err) == (
+                "",
+                f"error: loading instance must be an object, got {document!r}\n",
+            )
 
     def test_plan_fixture(self):
         proc = run_cli("plan", FIXTURES / "plan_small.json")

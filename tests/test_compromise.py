@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -6,10 +7,9 @@ import pytest
 from placenet import (
     PayoffMatrix,
     compromise_select,
-    ideal_vector,
-    residual_matrix,
     select_from_residuals,
 )
+from placenet.errors import ScenarioError
 
 SITUATIONS = ("x7,x12", "x7,x13", "x7,x18", "x12,x13", "x12,x18", "x13,x18")
 
@@ -45,25 +45,26 @@ def matrix_of(values, labels=None):
 
 class TestIdealVector:
     def test_reference_matrix(self):
-        assert ideal_vector(REFERENCE_PAYOFFS) == pytest.approx([1963.47, 361.52, 1401.81])
+        ideal = compromise_select(REFERENCE_PAYOFFS).ideal
+        assert ideal == pytest.approx([1963.47, 361.52, 1401.81])
 
     def test_constant_matrix(self):
-        assert ideal_vector(matrix_of([[4.5, 4.5, 4.5]])) == pytest.approx([4.5])
+        assert compromise_select(matrix_of([[4.5, 4.5, 4.5]])).ideal == pytest.approx([4.5])
 
     def test_two_by_two(self):
-        assert ideal_vector(matrix_of([[1, 3], [5, 2]])) == pytest.approx([3, 5])
+        assert compromise_select(matrix_of([[1, 3], [5, 2]])).ideal == pytest.approx([3, 5])
 
 
 class TestResidualMatrix:
     def test_reference_entries(self):
-        residuals = residual_matrix(REFERENCE_PAYOFFS)
+        residuals = compromise_select(REFERENCE_PAYOFFS).residuals
         # agent 3 in (x7,x13) and agent 1 in (x13,x18)
         assert residuals[2, 1] == pytest.approx(1.61, abs=0.005)
         assert residuals[0, 5] == pytest.approx(425.83, abs=0.005)
 
     def test_zero_at_ideal_column(self):
         matrix = matrix_of([[1, 9, 4], [2, 0, 7]])
-        residuals = residual_matrix(matrix)
+        residuals = compromise_select(matrix).residuals
         assert residuals[0, 1] == 0
         assert residuals[1, 2] == 0
 
@@ -71,7 +72,7 @@ class TestResidualMatrix:
         rng = random.Random(31)
         for _ in range(50):
             values = [[rng.uniform(-100, 100) for _ in range(5)] for _ in range(3)]
-            residuals = residual_matrix(matrix_of(values))
+            residuals = compromise_select(matrix_of(values)).residuals
             assert np.all(residuals >= 0)
             assert np.all(np.isclose(residuals.min(axis=1), 0))
 
@@ -159,8 +160,61 @@ class TestSelection:
         assert scaled.selected_labels == ("s1",)
 
     def test_quantum_groups_near_ties(self):
-        residuals = np.array([[10.0, 10.0 + 1e-12], [3.0, 2.0]])
-        fine = select_from_residuals(residuals, ("s0", "s1"), quantum=1e-15)
-        coarse = select_from_residuals(residuals, ("s0", "s1"), quantum=1e-9)
-        assert fine.selected_labels == ("s0",)
-        assert coarse.selected_labels == ("s1",)
+        # 1e-12 apart is within the 1e-9 quantum, so the next row decides;
+        # 2e-9 apart is not, so the top row does
+        tied = np.array([[10.0, 10.0 + 1e-12], [3.0, 2.0]])
+        apart = np.array([[10.0, 10.0 + 2e-9], [3.0, 2.0]])
+        assert select_from_residuals(tied, ("s0", "s1")).selected_labels == ("s1",)
+        assert select_from_residuals(apart, ("s0", "s1")).selected_labels == ("s0",)
+
+
+class TestOverflow:
+    """Finite payoffs whose residuals pass the float range are refused."""
+
+    def test_overflowing_residual_is_refused(self):
+        matrix = matrix_of([[1.5e308, -1.5e308], [1, 2]])
+        with pytest.raises(ScenarioError, match=r"^the a0 residual of situation s1 overflows$"):
+            compromise_select(matrix)
+
+    def test_overflowing_normalized_residual_is_refused(self):
+        matrix = matrix_of([[1e-300, -1e10], [1, 2]])
+        assert compromise_select(matrix).selected_labels == ("s0",)
+        message = r"^the a0 normalized residual of situation s1 overflows$"
+        with pytest.raises(ScenarioError, match=message):
+            compromise_select(matrix, normalize="by_ideal")
+
+
+# sha256 over 2,000 seeded selections (see selection_digest), recorded before
+# the ideal vector and residuals moved into compromise_select.
+SELECTION_PIN = "80d283fb9e89384044c2d2b9672975c6d49d5fbf94a8ae4d661398e0eea3ebf1"
+
+
+def selection_digest(count=2000, seed=2019):
+    """Hash ideal, residuals, sorted residuals, selection and trace of random draws.
+
+    Each draw is 1-4 agents by 1-9 situations at a drawn money scale; where
+    there are two situations or more, one column is copied into another and
+    shifted per agent by 0, +-1e-12, +-5e-10 or +-2e-9, so ties below and
+    above the 1e-9 quantum are met.  Draws alternate the two normalize modes.
+    """
+    rng = np.random.default_rng(seed)
+    digest = hashlib.sha256()
+    for draw in range(count):
+        agents, width = int(rng.integers(1, 5)), int(rng.integers(1, 10))
+        scale = float(rng.choice([1.0, 100.0, 1e4]))
+        values = np.round(rng.uniform(-scale, scale, (agents, width)), 2)
+        if width > 1:
+            source, target = rng.choice(width, 2, replace=False)
+            gap = rng.choice([1e-12, 5e-10, 2e-9])
+            values[:, target] = values[:, source] + gap * rng.integers(-1, 2, agents)
+        normalize = ("none", "by_ideal")[draw % 2]
+        result = compromise_select(matrix_of(values), normalize=normalize)
+        for array in (result.ideal, result.residuals, result.sorted_residuals):
+            digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
+        steps = [(step.depth, step.value, step.survivors) for step in result.trace]
+        digest.update(repr((result.selected, steps)).encode())
+    return digest.hexdigest()
+
+
+def test_selection_matches_pin():
+    assert selection_digest() == SELECTION_PIN

@@ -371,6 +371,16 @@ class TestLoading:
         data = {"capacity": 3, "items": [{"name": "a", "weight": weight, "profit": 1}]}
         assert LoadingInstance.from_dict(data, quantum).items[0].weight == units
 
+    # 0.3 / 0.1 falls one rounding short of 3: a limit rounds down, but not by a rounding
+    @pytest.mark.parametrize(
+        "capacity, quantum, units", [(0.3, 0.1, 3), (1.4, 0.2, 7), (0.35, 0.1, 3), (2.99, 1, 2)]
+    )
+    def test_capacity_within_rounding_of_an_integer_loads_as_it(self, capacity, quantum, units):
+        data = {"capacity": capacity, "items": [{"name": "a", "weight": quantum, "profit": 1}]}
+        instance = LoadingInstance.from_dict(data, quantum)
+        assert instance.capacity == units
+        assert solve_loading(instance).counts == {"a": units}
+
     def test_table_above_ten_million_cells_is_refused(self):
         # (1 item + 2) rows x (capacity + 1) columns; nothing here is solved,
         # so the refused table is never allocated.
