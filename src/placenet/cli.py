@@ -90,7 +90,7 @@ def cmd_transport(args: argparse.Namespace) -> tuple[str, dict]:
         "digest": digest,
         "allocation": [list(row) for row in plan.allocation],
         "objective": plan.objective,
-        "balanced_input": plan.balanced,
+        "balanced_input": plan.fictitious is None,
         "fictitious": list(plan.fictitious) if plan.fictitious else None,
         "basis": [list(cell) for cell in plan.basis],
     }

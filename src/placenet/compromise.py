@@ -81,6 +81,7 @@ def _refuse_overflow(values: np.ndarray, agents, situations, what: str) -> np.nd
     return values
 
 
+@np.errstate(over="ignore")  # a quantized level past the float range is inf
 def select_from_residuals(residuals: np.ndarray, situations: tuple[str, ...]) -> CompromiseResult:
     """Run the sort-and-minmax selection on a residual matrix taken as given."""
     residuals = np.asarray(residuals, dtype=float)
@@ -97,6 +98,10 @@ def select_from_residuals(residuals: np.ndarray, situations: tuple[str, ...]) ->
     trace: list[SelectionStep] = []
     for depth, row in enumerate(range(residuals.shape[0] - 1, -1, -1)):
         level = quantized[row, survivors]
+        # The division overflows past ~1.8e299, where the quantum is far below
+        # the float spacing, so there the residuals themselves decide.
+        if np.isinf(level.min()):
+            level = sorted_residuals[row, survivors]
         best = level.min()
         survivors = [m for m, v in zip(survivors, level) if v == best]
         value = float(min(sorted_residuals[row, m] for m in survivors))
@@ -132,5 +137,5 @@ def compromise_select(matrix: PayoffMatrix, *, normalize: str = NORMALIZE_NONE) 
             scale = np.where(np.abs(ideal) > 0, np.abs(ideal), 1.0)
             compared = _refuse_overflow(residuals / scale[:, None], *labels, "normalized residual")
     result = select_from_residuals(compared, matrix.situations)
-    sorted_residuals = result.sorted_residuals if compared is residuals else np.sort(residuals, axis=0)
+    sorted_residuals = np.sort(residuals, axis=0)
     return replace(result, ideal=ideal, residuals=residuals, sorted_residuals=sorted_residuals)

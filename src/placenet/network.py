@@ -9,12 +9,9 @@ paths``.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
-
-INF = math.inf
 
 
 @np.errstate(over="ignore")  # a route cost past the float range is inf
@@ -34,7 +31,7 @@ def shortest_paths(
     """
     tails, heads, costs = edges
     sources = np.asarray(sources, dtype=np.intp)
-    dist = np.full((len(sources), n), INF)
+    dist = np.full((len(sources), n), np.inf)
     flat = dist.ravel()  # a view: cell (row, node) is flat[row * n + node]
     frontier = np.arange(len(sources)) * n + sources
     flat[frontier] = 0.0

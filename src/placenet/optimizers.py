@@ -91,7 +91,6 @@ class TransportPlan:
     allocation: tuple[tuple[float, ...], ...]
     objective: float
     basis: tuple[tuple[int, int], ...]
-    balanced: bool
     fictitious: tuple[str, int] | None
     potentials: tuple[tuple[float, ...], tuple[float, ...]]
 
@@ -127,22 +126,18 @@ def _northwest_corner(supply: tuple[float, ...], demand: tuple[float, ...]):
     left_demand = list(demand)
     basis: dict[tuple[int, int], float] = {}
     i = j = 0
-    while len(basis) < m + n - 1:
+    while True:
         units = min(left_supply[i], left_demand[j])
         basis[i, j] = units
         left_supply[i] -= units
         left_demand[j] -= units
         if i == m - 1 and j == n - 1:
-            break
-        if left_supply[i] <= _EPS and i < m - 1:
-            i += 1
-        elif left_demand[j] <= _EPS and j < n - 1:
-            j += 1
-        elif i < m - 1:
+            return basis
+        # one of the two is now spent, so a row with supply left has its column spent
+        if i < m - 1 and (left_supply[i] <= _EPS or j == n - 1):
             i += 1
         else:
             j += 1
-    return basis
 
 
 def _tree(basis, costs, m, n):
@@ -242,7 +237,6 @@ def solve_transportation(instance: TransportInstance) -> TransportPlan:
         allocation=tuple(tuple(row) for row in allocation),
         objective=objective,
         basis=tuple(basis),
-        balanced=fictitious is None,
         fictitious=fictitious,
         potentials=(tuple(u), tuple(v)),
     )
@@ -268,11 +262,16 @@ class LoadingInstance:
     def __post_init__(self):
         if self.capacity < 0:
             raise ScenarioError("capacity must be >= 0")
-        for item in self.items:
+        first: dict[str, int] = {}  # name -> position of its first item
+        for k, item in enumerate(self.items):
             if item.weight <= 0:
                 raise ScenarioError(f"item {item.name}: weight must be a positive integer")
             if item.profit < 0:
                 raise ScenarioError(f"item {item.name}: profit must be >= 0")
+            if first.setdefault(item.name, k) != k:
+                raise ScenarioError(
+                    f"items[{k}].name {item.name!r} repeats the name of items[{first[item.name]}]"
+                )
         cells = (len(self.items) + 2) * (self.capacity + 1)
         if cells > _MAX_TABLE_CELLS:
             raise ScenarioError(
@@ -448,10 +447,10 @@ def solve_production_plan(
     """
     lower = np.asarray(instance.lower, dtype=float)
     upper = np.asarray(instance.upper, dtype=float)
-    use = np.asarray(instance.resource_use, dtype=float)
     limits = np.asarray(instance.resource_limits, dtype=float)
     profit = np.asarray(instance.profit, dtype=float)
     n = len(profit)
+    use = np.asarray(instance.resource_use, dtype=float).reshape(n, len(limits))
 
     slack = limits - lower @ use
     if np.any(slack < -_EPS):

@@ -21,8 +21,8 @@ def build_report(
     situations: list[Situation],
     matrix: PayoffMatrix,
     result: CompromiseResult,
-    skipped: list[tuple[tuple[str, str], str]] | None = None,
-    include_details: bool = False,
+    skipped: list[tuple[tuple[str, str], str]],
+    include_details: bool,
 ) -> dict[str, Any]:
     """The `solve --format json` payload (see docs/formats.md); `details` only
     when asked, with every situation's shipments built in one batched call."""
@@ -40,14 +40,7 @@ def build_report(
                     "outputs": {p: dict(v) for p, v in situation.outputs.items()},
                     "flow_cost": situation.flow_cost,
                     "shipments": [
-                        {
-                            "product": product,
-                            "store": store,
-                            "plant": s.plant,
-                            "units": s.units,
-                            "warehouse": s.warehouse,
-                            "unit_cost": s.unit_cost,
-                        }
+                        {"product": product, "store": store, **vars(s)}
                         for (product, store), entries in sorted(flow.shipments.items())
                         for s in entries
                     ],
@@ -87,9 +80,7 @@ def build_report(
             ],
         },
         "notes": list(scenario.notes),
-        "skipped": [
-            {"plants": ",".join(pair), "reason": reason} for pair, reason in (skipped or [])
-        ],
+        "skipped": [{"plants": ",".join(pair), "reason": reason} for pair, reason in skipped],
     }
     if details:
         payload["details"] = details

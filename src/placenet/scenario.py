@@ -10,6 +10,7 @@ route costs come from those.  Scenarios are immutable after load.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -104,13 +105,13 @@ class Scenario:
         # raw_costs[raw][rw, plant] = D[extraction, rw] + D[rw, plant]
         # ship_costs[product][plant, pw, store] = D[plant, pw] + D[pw, store]
         # Only the rows of the legs' sources are computed.
-        raw_legs = (self.sites.raw_warehouses, self.sites.plants)
-        ship_legs = (self.sites.plants, self.sites.product_warehouses, self.sites.stores)
-        legs = {rid: ((self.sites.extraction[rid],), *raw_legs) for rid in self.raw_ids}
-        legs |= {product: ship_legs for product in self.product_ids}
-        costs = {commodity: self._legs(commodity, *legs[commodity]) for commodity in legs}
-        self.raw_costs = {rid: costs[rid][0] for rid in self.raw_ids}
-        self.ship_costs = {product: costs[product] for product in self.product_ids}
+        sites = self.sites
+        self.raw_costs = {
+            rid: self._legs(rid, (sites.extraction[rid],), sites.raw_warehouses, sites.plants)[0]
+            for rid in self.raw_ids
+        }
+        ship_legs = (sites.plants, sites.product_warehouses, sites.stores)
+        self.ship_costs = {product: self._legs(product, *ship_legs) for product in self.product_ids}
 
     @np.errstate(over="ignore")  # a leg cost past the float range is inf
     def _legs(self, commodity: str, *groups: tuple[str, ...]) -> np.ndarray:
@@ -136,8 +137,8 @@ class Scenario:
             raise ScenarioError(f"the {commodity} route cost {' -> '.join(labels)} overflows")
 
     @staticmethod
-    def from_dict(data: dict[str, Any], *, digest: str | None = None) -> "Scenario":
-        return _scenario_from_dict(data, digest=digest)
+    def from_dict(data: dict[str, Any]) -> "Scenario":
+        return _scenario_from_dict(data)
 
 
 def read_document(path: Path) -> tuple[Any, str]:
@@ -193,8 +194,10 @@ def _require(data: dict[str, Any], key: str, context: str) -> Any:
 
 def _number(value: Any, what: str, kind: type = float) -> Any:
     """A finite ``kind`` (an int must be integral), or a ScenarioError naming
-    the field."""
+    the field.  A JSON boolean is not a number, though float() reads it as 1 or 0."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{what} must be a number, got {value!r}") from None
@@ -360,25 +363,12 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
             raise ScenarioError(f"sites.{key}: duplicate node ids")
         return labels
 
-    sites = Sites(
-        extraction=extraction,
-        raw_warehouses=site_list("raw_warehouses"),
-        plants=site_list("plants"),
-        product_warehouses=site_list("product_warehouses"),
-        stores=site_list("stores"),
-    )
-    groups = [
-        set(sites.extraction.values()),
-        set(sites.raw_warehouses),
-        set(sites.plants),
-        set(sites.product_warehouses),
-        set(sites.stores),
-    ]
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            overlap = groups[i] & groups[j]
-            if overlap:
-                raise ScenarioError(f"sites: node(s) {sorted(overlap)} appear in two site groups")
+    keys = ("raw_warehouses", "plants", "product_warehouses", "stores")
+    sites = Sites(extraction=extraction, **{key: site_list(key) for key in keys})
+    groups = (extraction.values(), *(getattr(sites, key) for key in keys))
+    for a, b in itertools.combinations(map(set, groups), 2):
+        if a & b:
+            raise ScenarioError(f"sites: node(s) {sorted(a & b)} appear in two site groups")
 
     demand_spec = _require(data, "demand", "scenario")
     store_demand: dict[str, dict[str, int]] = {}

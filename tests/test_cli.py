@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -220,6 +221,25 @@ class TestSolve:
             args = ["solve", "-s", str(scenario), "--format", "json", "--out", str(out), *extra]
             assert main(args) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == pins[key][seed], key
+
+    def test_bench_tracer_finds_every_wrapped_name(self, monkeypatch):
+        """A wrapped name that no longer resolves reads 0 in its benchmark
+        metric without failing a run, so the tracer's absent names are pinned."""
+        spec = importlib.util.spec_from_file_location("tracer", REPO_ROOT / "bench" / "tracer.py")
+        tracer = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "tracer", tracer)  # its dataclasses look it up
+        spec.loader.exec_module(tracer)
+        traced = tracer.Tracer()
+        try:
+            traced.install()
+            assert traced.absent == [
+                "placenet.scenario.all_pairs_shortest_paths",
+                "placenet.agents.build_situation",
+                "placenet.costflow.greedy_flow",
+                "placenet.scenario.Scenario.distance",
+            ]
+        finally:
+            traced.restore()
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_only_detail_builds_shipments(self, capsys, monkeypatch, fmt):
@@ -462,6 +482,7 @@ MALFORMED = [
     (("production", "exponents", "b2", "a1"), [0.5], "exponent for b2/a1"),
     (("demand", "stores", "x14", "b1"), "five", "demand for x14: b1 units"),
     (("demand", "stores", "x15", "b3"), math.inf, "demand for x15: b3 units"),
+    (("demand", "stores", "x16", "b2"), True, "demand for x16: b2 units"),
     (
         ("production", "splits", 0, "output", "x7", "b1"),
         "7 units",
@@ -714,6 +735,7 @@ def test_self_loop_exits_2_naming_the_edge(s8_dict, tmp_path, capsys, also, mess
 # (command, input file, path into it, malformed value, what the error says)
 REJECTED = [
     ("transport", "transport_2x2", ("supply",), ["a"], "supply[0] must be a number"),
+    ("transport", "transport_2x2", ("supply", 0), True, "supply[0] must be a number, got True"),
     ("transport", "transport_2x2", ("costs",), [1], "costs[0] must be a list"),
     ("transport", "transport_2x2", ("demand", 0), math.inf, "demand[0] must be a finite number"),
     ("load", "loading_small", ("items", 0), 3, "items[0] must be an object"),

@@ -167,6 +167,13 @@ class TestSelection:
         assert select_from_residuals(tied, ("s0", "s1")).selected_labels == ("s1",)
         assert select_from_residuals(apart, ("s0", "s1")).selected_labels == ("s0",)
 
+    def test_residuals_past_the_quantum_range_do_not_tie(self):
+        # 1e300 / 1e-9 overflows to inf; the residuals themselves decide there
+        residuals = np.array([[1e300, 1.5e300]])
+        assert select_from_residuals(residuals, ("s0", "s1")).selected_labels == ("s0",)
+        climbed = select_from_residuals(np.array([[2.0, 1.0], [1e300, 1e300]]), ("s0", "s1"))
+        assert [step.survivors for step in climbed.trace] == [(0, 1), (1,)]
+
 
 class TestOverflow:
     """Finite payoffs whose residuals pass the float range are refused."""

@@ -179,7 +179,6 @@ class TestTransportation:
         plan = solve_transportation(TransportInstance(supply=(10,), demand=(6,), costs=((3,),)))
         assert plan.fictitious == ("destination", 1)
         assert plan.objective == 18
-        assert not plan.balanced
 
     def test_negative_supply_rejected(self):
         with pytest.raises(ScenarioError):
@@ -381,6 +380,17 @@ class TestLoading:
         assert instance.capacity == units
         assert solve_loading(instance).counts == {"a": units}
 
+    def test_repeated_item_name_is_refused(self):
+        # merged under one name, the counts {a: 1} could not reach the objective 8
+        items = [{"name": "a", "weight": 2, "profit": 3}, {"name": "a", "weight": 3, "profit": 5}]
+        message = r"^items\[1\]\.name 'a' repeats the name of items\[0\]$"
+        with pytest.raises(ScenarioError, match=message):
+            LoadingInstance.from_dict({"capacity": 5, "items": items})
+        items[0].pop("name")  # its default name is item0
+        items[1]["name"] = "item0"
+        with pytest.raises(ScenarioError, match=r"^items\[1\]\.name 'item0' repeats"):
+            LoadingInstance.from_dict({"capacity": 5, "items": items})
+
     def test_table_above_ten_million_cells_is_refused(self):
         # (1 item + 2) rows x (capacity + 1) columns; nothing here is solved,
         # so the refused table is never allocated.
@@ -428,6 +438,11 @@ class TestProductionPlan:
         x, objective = solve_production_plan(instance)
         assert x == pytest.approx((6, 1))
         assert objective == pytest.approx(23)
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_no_products_plan_nothing(self, integer):
+        instance = PlanInstance(lower=(), upper=(), resource_use=(), resource_limits=(), profit=())
+        assert solve_production_plan(instance, integer=integer) == ((), 0.0)
 
     def test_infeasible_lower_bounds(self):
         instance = PlanInstance(
