@@ -110,6 +110,20 @@ class TestSolve:
         assert "split for b1" in payload["skipped"][0]["reason"]
         assert len(payload["situations"]) == 5
 
+    def test_skipped_situation_prints_in_table(self, tmp_path, capsys, s8_dict):
+        from placenet.cli import main
+
+        doc = copy.deepcopy(s8_dict)
+        doc["production"]["splits"][0]["output"]["x7"]["b1"] = 9  # breaks conservation
+        path = tmp_path / "skewed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "-s", str(path), "--format", "json"]) == 0
+        (skip,) = json.loads(capsys.readouterr().out)["skipped"]
+        assert main(["solve", "-s", str(path), "--no-header"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        first_note = next(k for k, line in enumerate(lines) if line.startswith("note: "))
+        assert lines[first_note - 1] == f"skipped x7,x12: {skip['reason']}"
+
     def test_invalid_scenario_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\"nodes\": []}")
@@ -581,8 +595,75 @@ NO_EFFECT = [
     ),
 ]
 
+# (path into example_s8, value, what the error says): a document that breaks a
+# structural rule of the schema is refused with the rule named.
+LOADER_REFUSED = [
+    (("nodes",), [], "nodes: list must be nonempty"),
+    (("commodities", 0, "kind"), "fuel", "commodity a1: kind must be 'raw' or 'product'"),
+    (("commodities", 1, "id"), "a1", "commodities: duplicate id 'a1'"),
+    (("edges", 0, "cost"), {"zz": 1}, "edges[0].cost: unknown commodity 'zz'"),
+    (("recipes", "b1", "b2"), 1, "recipe for b1: commodity 'b2' is not a raw"),
+    (("recipes", "a1"), {"a2": 1}, "recipes: commodity 'a1' is not a product"),
+    (("edges", 0, "cost"), {}, "edges[0]: needs a cost map (no grid_costs given)"),
+    (("recipes", "b1"), {"a1": 0, "a2": 0}, "recipe for b1: needs at least one positive entry"),
+    (
+        ("recipes",),
+        {"b1": {"a1": 1, "a2": 1}, "b2": {"a1": 1, "a2": 2}},
+        "recipes: product 'b3' has no recipe",
+    ),
+    (
+        ("sites", "extraction"),
+        {"a1": "x1"},
+        "sites.extraction: raw 'a2' has no extraction node",
+    ),
+    (("sites", "stores"), ["x14", "x14"], "sites.stores: duplicate node ids"),
+    (("demand", "stores", "x2"), {}, "demand.stores: 'x2' is not a store site"),
+    (
+        ("demand", "retail_prices"),
+        {"b1": 85, "b2": 125},
+        "demand.retail_prices: missing product 'b3'",
+    ),
+    (
+        ("production", "factors", "x7"),
+        {"b1": 2.1, "b2": 2.2},
+        "production.factors: missing factor for plant 'x7', product 'b3'",
+    ),
+    (
+        ("production", "factors", "x18"),
+        {},
+        "production.factors: missing factor for plant 'x18', product 'b1'",
+    ),
+    (("production", "exponents", "b1", "a1"), 0, "exponent for b1/a1 must be > 0"),
+    (
+        ("production", "exponents"),
+        {"b1": {}, "b2": {}},
+        "production.exponents: missing product 'b3'",
+    ),
+    (
+        ("production", "splits", 0, "plants"),
+        ["x7", "x7"],
+        "production.splits[0]: plants must be two distinct nodes",
+    ),
+    (
+        ("production", "splits", 0, "plants"),
+        ["x7", "x2"],
+        "production.splits[0]: 'x2' is not a plant candidate",
+    ),
+    (
+        ("production", "splits", 0, "output", "x7", "b1"),
+        -1,
+        "split output at x7 for b1 must be >= 0",
+    ),
+    (
+        ("production", "splits", 0, "output", "x13"),
+        {},
+        "production.splits[0]: output must cover exactly both plants",
+    ),
+]
+REFUSED = NO_EFFECT + LOADER_REFUSED
 
-@pytest.mark.parametrize("path, value, message", NO_EFFECT, ids=[c[2] for c in NO_EFFECT])
+
+@pytest.mark.parametrize("path, value, message", REFUSED, ids=[c[2] for c in REFUSED])
 def test_field_without_effect_exits_2_naming_it(s8_dict, tmp_path, capsys, path, value, message):
     from placenet.cli import main
 
@@ -591,6 +672,16 @@ def test_field_without_effect_exits_2_naming_it(s8_dict, tmp_path, capsys, path,
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(doc))
     assert main(["solve", "-s", str(scenario)]) == 2
+    assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
+
+
+def test_non_object_document_exits_2(tmp_path, capsys):
+    from placenet.cli import main
+
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text("[]")
+    assert main(["solve", "-s", str(scenario)]) == 2
+    message = "scenario document must be a JSON object"
     assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
 
 
@@ -782,6 +873,10 @@ REJECTED = [
         2.5,
         "split output at x7 for b1 must be an integer",
     ),
+    ("load", "loading_small", ("capacity",), -1, "capacity must be >= 0"),
+    ("load", "loading_small", ("items", 0, "profit"), -1, "item crate: profit must be >= 0"),
+    ("plan", "plan_small", ("lower", 0), -1, "plan instance: lower bounds must be >= 0"),
+    ("plan", "plan_small", ("resource_use", 0, 0), -1, "plan instance: resource use must be >= 0"),
 ]
 
 
@@ -1115,3 +1210,25 @@ class TestSolvers:
         assert proc.stderr == (
             "error: the plan objective overflowed; the input numbers are too large\n"
         )
+
+
+# Each subcommand's own flags; every subcommand also takes --format, --out and --no-header.
+OWN_FLAGS = {
+    "solve": ("--scenario", "--warehouse-selection", "--normalize", "--detail"),
+    "paths": ("--scenario", "--commodity"),
+    "transport": ("instance",),
+    "load": ("instance", "--quantum", "--capacity"),
+    "plan": ("instance", "--integer"),
+}
+
+
+@pytest.mark.parametrize("command", list(OWN_FLAGS))
+def test_subcommand_help_lists_its_flags(capsys, command):
+    from placenet.cli import main
+
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    out = capsys.readouterr().out
+    for flag in ("--format", "--out", "--no-header", *OWN_FLAGS[command]):
+        assert re.search(rf"^  {flag}\b", out, re.MULTILINE), flag

@@ -6,8 +6,10 @@ import pytest
 
 from placenet import (
     PayoffMatrix,
+    cobb_douglas,
     compromise_select,
     select_from_residuals,
+    select_raw_warehouses,
 )
 from placenet.errors import ScenarioError
 
@@ -189,6 +191,51 @@ class TestOverflow:
         message = r"^the a0 normalized residual of situation s1 overflows$"
         with pytest.raises(ScenarioError, match=message):
             compromise_select(matrix, normalize="by_ideal")
+
+
+def _first_error(results):
+    """Raise the first result of a batched call, which returns its errors."""
+    raise results[0]
+
+
+# (call on the example_s8 scenario, what the error says)
+LIBRARY_REFUSED = {
+    "empty payoff matrix": (
+        lambda s8: matrix_of(np.empty((1, 0))),
+        "payoff matrix must be 2-D and nonempty",
+    ),
+    "payoff shape": (
+        lambda s8: PayoffMatrix(np.zeros((2, 2)), ("s0",), ("a0", "a1")),
+        "payoff matrix shape does not match its labels",
+    ),
+    "non-finite payoff": (lambda s8: matrix_of([[np.inf]]), "payoff matrix entries must be finite"),
+    "empty residuals": (
+        lambda s8: select_from_residuals(np.empty((0, 0)), ()),
+        "residual matrix must be 2-D and nonempty",
+    ),
+    "residual width": (
+        lambda s8: select_from_residuals(np.zeros((1, 2)), ("s0",)),
+        "residual matrix width does not match situation labels",
+    ),
+    "normalize mode": (
+        lambda s8: compromise_select(matrix_of([[1.0]]), normalize="x"),
+        "unknown normalize mode 'x'",
+    ),
+    "raw-warehouse mode": (
+        lambda s8: _first_error(select_raw_warehouses(s8, [(("x7", "x12"), {})], mode="x")),
+        "unknown raw-warehouse selection mode 'x'",
+    ),
+    "factor": (lambda s8: cobb_douglas(0.0, 1.0, 1.0, 0.5, 0.5), "production factor must be > 0"),
+    "spend": (lambda s8: cobb_douglas(1.0, -1.0, 1.0, 0.5, 0.5), "input spends must be >= 0"),
+    "exponent": (lambda s8: cobb_douglas(1.0, 1.0, 1.0, 0.5, 0.0), "exponents must be > 0"),
+}
+
+
+@pytest.mark.parametrize("call, message", LIBRARY_REFUSED.values(), ids=list(LIBRARY_REFUSED))
+def test_library_call_refuses_bad_input(s8, call, message):
+    with pytest.raises(ScenarioError) as caught:
+        call(s8)
+    assert str(caught.value) == message
 
 
 # sha256 over 2,000 seeded selections (see selection_digest), recorded before
