@@ -27,10 +27,14 @@ EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _command(sub, name: str, help: str, func, table) -> argparse.ArgumentParser:
+    """A subcommand parser with the shared output flags; ``func`` runs it, ``table`` renders it."""
+    parser = sub.add_parser(name, help=help)
     parser.add_argument("--format", choices=("table", "json"), default="table")
     parser.add_argument("--out", type=Path, default=None, help="write output to a file")
     parser.add_argument("--no-header", action="store_true", help="drop the metadata header line")
+    parser.set_defaults(func=func, table=table)
+    return parser
 
 
 def _header(command: str, name: str, digest: str, key: str = "instance") -> str:
@@ -146,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="run the full placement pipeline on a scenario")
+    p_solve = _command(sub, "solve", "run the full placement pipeline on a scenario", cmd_solve,
+                       report.render_table)
     p_solve.add_argument("--scenario", "-s", type=Path, required=True)
     p_solve.add_argument(
         "--warehouse-selection",
@@ -161,32 +166,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="residual scaling before the minmax comparison",
     )
     p_solve.add_argument("--detail", action="store_true", help="include per-situation detail")
-    _add_common(p_solve)
-    p_solve.set_defaults(func=cmd_solve, table=report.render_table)
 
-    p_paths = sub.add_parser("paths", help="print a commodity's shortest-path cost matrix")
+    p_paths = _command(sub, "paths", "print a commodity's shortest-path cost matrix", cmd_paths,
+                       _paths_table)
     p_paths.add_argument("--scenario", "-s", type=Path, required=True)
     p_paths.add_argument("--commodity", required=True)
-    _add_common(p_paths)
-    p_paths.set_defaults(func=cmd_paths, table=_paths_table)
 
-    p_transport = sub.add_parser("transport", help="solve a transportation instance")
+    p_transport = _command(sub, "transport", "solve a transportation instance", cmd_transport,
+                           _transport_table)
     p_transport.add_argument("instance", type=Path)
-    _add_common(p_transport)
-    p_transport.set_defaults(func=cmd_transport, table=_transport_table)
 
-    p_load = sub.add_parser("load", help="solve a loading (unbounded knapsack) instance")
+    p_load = _command(sub, "load", "solve a loading (unbounded knapsack) instance", cmd_load,
+                      _load_table)
     p_load.add_argument("instance", type=Path)
     p_load.add_argument("--quantum", type=float, default=1.0, help="weight unit for scaling")
     p_load.add_argument("--capacity", type=float, default=None, help="override instance capacity")
-    _add_common(p_load)
-    p_load.set_defaults(func=cmd_load, table=_load_table)
 
-    p_plan = sub.add_parser("plan", help="solve a production-planning instance")
+    p_plan = _command(sub, "plan", "solve a production-planning instance", cmd_plan, _plan_table)
     p_plan.add_argument("instance", type=Path)
     p_plan.add_argument("--integer", action="store_true", help="exhaustive integer mode")
-    _add_common(p_plan)
-    p_plan.set_defaults(func=cmd_plan, table=_plan_table)
 
     return parser
 

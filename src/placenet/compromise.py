@@ -83,12 +83,14 @@ def _refuse_overflow(values: np.ndarray, agents, situations, what: str) -> np.nd
 
 @np.errstate(over="ignore")  # a quantized level past the float range is inf
 def select_from_residuals(residuals: np.ndarray, situations: tuple[str, ...]) -> CompromiseResult:
-    """Run the sort-and-minmax selection on a residual matrix taken as given."""
+    """Run the sort-and-minmax selection on a residual matrix taken as given (NaN refused)."""
     residuals = np.asarray(residuals, dtype=float)
     if residuals.ndim != 2 or residuals.size == 0:
         raise ScenarioError("residual matrix must be 2-D and nonempty")
     if residuals.shape[1] != len(situations):
         raise ScenarioError("residual matrix width does not match situation labels")
+    for row, m in np.argwhere(np.isnan(residuals))[:1].tolist():
+        raise ScenarioError(f"residual row {row} of situation {situations[m]} is not a number")
 
     sorted_residuals = np.sort(residuals, axis=0)
     # Compared as floats: an int64 cast overflows on residuals above ~9.2e9.

@@ -467,9 +467,7 @@ def solve_production_plan(
             if np.any(np.asarray(x, dtype=float) @ use > limits + _EPS):
                 continue
             value = float(profit @ x)
-            if value > best_value + _EPS or (
-                math.isclose(value, best_value) and (best_x is None or x < best_x)
-            ):
+            if value > best_value + _EPS or (best_x is None and value == best_value):
                 best_x, best_value = x, value
         if best_x is None:
             raise InfeasibleError("no integer plan satisfies the resource limits")

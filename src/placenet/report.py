@@ -15,6 +15,9 @@ from .agents import Situation, agent1_components, storage_income
 from .compromise import CompromiseResult, PayoffMatrix
 from .scenario import Scenario
 
+# The fields of each `plant_economics` row of a detailed report.
+_ECONOMICS_KEYS = ("plant", "product", "quantity", "total_value", "unit_value", "net_profit")
+
 
 def build_report(
     scenario: Scenario,
@@ -45,14 +48,7 @@ def build_report(
                         for s in entries
                     ],
                     "plant_economics": [
-                        {
-                            "plant": econ.plant,
-                            "product": econ.product,
-                            "quantity": econ.quantity,
-                            "total_value": econ.total_value,
-                            "unit_value": econ.unit_value,
-                            "net_profit": econ.net_profit,
-                        }
+                        {key: getattr(econ, key) for key in _ECONOMICS_KEYS}
                         for econ in situation.economics.values()
                     ],
                     "agent1_components": components,

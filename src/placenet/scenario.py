@@ -192,6 +192,14 @@ def _require(data: dict[str, Any], key: str, context: str) -> Any:
     return data[key]
 
 
+def _require_each(table: dict, keys, message: str, **fields: Any) -> None:
+    """Refuse the first of ``keys`` missing from ``table``: ``message`` is a
+    constant template, and node ids go in as ``fields``."""
+    for key in keys:
+        if key not in table:
+            raise ScenarioError(message.format(key=key, **fields))
+
+
 def _number(value: Any, what: str, kind: type = float) -> Any:
     """A finite ``kind`` (an int must be integral), or a ScenarioError naming
     the field.  A JSON boolean is not a number, though float() reads it as 1 or 0."""
@@ -241,12 +249,12 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         coords.append(tuple(_number(spec.get(axis, 0.0), f"nodes[{i}].{axis}") for axis in "xy"))
     node_labels = list(index)
 
-    def node_ref(label: Any, context: str, plants: tuple[str, ...] | None = None) -> str:
+    def node_ref(label: Any, context: str, group=None, role: str = "a plant candidate") -> str:
         label = str(label)
         if label not in index:
             raise ScenarioError(f"{context}: unknown node id {label!r}")
-        if plants is not None and label not in plants:
-            raise ScenarioError(f"{context}: {label!r} is not a plant candidate")
+        if group is not None and label not in group:
+            raise ScenarioError(f"{context}: {label!r} is not {role}")
         return label
 
     commodities: dict[str, Commodity] = {}
@@ -341,18 +349,14 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         if not any(v > 0 for v in recipe.values()):
             raise ScenarioError(f"recipe for {product}: needs at least one positive entry")
         recipes[product] = recipe
-    for product in product_ids:
-        if product not in recipes:
-            raise ScenarioError(f"recipes: product {product!r} has no recipe")
+    _require_each(recipes, product_ids, "recipes: product {key!r} has no recipe")
 
     sites_spec = _require(data, "sites", "scenario")
     extraction = {
         commodity_ref(rid, "sites.extraction", RAW): node_ref(label, f"sites.extraction[{rid}]")
         for rid, label in _entries(_require(sites_spec, "extraction", "sites"), "sites.extraction")
     }
-    for rid in raw_ids:
-        if rid not in extraction:
-            raise ScenarioError(f"sites.extraction: raw {rid!r} has no extraction node")
+    _require_each(extraction, raw_ids, "sites.extraction: raw {key!r} has no extraction node")
 
     def site_list(key: str) -> tuple[str, ...]:
         what = f"sites.{key}"
@@ -373,9 +377,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
     demand_spec = _require(data, "demand", "scenario")
     store_demand: dict[str, dict[str, int]] = {}
     for store, entries in _entries(_require(demand_spec, "stores", "demand"), "demand.stores"):
-        node_ref(store, "demand.stores")
-        if store not in sites.stores:
-            raise ScenarioError(f"demand.stores: {store!r} is not a store site")
+        node_ref(store, "demand.stores", sites.stores, "a store site")
         per_product = {}
         for product, units in _entries(entries, f"demand for {store}"):
             commodity_ref(product, f"demand for {store}", PRODUCT)
@@ -394,9 +396,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
             _require(demand_spec, "retail_prices", "demand"), "demand.retail_prices"
         )
     }
-    for product in product_ids:
-        if product not in retail_prices:
-            raise ScenarioError(f"demand.retail_prices: missing product {product!r}")
+    _require_each(retail_prices, product_ids, "demand.retail_prices: missing product {key!r}")
 
     production_spec = _require(data, "production", "scenario")
     factors: dict[str, dict[str, float]] = {}
@@ -410,12 +410,9 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
             if not j_factor > 0:
                 raise ScenarioError(f"production factor at {plant} for {product} must be > 0")
             factors[plant][product] = j_factor
+    missing = "production.factors: missing factor for plant {plant!r}, product {key!r}"
     for plant in sites.plants:
-        for product in product_ids:
-            if factors.get(plant, {}).get(product) is None:
-                raise ScenarioError(
-                    f"production.factors: missing factor for plant {plant!r}, product {product!r}"
-                )
+        _require_each(factors.get(plant, {}), product_ids, missing, plant=plant)
     exponents: dict[str, dict[str, float]] = {}
     exponent_spec = _require(production_spec, "exponents", "production")
     for product, entries in _entries(exponent_spec, "production.exponents"):
@@ -427,9 +424,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
             if not exponent > 0:
                 raise ScenarioError(f"exponent for {product}/{rid} must be > 0")
             exponents[product][rid] = exponent
-    for product in product_ids:
-        if product not in exponents:
-            raise ScenarioError(f"production.exponents: missing product {product!r}")
+    _require_each(exponents, product_ids, "production.exponents: missing product {key!r}")
 
     capacity: dict[str, dict[str, float]] = {}
     for plant, entries in _entries(production_spec.get("capacity", {}), "production.capacity"):

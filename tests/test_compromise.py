@@ -176,6 +176,17 @@ class TestSelection:
         climbed = select_from_residuals(np.array([[2.0, 1.0], [1e300, 1e300]]), ("s0", "s1"))
         assert [step.survivors for step in climbed.trace] == [(0, 1), (1,)]
 
+    def test_nan_residual_is_refused_naming_row_and_situation(self):
+        with pytest.raises(ScenarioError, match=r"^residual row 0 of situation a is not a number$"):
+            select_from_residuals(np.array([[np.nan, 1.0]]), ("a", "b"))
+        residuals = np.array([[0.0, 1.0], [2.0, np.nan]])
+        with pytest.raises(ScenarioError, match=r"^residual row 1 of situation b is not a number$"):
+            select_from_residuals(residuals, ("a", "b"))
+
+    def test_infinite_residual_still_ranks_last(self):
+        result = select_from_residuals(np.array([[np.inf, 1.0]]), ("a", "b"))
+        assert result.selected_labels == ("b",)
+
 
 class TestOverflow:
     """Finite payoffs whose residuals pass the float range are refused."""
