@@ -491,6 +491,10 @@ MALFORMED = [
     (("nodes", 3, "y"), None, "nodes[3].y"),
     (("edges", 0, "cost", "a1"), "zz", "edges[0] cost for a1"),
     (("commodities", 0, "storage_fee"), "free", "commodity a1: storage_fee"),
+    (("commodities", 0, "unit_cost"), "cheap", "commodity a1: unit_cost"),
+    (("commodities", 0, "unit_cost"), -1, "commodity a1: unit_cost"),
+    (("commodities", 0, "purchase_price"), [15], "commodity a1: purchase_price"),
+    (("commodities", 0, "purchase_price"), -0.5, "commodity a1: purchase_price"),
     (("grid_costs",), {"a1": {"horizontal": "h", "vertical": 1}}, "grid_costs[a1].horizontal"),
     (("production", "factors", "x7", "b1"), "j", "production factor at x7 for b1"),
     (("production", "exponents", "b2", "a1"), [0.5], "exponent for b2/a1"),
@@ -1018,6 +1022,7 @@ class TestPaths:
     def test_unknown_commodity_exits_2(self):
         proc = run_cli("paths", "-s", FIXTURES / "example_s8.json", "--commodity", "zz")
         assert proc.returncode == 2
+        assert (proc.stdout, proc.stderr) == ("", "error: no edge carries commodity 'zz'\n")
 
     @pytest.mark.parametrize("commodity, fmt, digest", PATHS_PINS)
     def test_output_matches_pin(self, tmp_path, commodity, fmt, digest):
@@ -1136,6 +1141,13 @@ class TestSolvers:
                 "",
                 f"error: loading instance must be an object, got {document!r}\n",
             )
+
+    @pytest.mark.parametrize("quantum", ["0", "-1"])
+    def test_load_nonpositive_quantum_exits_2(self, capsys, quantum):
+        from placenet.cli import main
+
+        assert main(["load", str(FIXTURES / "loading_small.json"), f"--quantum={quantum}"]) == 2
+        assert capsys.readouterr().err == "error: quantum must be > 0\n"
 
     def test_plan_fixture(self):
         proc = run_cli("plan", FIXTURES / "plan_small.json")
