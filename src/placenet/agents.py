@@ -110,14 +110,11 @@ def storage_income(scenario: Scenario) -> tuple[float, float]:
     """Storage fee times stored units, (raws, products): all raw requirements
     and all product demand, the same in every situation."""
     totals = costflow.total_demand(scenario)
-    raw_income = sum(
-        scenario.commodities[rid].storage_fee * units
-        for rid, units in costflow.raw_requirements(totals, scenario.recipes).items()
+    stored = costflow.raw_requirements(totals, scenario.recipes), totals
+    return tuple(
+        sum(scenario.commodities[cid].storage_fee * units for cid, units in group.items())
+        for group in stored
     )
-    product_income = sum(
-        scenario.commodities[product].storage_fee * units for product, units in totals.items()
-    )
-    return raw_income, product_income
 
 
 def agent1_components(

@@ -59,13 +59,14 @@ def cmd_solve(args: argparse.Namespace) -> tuple[str, dict]:
 
 def cmd_paths(args: argparse.Namespace) -> tuple[str, dict]:
     scenario = load_scenario(args.scenario)
-    scenario.check_carried(args.commodity)
+    if args.commodity not in scenario.edges:
+        raise scenario.route_error(args.commodity)
     labels, (tails, heads, costs) = scenario.node_labels, scenario.edges[args.commodity]
     dist = shortest_paths(len(labels), (tails, heads, costs), range(len(labels)))
     if np.isinf(dist).any():  # no route, or every route's cost past the float range
         hops = shortest_paths(len(labels), (tails, heads, np.zeros_like(costs)), range(len(labels)))
         for a, b in np.argwhere(np.isinf(dist) & (hops == 0))[:1].tolist():
-            scenario.check_route(args.commodity, labels[a], labels[b])
+            raise scenario.route_error(args.commodity, labels[a], labels[b])
     payload = {
         "scenario": scenario.name,
         "digest": scenario.digest,

@@ -207,7 +207,9 @@ def _check_flow(scenario, plants, outputs, warehouses) -> None:
         if np.isinf(cost).any():
             plant, store = np.argwhere(np.isinf(cost))[0]
             for warehouse in warehouses:
-                scenario.check_route(product, plants[plant], warehouse, stores[store])
+                error = scenario.route_error(product, plants[plant], warehouse, stores[store])
+                if isinstance(error, ScenarioError):
+                    raise error
             raise InfeasibleError(
                 f"no {product} route from {plants[plant]} to {stores[store]} via {warehouses}"
             )
@@ -272,11 +274,7 @@ def select_raw_warehouses(
                 found.append(ScenarioError(f"{route} overflows its raw-warehouse score"))
                 continue
             route = scenario.sites.extraction[rid], candidates[perms[k, i]], plants[i]
-            try:
-                scenario.check_route(rid, *route)
-                found.append(InfeasibleError(f"no {rid} route {' -> '.join(route)}"))
-            except ScenarioError as exc:
-                found.append(exc)
+            found.append(scenario.route_error(rid, *route))
     return found
 
 

@@ -73,6 +73,9 @@ class TransportInstance:
             raise ScenarioError("cost matrix shape must be len(supply) x len(demand)")
         if any(c < 0 for row in self.costs for c in row):
             raise ScenarioError("transport costs must be >= 0")
+        for side in ("supply", "demand"):  # balance cannot compare an inf total
+            if math.isinf(sum(getattr(self, side))):
+                raise ScenarioError(f"{side} total is past the float range")
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "TransportInstance":
@@ -399,12 +402,8 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray
     Returns the optimal y; optimality holds when no reduced cost is positive.
     """
     n_rows, n_vars = rows.shape
-    tableau = np.zeros((n_rows, n_vars + n_rows + 1))
-    tableau[:, :n_vars] = rows
-    tableau[:, n_vars : n_vars + n_rows] = np.eye(n_rows)
-    tableau[:, -1] = rhs
-    objective = np.zeros(n_vars + n_rows)
-    objective[:n_vars] = c
+    tableau = np.hstack([rows, np.eye(n_rows), rhs[:, None]])
+    objective = np.concatenate([c, np.zeros(n_rows)])
     basis = list(range(n_vars, n_vars + n_rows))
 
     while True:
@@ -429,8 +428,7 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray
         basis[pivot_row] = entering
 
     y = np.zeros(n_vars + n_rows)
-    for i, var in enumerate(basis):
-        y[var] = tableau[i, -1]
+    y[basis] = tableau[:, -1]
     return y[:n_vars]
 
 

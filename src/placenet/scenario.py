@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import InfeasibleError, ScenarioError
 from .network import shortest_paths
 
 DEFAULT_PLANT_CAPACITY = 10.0
@@ -27,6 +27,7 @@ DEFAULT_HANDLING_RATE = 0.2
 
 RAW = "raw"
 PRODUCT = "product"
+_MONEY = ("unit_cost", "purchase_price", "storage_fee")  # a product may set only the last
 
 Edges = tuple[np.ndarray, np.ndarray, np.ndarray]  # (tails, heads, costs) in edge order
 _NO_EDGES: Edges = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
@@ -121,20 +122,18 @@ class Scenario:
         rows = shortest_paths(len(self.node_labels), edges, a + b)
         return rows[: len(a), b][:, :, None] + rows[len(a) :, c][None, :, :]
 
-    def check_carried(self, commodity: str) -> None:
-        """Raise ScenarioError when no edge carries the commodity."""
+    def route_error(self, commodity: str, *labels: str) -> ScenarioError | InfeasibleError:
+        """The error an infinite route cost through ``labels`` stands for: no edge carries
+        the commodity, a cost past the float range (each hop has a route), or no route."""
         if commodity not in self.edges:
-            raise ScenarioError(f"no edge carries commodity {commodity!r}")
-
-    def check_route(self, commodity: str, *labels: str) -> None:
-        """Raise ScenarioError when no edge carries the commodity, or when the route
-        through ``labels`` exists, so that its cost, found inf, is past the float range."""
-        self.check_carried(commodity)
+            return ScenarioError(f"no edge carries commodity {commodity!r}")
         tails, heads, costs = self.edges[commodity]
         nodes = [self.node_index[label] for label in labels]
         hops = shortest_paths(len(self.node_labels), (tails, heads, np.zeros_like(costs)), nodes[:-1])
+        route = " -> ".join(labels)
         if not hops[range(len(hops)), nodes[1:]].any():  # 0 where a hop has a route
-            raise ScenarioError(f"the {commodity} route cost {' -> '.join(labels)} overflows")
+            return ScenarioError(f"the {commodity} route cost {route} overflows")
+        return InfeasibleError(f"no {commodity} route {route}")
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "Scenario":
@@ -265,18 +264,11 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
             raise ScenarioError(f"commodity {cid}: kind must be 'raw' or 'product'")
         if cid in commodities:
             raise ScenarioError(f"commodities: duplicate id {cid!r}")
-        commodities[cid] = Commodity(
-            id=cid,
-            kind=kind,
-            unit_cost=_nonneg(spec.get("unit_cost", 0.0), f"commodity {cid}: unit_cost"),
-            purchase_price=_nonneg(
-                spec.get("purchase_price", 0.0), f"commodity {cid}: purchase_price"
-            ),
-            storage_fee=_nonneg(spec.get("storage_fee", 0.0), f"commodity {cid}: storage_fee"),
-        )
-        for key in ("unit_cost", "purchase_price"):
-            if kind == PRODUCT and getattr(commodities[cid], key):
+        money = {key: _nonneg(spec.get(key, 0.0), f"commodity {cid}: {key}") for key in _MONEY}
+        for key in _MONEY[:2]:
+            if kind == PRODUCT and money[key]:
                 raise ScenarioError(f"commodity {cid}: {key} has no effect on a product")
+        commodities[cid] = Commodity(cid, kind, **money)
     raw_ids = [c.id for c in commodities.values() if c.kind == RAW]
     product_ids = [c.id for c in commodities.values() if c.kind == PRODUCT]
 
@@ -425,6 +417,11 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
                 raise ScenarioError(f"exponent for {product}/{rid} must be > 0")
             exponents[product][rid] = exponent
     _require_each(exponents, product_ids, "production.exponents: missing product {key!r}")
+    outside = "production.exponents[{product}]: {key!r} is not in the recipe for {product}"
+    absent = "production.exponents[{product}]: missing exponent for recipe raw {key!r}"
+    for product, used in exponents.items():  # exactly the raws that plant_economics spends
+        _require_each(recipes[product], used, outside, product=product)
+        _require_each(used, recipes[product], absent, product=product)
 
     capacity: dict[str, dict[str, float]] = {}
     for plant, entries in _entries(production_spec.get("capacity", {}), "production.capacity"):

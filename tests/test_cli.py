@@ -643,6 +643,18 @@ LOADER_REFUSED = [
         {"b1": {}, "b2": {}},
         "production.exponents: missing product 'b3'",
     ),
+    # an exponent outside the recipe would zero the output value; a missing one would drop its raw
+    (("recipes", "b1"), {"a1": 1}, "production.exponents[b1]: 'a2' is not in the recipe for b1"),
+    (
+        ("production", "exponents", "b1"),
+        {},
+        "production.exponents[b1]: missing exponent for recipe raw 'a1'",
+    ),
+    (
+        ("production", "exponents", "b2"),
+        {"a1": 0.33},
+        "production.exponents[b2]: missing exponent for recipe raw 'a2'",
+    ),
     (
         ("production", "splits", 0, "plants"),
         ["x7", "x7"],
@@ -1115,6 +1127,25 @@ class TestSolvers:
         assert capsys.readouterr().err == (
             "infeasible: the transportation solver hit its pivot limit (1) before an optimum\n"
         )
+
+    @pytest.mark.parametrize(
+        "supply, demand, side",
+        [([1e308, 1e308], [1e308], "supply"), ([1e308], [1e308, 1e308], "demand"),
+         ([1e308, 1e308], [1e308, 1e308], "supply")],
+        ids=["supply", "demand", "both"],
+    )
+    def test_transport_total_past_the_float_range_exits_2(
+        self, tmp_path, capsys, supply, demand, side
+    ):
+        # An inf total passes balance's rounding test (inf - 1e308 is within
+        # n * 2**-52 * inf), so half of a 2e308 supply would ship with exit 0.
+        from placenet.cli import main
+
+        path = tmp_path / "transport.json"
+        costs = [[1] * len(demand) for _ in supply]
+        path.write_text(json.dumps({"supply": supply, "demand": demand, "costs": costs}))
+        assert main(["transport", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {side} total is past the float range\n")
 
     def test_load_fixture(self):
         proc = run_cli("load", FIXTURES / "loading_small.json", "--format", "json")

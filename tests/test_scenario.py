@@ -108,6 +108,27 @@ class TestLoad:
         doc["commodities"][2].update(unit_cost=0, purchase_price=0.0)
         Scenario.from_dict(doc)  # loads: a zero cost has nothing to ignore
 
+    @pytest.mark.parametrize(
+        "a1_cost, route, error",
+        [
+            (1, ("zz",), ScenarioError("no edge carries commodity 'zz'")),
+            (
+                1e308,
+                ("a1", "x1", "x2", "x7"),
+                ScenarioError("the a1 route cost x1 -> x2 -> x7 overflows"),
+            ),
+            (1, ("a1", "x7", "x1"), InfeasibleError("no a1 route x7 -> x1")),
+        ],
+        ids=["uncarried", "overflow", "no-route"],
+    )
+    def test_route_error_gives_each_verdict(self, s8_dict, a1_cost, route, error):
+        doc = copy.deepcopy(s8_dict)
+        for edge in doc["edges"]:
+            if "a1" in edge["cost"]:
+                edge["cost"]["a1"] = a1_cost
+        found = Scenario.from_dict(doc).route_error(*route)
+        assert (type(found), str(found)) == (type(error), str(error))
+
 
 class TestFuzzedFixtures:
     def test_mutations_fail_cleanly_or_run(self, s8_dict):
