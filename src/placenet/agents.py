@@ -58,11 +58,24 @@ def enumerate_situations(
     skipped = [] if skipped is None else skipped
     pairs = list(itertools.combinations(scenario.sites.plants, 2))
     totals = costflow.total_demand(scenario)
-    staged = [_allocate(scenario, totals, plants) for plants in pairs]
-    raws = functools.partial(costflow.select_raw_warehouses, scenario, mode=warehouse_mode)
-    _extend(staged, raws, lambda plants, _, requirements: (plants, requirements))
-    products = functools.partial(costflow.select_product_warehouses, scenario)
-    _extend(staged, products, lambda plants, outputs, *_: (plants, outputs))
+    staged = []  # per pair: its stages so far, or the error that ended them
+    for plants in pairs:
+        try:
+            outputs = production.allocate_output(totals, plants, scenario.production.capacity_for,
+                                                 scenario.production.splits.get(frozenset(plants)))
+            requirements = {plant: costflow.raw_requirements(outputs[plant], scenario.recipes)
+                            for plant in plants}
+            staged.append((plants, outputs, requirements))
+        except (InfeasibleError, ScenarioError) as exc:
+            staged.append(exc)
+    raw_search = functools.partial(costflow.select_raw_warehouses, mode=warehouse_mode)
+    # Each search runs once over the pairs without an error: the cases are (plants,
+    # requirements), stage field 2, then (plants, outputs), field 1.
+    for search, field in ((raw_search, 2), (costflow.select_product_warehouses, 1)):
+        live = [k for k, stage in enumerate(staged) if not isinstance(stage, Exception)]
+        cases = [(staged[k][0], staged[k][field]) for k in live]
+        for k, result in zip(live, search(scenario, cases)):
+            staged[k] = result if isinstance(result, Exception) else (*staged[k], result)
     economics = functools.cache(lambda *key: production.plant_economics(scenario, *key))
     situations = []
     for plants, stage in zip(pairs, staged):
@@ -80,30 +93,6 @@ def enumerate_situations(
             continue
         situations.append(Situation(plants, raws, warehouses, outputs, cost, economy, requirements))
     return situations
-
-
-def _allocate(scenario, totals, plants):
-    """A pair's output allocation and raw requirements, or the InfeasibleError
-    or ScenarioError that computing them raises."""
-    try:
-        override = scenario.production.splits.get(frozenset(plants))
-        outputs = production.allocate_output(
-            totals, plants, scenario.production.capacity_for, override
-        )
-        requirements = {
-            plant: costflow.raw_requirements(outputs[plant], scenario.recipes) for plant in plants
-        }
-    except (InfeasibleError, ScenarioError) as exc:
-        return exc
-    return plants, outputs, requirements
-
-
-def _extend(staged, search, case) -> None:
-    """Runs one batched ``search`` over the ``case`` of each stage without an
-    error, and extends that stage by its result or replaces it by its error."""
-    live = [k for k, stage in enumerate(staged) if not isinstance(stage, Exception)]
-    for k, result in zip(live, search([case(*staged[k]) for k in live])):
-        staged[k] = result if isinstance(result, Exception) else (*staged[k], result)
 
 
 def storage_income(scenario: Scenario) -> tuple[float, float]:

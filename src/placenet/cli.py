@@ -2,10 +2,10 @@
 
 Subcommands: solve, paths, transport, load, plan.  Exit codes: 0 on success,
 2 on invalid input, 3 on infeasible instances.  Each subcommand returns its
-header line and its JSON payload; `main` prints the payload as JSON or as the
-subcommand's table, which is rendered from that payload alone, to stdout or
---out.  The table header line (run metadata, no timestamps) can be dropped
-with --no-header, and JSON output never carries one so it always parses.
+JSON payload; `main` prints it as JSON or as the subcommand's table, which is
+rendered from that payload alone, to stdout or --out.  `main` writes the table
+header line (run metadata, no timestamps), which --no-header drops; JSON
+output never carries one so it always parses.
 """
 
 from __future__ import annotations
@@ -37,11 +37,7 @@ def _command(sub, name: str, help: str, func, table) -> argparse.ArgumentParser:
     return parser
 
 
-def _header(command: str, name: str, digest: str, key: str = "instance") -> str:
-    return f"# placenet {command} {key}={name} digest=sha256:{digest}"
-
-
-def cmd_solve(args: argparse.Namespace) -> tuple[str, dict]:
+def cmd_solve(args: argparse.Namespace) -> dict:
     scenario = load_scenario(args.scenario)
     skipped: list[tuple[tuple[str, str], str]] = []
     situations = agents.enumerate_situations(scenario, args.warehouse_selection, skipped)
@@ -53,11 +49,10 @@ def cmd_solve(args: argparse.Namespace) -> tuple[str, dict]:
         )
     matrix = agents.evaluate_all(scenario, situations)
     result = compromise.compromise_select(matrix, normalize=args.normalize)
-    payload = report.build_report(scenario, situations, matrix, result, skipped, args.detail)
-    return _header("solve", scenario.name, scenario.digest, "scenario"), payload
+    return report.build_report(scenario, situations, matrix, result, skipped, args.detail)
 
 
-def cmd_paths(args: argparse.Namespace) -> tuple[str, dict]:
+def cmd_paths(args: argparse.Namespace) -> dict:
     scenario = load_scenario(args.scenario)
     if args.commodity not in scenario.edges:
         raise scenario.route_error(args.commodity)
@@ -67,14 +62,13 @@ def cmd_paths(args: argparse.Namespace) -> tuple[str, dict]:
         hops = shortest_paths(len(labels), (tails, heads, np.zeros_like(costs)), range(len(labels)))
         for a, b in np.argwhere(np.isinf(dist) & (hops == 0))[:1].tolist():
             raise scenario.route_error(args.commodity, labels[a], labels[b])
-    payload = {
+    return {
         "scenario": scenario.name,
         "digest": scenario.digest,
         "commodity": args.commodity,
         "nodes": list(labels),
         "dist": [[None if math.isinf(v) else float(v) for v in row] for row in dist],
     }
-    return _header("paths", scenario.name, scenario.digest, "scenario"), payload
 
 
 def _paths_table(payload: dict) -> list[str]:
@@ -88,10 +82,10 @@ def _paths_table(payload: dict) -> list[str]:
     return lines
 
 
-def cmd_transport(args: argparse.Namespace) -> tuple[str, dict]:
+def cmd_transport(args: argparse.Namespace) -> dict:
     data, digest = read_document(args.instance)
     plan = optimizers.solve_transportation(optimizers.TransportInstance.from_dict(data))
-    payload = {
+    return {
         "digest": digest,
         "allocation": [list(row) for row in plan.allocation],
         "objective": plan.objective,
@@ -99,7 +93,6 @@ def cmd_transport(args: argparse.Namespace) -> tuple[str, dict]:
         "fictitious": list(plan.fictitious) if plan.fictitious else None,
         "basis": [list(cell) for cell in plan.basis],
     }
-    return _header("transport", args.instance.name, digest), payload
 
 
 def _transport_table(payload: dict) -> list[str]:
@@ -111,14 +104,13 @@ def _transport_table(payload: dict) -> list[str]:
     return lines + [f"objective L = {payload['objective']:g}"]
 
 
-def cmd_load(args: argparse.Namespace) -> tuple[str, dict]:
+def cmd_load(args: argparse.Namespace) -> dict:
     data, digest = read_document(args.instance)
     if args.capacity is not None:
         data = dict(_expect(data, dict, "loading instance"), capacity=args.capacity)
     instance = optimizers.LoadingInstance.from_dict(data, quantum=args.quantum)
     solution = optimizers.solve_loading(instance)
-    payload = {"digest": digest, "counts": dict(solution.counts), "objective": solution.objective}
-    return _header("load", args.instance.name, digest), payload
+    return {"digest": digest, "counts": dict(solution.counts), "objective": solution.objective}
 
 
 def _load_table(payload: dict) -> list[str]:
@@ -126,12 +118,11 @@ def _load_table(payload: dict) -> list[str]:
     return lines + [f"objective z = {payload['objective']:g}"]
 
 
-def cmd_plan(args: argparse.Namespace) -> tuple[str, dict]:
+def cmd_plan(args: argparse.Namespace) -> dict:
     data, digest = read_document(args.instance)
     instance = optimizers.PlanInstance.from_dict(data)
     x, objective = optimizers.solve_production_plan(instance, integer=args.integer)
-    payload = {"digest": digest, "x": list(x), "objective": objective}
-    return _header("plan", args.instance.name, digest), payload
+    return {"digest": digest, "x": list(x), "objective": objective}
 
 
 def _plan_table(payload: dict) -> list[str]:
@@ -194,10 +185,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        header, payload = args.func(args)
+        payload = args.func(args)
         if args.format == "json":
             text = report.render_json(payload)
         else:
+            key = "scenario" if "scenario" in payload else "instance"
+            name = payload["scenario"] if key == "scenario" else args.instance.name
+            header = f"# placenet {args.command} {key}={name} digest=sha256:{payload['digest']}"
             lines = args.table(payload)
             text = "\n".join(lines if args.no_header else [header, *lines]) + "\n"
         if args.out is None:

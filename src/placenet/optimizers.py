@@ -412,14 +412,11 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray
         if not positive.size:
             break
         entering = int(positive[0])
-        ratios = [
-            (tableau[i, -1] / tableau[i, entering], basis[i], i)
-            for i in range(n_rows)
-            if tableau[i, entering] > _EPS
-        ]
-        if not ratios:
+        eligible = np.flatnonzero(tableau[:, entering] > _EPS)
+        if not eligible.size:
             raise InfeasibleError("linear program is unbounded")
-        _, _, pivot_row = min(ratios)
+        ratios = tableau[eligible, -1] / tableau[eligible, entering]
+        pivot_row = eligible[np.lexsort((np.array(basis)[eligible], ratios))[0]]
         tableau[pivot_row] /= tableau[pivot_row, entering]
         factor = tableau[:, entering].copy()
         factor[pivot_row] = 0.0

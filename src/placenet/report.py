@@ -97,19 +97,16 @@ def render_table(payload: dict[str, Any]) -> list[str]:
     """The table lines of a `build_report` payload, without the header line."""
     agents, situations = payload["agents"], payload["situations"]
     selection = payload["selection"]
-    lines = _format_table("payoff matrix", agents, situations, payload["payoffs"])
-    lines.append("")
-    lines += _format_table("ideal vector", agents, ("ideal",), [[v] for v in payload["ideal"]])
-    lines.append("")
-    lines += _format_table("residuals", agents, situations, payload["residuals"])
-    lines.append("")
-    lines += _format_table(
-        "sorted residuals (ascending per situation)",
-        [f"rank{i + 1}" for i in range(len(payload["sorted_residuals"]))],
-        situations,
-        payload["sorted_residuals"],
-    )
-    lines.append("")
+    ranks = [f"rank{i + 1}" for i in range(len(payload["sorted_residuals"]))]
+    lines = []
+    for table in (
+        ("payoff matrix", agents, situations, payload["payoffs"]),
+        ("ideal vector", agents, ("ideal",), [[v] for v in payload["ideal"]]),
+        ("residuals", agents, situations, payload["residuals"]),
+        ("sorted residuals (ascending per situation)", ranks, situations,
+         payload["sorted_residuals"]),
+    ):
+        lines += [*_format_table(*table), ""]
     lines.append(
         f"compromise: {'; '.join(selection['situations'])}  "
         f"(deciding residual {selection['deciding_value']:.2f})"

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -141,14 +142,21 @@ class Scenario:
 
 
 def read_document(path: Path) -> tuple[Any, str]:
-    """A JSON file's parsed document and the sha256 of its bytes."""
+    """A JSON file's parsed document and the sha256 of its bytes.  Bytes that are
+    not text in the detected encoding, and a lone surrogate, are refused."""
     try:
         raw = path.read_bytes()
-        return json.loads(raw), hashlib.sha256(raw).hexdigest()
+        data = json.loads(raw)  # lets a lone surrogate through, raw or escaped
+        text = raw.decode(json.detect_encoding(raw))  # strict: refuses a raw one
+        if re.search(r"\\u[dD][89a-fA-F]", text):  # an escape: the dump refuses a lone one
+            json.dumps(data, ensure_ascii=False).encode()
+        return data, hashlib.sha256(raw).hexdigest()
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeError as exc:
+        raise ScenarioError(f"{path}: not valid {exc.encoding} text: {exc.reason}") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -340,6 +348,10 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         }
         if not any(v > 0 for v in recipe.values()):
             raise ScenarioError(f"recipe for {product}: needs at least one positive entry")
+        for rid, units in recipe.items():
+            if units == 0:
+                raise ScenarioError(f"recipe for {product}: {rid} must be > 0 units; "
+                                    "leave out a raw the product does not use")
         recipes[product] = recipe
     _require_each(recipes, product_ids, "recipes: product {key!r} has no recipe")
 

@@ -610,6 +610,12 @@ LOADER_REFUSED = [
     (("recipes", "a1"), {"a2": 1}, "recipes: commodity 'a1' is not a product"),
     (("edges", 0, "cost"), {}, "edges[0]: needs a cost map (no grid_costs given)"),
     (("recipes", "b1"), {"a1": 0, "a2": 0}, "recipe for b1: needs at least one positive entry"),
+    # a raw at 0 units would zero the product's value through its exponent
+    (
+        ("recipes", "b1", "a1"),
+        0,
+        "recipe for b1: a1 must be > 0 units; leave out a raw the product does not use",
+    ),
     (
         ("recipes",),
         {"b1": {"a1": 1, "a2": 1}, "b2": {"a1": 1, "a2": 2}},
@@ -914,6 +920,73 @@ def test_malformed_input_exits_2_naming_the_field(
     assert err.startswith("error: ") and message in err
 
 
+# Per subcommand: its fixture, the arguments before and after the file, and
+# where a string of odd text goes in the fixture's text (the X).
+TEXT_CASES = {
+    "solve": ("example_s8", ("-s",), (), ('"example_s8"', '"s8-X"')),
+    "paths": ("example_s8", ("-s",), ("--commodity", "a1"), ('"example_s8"', '"s8-X"')),
+    "transport": ("transport_2x2", (), (), ("{", '{"note": "X", ')),
+    "load": ("loading_small", (), (), ('"crate"', '"crateX"')),
+    "plan": ("plan_small", (), (), ("{", '{"note": "X", ')),
+}
+# How the X is written into the file's bytes, and the encoding and reason the
+# refusal names.
+SURROGATE = "surrogates not allowed"
+NOT_TEXT = {
+    "byte 0xff": (lambda t: t.encode().replace(b"X", b"\xff"), "utf-8", "invalid start byte"),
+    "escape ud800": (lambda t: t.replace("X", "\\ud800").encode(), "utf-8", SURROGATE),
+    "escape uDC00": (lambda t: t.replace("X", "\\uDC00").encode(), "utf-8", SURROGATE),
+    "raw surrogate": (
+        lambda t: t.replace("X", "\ud800").encode("utf-8", "surrogatepass"),
+        "utf-8",
+        "invalid continuation byte",
+    ),
+    "utf-16 surrogate": (
+        lambda t: t.replace("X", "\ud800").encode("utf-16", "surrogatepass"),
+        "utf-16-le",
+        "illegal UTF-16 surrogate",
+    ),
+}
+TEXT = {
+    "surrogate pair": lambda t: t.replace("X", "\\ud83d\\ude00").encode(),
+    "escaped backslash": lambda t: t.replace("X", "\\\\ud800").encode(),
+    "utf-16": lambda t: t.replace("X", "\U0001f600").encode("utf-16"),
+    "utf-8 with BOM": lambda t: t.replace("X", "\u00e9").encode("utf-8-sig"),
+}
+
+
+def _run_on_text(tmp_path, command, write, fmt) -> tuple[int, str]:
+    """Exit code of ``command`` on its fixture with the odd string written by
+    ``write``, and the file's path."""
+    from placenet.cli import main
+
+    name, before, after, (old, new) = TEXT_CASES[command]
+    text = (FIXTURES / f"{name}.json").read_text().replace(old, new, 1)
+    path = tmp_path / "input.json"
+    path.write_bytes(write(text))
+    return main([command, *before, str(path), *after, "--format", fmt]), str(path)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("variant", list(NOT_TEXT))
+@pytest.mark.parametrize("command", list(TEXT_CASES))
+def test_input_that_is_not_text_exits_2_naming_the_file(tmp_path, capsys, command, variant, fmt):
+    write, encoding, reason = NOT_TEXT[variant]
+    code, path = _run_on_text(tmp_path, command, write, fmt)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: not valid {encoding} text: {reason}\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("variant", list(TEXT))
+@pytest.mark.parametrize("command", list(TEXT_CASES))
+def test_encoded_text_still_loads(tmp_path, capsys, command, variant, fmt):
+    code, _ = _run_on_text(tmp_path, command, TEXT[variant], fmt)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "") and out
+
+
 SOLVER_FIXTURES = {
     "transport_2x2": "transport",
     "transport_unbalanced": "transport",
@@ -1073,6 +1146,8 @@ TABLE_PINS = [
     ("plan", "plan_small", ("--no-header",), "ac52af1948a9dd25e4a14908833b88b03890c64043f3fdb2dbfb0c6acb6ba6e5"),
     ("plan", "plan_small", ("--integer",), "3b22866f89ac3a900a1266058802be04fa06ac7da7d036d742451f6e2d7b791f"),
     ("plan", "plan_small", ("--integer", "--no-header"), "ac52af1948a9dd25e4a14908833b88b03890c64043f3fdb2dbfb0c6acb6ba6e5"),
+    ("paths", "example_s8", ("--commodity", "a1"), "4834a149262917d19e74aed4c14c7846f95a41a4b43e19d50f145d322fa7164e"),
+    ("paths", "example_s8", ("--commodity", "a1", "--no-header"), "fd68b8917f5c985676bbf748063ef3e4f71cf455b54a69fdd2726e74fc195355"),
 ]
 
 
@@ -1082,7 +1157,7 @@ def test_table_output_matches_pin(tmp_path, command, name, extra, digest):
 
     out = tmp_path / "table.txt"
     source = str(FIXTURES / f"{name}.json")
-    args = [command, "-s", source] if command == "solve" else [command, source]
+    args = [command, "-s", source] if command in ("solve", "paths") else [command, source]
     assert main([*args, *extra, "--format", "table", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

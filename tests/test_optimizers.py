@@ -403,6 +403,19 @@ class TestLoading:
 
 
 class TestProductionPlan:
+    def test_ratio_ties_leave_by_the_smallest_basis_variable(self):
+        # Rows tie in a ratio test here; the tie rule decides the pivot order,
+        # which shows in the last bits of x.
+        instance = PlanInstance(
+            lower=(0, 0, 0),
+            upper=(2, 3, 3),
+            resource_use=((1, 3), (2, 1), (3, 2)),
+            resource_limits=(6, 6),
+            profit=(2, 1, 0),
+        )
+        x, objective = solve_production_plan(instance)
+        assert (x, objective) == ((1.2, 2.4000000000000004, 0.0), 4.800000000000001)
+
     def test_hand_case_unconstrained_lower(self):
         instance = PlanInstance(
             lower=(0, 0),
