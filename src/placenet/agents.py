@@ -79,18 +79,17 @@ def enumerate_situations(
     economics = functools.cache(lambda *key: production.plant_economics(scenario, *key))
     situations = []
     for plants, stage in zip(pairs, staged):
-        try:
-            if isinstance(stage, Exception):
-                raise stage
-            _, outputs, requirements, raws, (warehouses, cost) = stage
-            economy = {
-                (plant, product): economics(plant, product, outputs[plant].get(product, 0))
-                for plant in plants
-                for product in scenario.product_ids
-            }
-        except InfeasibleError as exc:
-            skipped.append((plants, str(exc)))
+        if isinstance(stage, InfeasibleError):
+            skipped.append((plants, str(stage)))
             continue
+        if isinstance(stage, Exception):
+            raise stage
+        _, outputs, requirements, raws, (warehouses, cost) = stage
+        economy = {
+            (plant, product): economics(plant, product, outputs[plant][product])
+            for plant in plants
+            for product in scenario.product_ids
+        }
         situations.append(Situation(plants, raws, warehouses, outputs, cost, economy, requirements))
     return situations
 

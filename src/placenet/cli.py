@@ -194,22 +194,23 @@ def main(argv: list[str] | None = None) -> int:
             header = f"# placenet {args.command} {key}={name} digest=sha256:{payload['digest']}"
             lines = args.table(payload)
             text = "\n".join(lines if args.no_header else [header, *lines]) + "\n"
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
+        data = text.encode("utf-8", "surrogateescape")  # a file name's undecodable bytes
+        if args.out is not None:
             try:
-                args.out.write_text(text, encoding="utf-8")
+                args.out.write_bytes(data)
             except OSError as exc:
                 raise ScenarioError(f"cannot write {args.out}: {exc.strerror}") from exc
-    except ScenarioError as exc:
+        elif hasattr(sys.stdout, "buffer"):  # UTF-8 whatever the locale
+            sys.stdout.flush()
+            sys.stdout.buffer.write(data)
+        else:  # a text-only stream a caller swapped in
+            sys.stdout.write(text)
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     return EXIT_OK
 
 

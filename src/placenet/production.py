@@ -63,12 +63,11 @@ def plant_economics(scenario: Scenario, plant: str, product: str, quantity: int)
     }
     value = 0.0
     if quantity:
-        value = scenario.production.factors[plant][product]
-        for rid, exponent in scenario.production.exponents[product].items():
-            try:
-                value *= spends.get(rid, 0.0) ** exponent
-            except OverflowError:
-                value = math.inf
+        powers = (spends[rid] ** e for rid, e in scenario.production.exponents[product].items())
+        try:
+            value = math.prod(powers, start=scenario.production.factors[plant][product])
+        except OverflowError:
+            value = math.inf
         if not math.isfinite(value):  # an overflow, or an overflow times a zero spend
             raise ScenarioError(f"output value of {product} at plant {plant} overflows")
     return PlantEconomics(plant, product, quantity, sum(spends.values()), value)

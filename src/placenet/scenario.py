@@ -209,9 +209,9 @@ def _require_each(table: dict, keys, message: str, **fields: Any) -> None:
 
 def _number(value: Any, what: str, kind: type = float) -> Any:
     """A finite ``kind`` (an int must be integral), or a ScenarioError naming
-    the field.  A JSON boolean is not a number, though float() reads it as 1 or 0."""
+    the field.  A JSON boolean or string is not a number, though float() reads "1_5" or true."""
     try:
-        if isinstance(value, bool):
+        if isinstance(value, (bool, str)):
             raise TypeError
         number = float(value)
     except (TypeError, ValueError, OverflowError):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from placenet import Scenario, agent1_components, enumerate_situations, evaluate_all
-from placenet import costflow
+from placenet import costflow, load_scenario
 from placenet.agents import agent3_revenue
-from conftest import leg_document, leg_scenario
+from conftest import bench_scenario, leg_document, leg_scenario
 
 # Cheapest-first flow totals over the fixture leg tables, checked by hand.
 DERIVED_FLOW_COSTS = {
@@ -86,6 +86,22 @@ class TestEnumeration:
             pairs = len(enumerate_situations(scenario))
             counts[pairs] = len(calls)
         assert counts == {1: 1, 6: 1}
+
+    @pytest.mark.parametrize("workload", ["example_s8", "synth-wide", "synth-transit"])
+    def test_outputs_lie_within_capacity(self, s8, tmp_path, workload):
+        """Enumeration prices each plant's output of every product without a
+        capacity check of its own: allocation writes them all within
+        [0, capacity], so plant economics never refuses one."""
+        scenario = s8
+        if workload != "example_s8":
+            scenario = load_scenario(bench_scenario(workload, 11, tmp_path))
+        situations = enumerate_situations(scenario)
+        assert situations
+        for situation in situations:
+            for plant in situation.plants:
+                assert list(situation.outputs[plant]) == list(scenario.product_ids)
+                for product, units in situation.outputs[plant].items():
+                    assert 0 <= units <= scenario.production.capacity_for(plant, product)
 
 
 class TestAgentOne:

@@ -1,6 +1,8 @@
+import contextlib
 import copy
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -15,14 +17,15 @@ import pytest
 from conftest import FIXTURES, REPO_ROOT, bench_scenario
 
 
-def run_cli(*args, cwd=REPO_ROOT):
+def run_cli(*args, cwd=REPO_ROOT, text=True, **env):
+    """``placenet`` in a child process, with ``env`` added to its environment."""
     path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
         [sys.executable, "-m", "placenet.cli", *map(str, args)],
         cwd=cwd,
         capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        text=text,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **env},
     )
 
 
@@ -899,6 +902,23 @@ REJECTED = [
     ("load", "loading_small", ("items", 0, "profit"), -1, "item crate: profit must be >= 0"),
     ("plan", "plan_small", ("lower", 0), -1, "plan instance: lower bounds must be >= 0"),
     ("plan", "plan_small", ("resource_use", 0, 0), -1, "plan instance: resource use must be >= 0"),
+    # float() reads these strings as 10, 15, 5 and 0.2
+    ("transport", "transport_2x2", ("supply", 0), "10", "supply[0] must be a number, got '10'"),
+    ("transport", "transport_2x2", ("demand", 1), "1_5", "demand[1] must be a number, got '1_5'"),
+    (
+        "solve",
+        "example_s8",
+        ("demand", "stores", "x14", "b1"),
+        " 5 ",
+        "demand for x14: b1 units must be a number, got ' 5 '",
+    ),
+    (
+        "solve",
+        "example_s8",
+        ("handling_rate",),
+        "2e-1",
+        "handling_rate must be a number, got '2e-1'",
+    ),
 ]
 
 
@@ -985,6 +1005,94 @@ def test_encoded_text_still_loads(tmp_path, capsys, command, variant, fmt):
     code, _ = _run_on_text(tmp_path, command, TEXT[variant], fmt)
     out, err = capsys.readouterr()
     assert (code, err) == (0, "") and out
+
+
+# Each subcommand on its fixture.
+FIXTURE_RUNS = {
+    command: (FIXTURES / f"{name}.json", before, after)
+    for command, (name, before, after, _) in TEXT_CASES.items()
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("command", list(FIXTURE_RUNS))
+def test_out_file_holds_the_stdout_bytes(tmp_path, command, fmt):
+    from placenet.cli import main
+
+    path, before, after = FIXTURE_RUNS[command]
+    args = [command, *before, str(path), *after, "--format", fmt]
+    proc = run_cli(*args, text=False, PYTHONUTF8="1")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert main([*args, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out").read_bytes() == proc.stdout
+
+
+def test_file_name_that_is_not_utf8_writes_to_out(tmp_path):
+    """The header carries the file name's undecodable byte; ``--out`` writes
+    it back unchanged, as stdout does."""
+    path = tmp_path / os.fsdecode(b"t\xff.json")
+    path.write_bytes((FIXTURES / "transport_2x2.json").read_bytes())
+    shown = run_cli("transport", path, text=False, PYTHONUTF8="1")
+    assert (shown.returncode, shown.stderr) == (0, b"")
+    assert shown.stdout.startswith(b"# placenet transport instance=t\xff.json ")
+    written = run_cli("transport", path, "--out", tmp_path / "out", text=False, PYTHONUTF8="1")
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert (tmp_path / "out").read_bytes() == shown.stdout
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        {"PYTHONIOENCODING": "ascii"},
+        {"PYTHONIOENCODING": "latin-1"},
+        {"LC_ALL": "C", "PYTHONUTF8": "0"},
+    ],
+    ids=["ascii", "latin-1", "C locale"],
+)
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, env):
+    path = tmp_path / "s8.json"
+    text = (FIXTURES / "example_s8.json").read_text(encoding="utf-8")
+    path.write_text(text.replace('"example_s8"', '"s8-€"'), encoding="utf-8")
+    expected = run_cli("solve", "-s", path, text=False, PYTHONUTF8="1")
+    assert expected.stdout.startswith("# placenet solve scenario=s8-€ ".encode())
+    proc = run_cli("solve", "-s", path, text=False, **env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.stdout, b"")
+
+
+def test_text_only_stdout_gets_the_text(capsys):
+    """A caller may swap in a stream without a byte buffer."""
+    from placenet.cli import main
+
+    args = ["solve", "-s", str(FIXTURES / "example_s8.json")]
+    assert main(args) == 0
+    expected = capsys.readouterr().out
+    with contextlib.redirect_stdout(io.StringIO()) as stream:
+        assert main(args) == 0
+    assert stream.getvalue() == expected
+
+
+# (subcommand, JSON text) of each json block in docs/formats.md; the
+# subcommand is the first one its section heading names.
+FORMATS = (REPO_ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+DOC_EXAMPLES = [
+    (re.search(r"`(\w+)`", section.split("\n", 1)[0]).group(1), block)
+    for section in FORMATS.split("\n## ")[1:]
+    for block in re.findall(r"^```json\n(.*?)^```", section, re.M | re.S)
+]
+
+
+@pytest.mark.parametrize("command, text", DOC_EXAMPLES, ids=[c for c, _ in DOC_EXAMPLES])
+def test_documented_example_runs(tmp_path, capsys, command, text):
+    from placenet.cli import main
+
+    path = tmp_path / "example.json"
+    path.write_text(text)
+    args = ["-s", str(path)] if command == "solve" else [str(path)]
+    assert main([command, *args]) == 0, capsys.readouterr().err
+
+
+def test_every_input_format_has_an_example():
+    assert sorted(command for command, _ in DOC_EXAMPLES) == ["load", "plan", "solve", "transport"]
 
 
 SOLVER_FIXTURES = {
