@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .scenario import Scenario
 AGENT_LABELS = ("agent1", "agent2", "agent3")
 
 
-@dataclass(frozen=True)
-class Situation:
+class Situation(NamedTuple):
     """One concrete placement with its induced choices and its flow's cost."""
 
     plants: tuple[str, str]

@@ -11,7 +11,8 @@ compromise set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,7 @@ class PayoffMatrix:
             raise ScenarioError("payoff matrix entries must be finite")
 
 
-@dataclass(frozen=True)
-class SelectionStep:
+class SelectionStep(NamedTuple):
     """One tie-climbing round: which sorted row decided, at what value."""
 
     depth: int
@@ -49,8 +49,7 @@ class SelectionStep:
     survivors: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CompromiseResult:
+class CompromiseResult(NamedTuple):
     ideal: np.ndarray | None
     residuals: np.ndarray
     sorted_residuals: np.ndarray
@@ -140,4 +139,4 @@ def compromise_select(matrix: PayoffMatrix, *, normalize: str = NORMALIZE_NONE) 
             compared = _refuse_overflow(residuals / scale[:, None], *labels, "normalized residual")
     result = select_from_residuals(compared, matrix.situations)
     sorted_residuals = np.sort(residuals, axis=0)
-    return replace(result, ideal=ideal, residuals=residuals, sorted_residuals=sorted_residuals)
+    return result._replace(ideal=ideal, residuals=residuals, sorted_residuals=sorted_residuals)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,16 +33,14 @@ _CHUNK_CELLS = 2**14  # cells per batch chunk of the warehouse searches
 _BOUND_SLACK = 1e-9  # relative slack of the pair search's pruning
 
 
-@dataclass(frozen=True)
-class Shipment:
+class Shipment(NamedTuple):
     plant: str
     units: int
     warehouse: str
     unit_cost: float
 
 
-@dataclass(frozen=True)
-class FlowAssignment:
+class FlowAssignment(NamedTuple):
     """Plant-to-store shipments through product warehouses, plus total cost."""
 
     shipments: dict[tuple[str, str], tuple[Shipment, ...]]

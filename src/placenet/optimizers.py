@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -87,8 +87,7 @@ class TransportInstance:
         )
 
 
-@dataclass(frozen=True)
-class TransportPlan:
+class TransportPlan(NamedTuple):
     """Optimal carriage matrix over the balanced instance."""
 
     allocation: tuple[tuple[float, ...], ...]
@@ -184,6 +183,7 @@ def _cycle(parent, entering, m):
     return [entering, *rising[: depth[node]], *reversed(falling)]
 
 
+@np.errstate(over="ignore")  # an overflowed reduced cost is +-inf; _finite checks the rest
 def solve_transportation(instance: TransportInstance) -> TransportPlan:
     """Minimum-cost carriage plan; auto-balances, then potentials to optimality.
 
@@ -250,8 +250,7 @@ def solve_transportation(instance: TransportInstance) -> TransportPlan:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LoadingItem:
+class LoadingItem(NamedTuple):
     name: str
     weight: int
     profit: float
@@ -300,7 +299,8 @@ class LoadingInstance:
             if isinstance(weight, float):
                 raise ScenarioError(f"{what}.weight / quantum must be an integer, got {weight!r}")
             profit = _number(_require(spec, "profit", what), f"{what}.profit")
-            return LoadingItem(str(spec.get("name", f"item{i}")), weight, profit)
+            name = _expect(spec.get("name", f"item{i}"), str, f"{what}.name")
+            return LoadingItem(name, weight, profit)
 
         specs = _expect(_require(data, "items", "loading instance"), list, "items")
         items = tuple(item(i, spec) for i, spec in enumerate(specs))
@@ -309,13 +309,13 @@ class LoadingInstance:
         return LoadingInstance(capacity=capacity, items=items)
 
 
-@dataclass(frozen=True)
-class LoadingSolution:
+class LoadingSolution(NamedTuple):
     counts: dict[str, int]
     objective: float
     table: np.ndarray  # table[i][x] = best profit from stages i.. with x weight left
 
 
+@np.errstate(over="ignore")  # _finite reports an overflowed objective
 def solve_loading(instance: LoadingInstance) -> LoadingSolution:
     """Stage-by-stage dynamic program with backward count reconstruction.
 

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import InfeasibleError, ScenarioError
 from .scenario import Scenario
@@ -25,8 +24,7 @@ def cobb_douglas(j_factor: float, k_spend: float, l_spend: float, a: float, b: f
     return j_factor * k_spend**a * l_spend**b
 
 
-@dataclass(frozen=True)
-class PlantEconomics:
+class PlantEconomics(NamedTuple):
     """One (plant, product) row: input cost, output value, unit value, profit."""
 
     plant: str

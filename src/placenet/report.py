@@ -43,7 +43,7 @@ def build_report(
                     "outputs": {p: dict(v) for p, v in situation.outputs.items()},
                     "flow_cost": situation.flow_cost,
                     "shipments": [
-                        {"product": product, "store": store, **vars(s)}
+                        {"product": product, "store": store, **s._asdict()}
                         for (product, store), entries in sorted(flow.shipments.items())
                         for s in entries
                     ],

@@ -14,9 +14,9 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ Edges = tuple[np.ndarray, np.ndarray, np.ndarray]  # (tails, heads, costs) in ed
 _NO_EDGES: Edges = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
 
 
-@dataclass(frozen=True)
-class Commodity:
+class Commodity(NamedTuple):
     """One raw material or finished product with its money parameters.
 
     ``unit_cost`` is the extraction cost per raw unit; ``purchase_price`` is
@@ -50,8 +49,7 @@ class Commodity:
     storage_fee: float = 0.0
 
 
-@dataclass(frozen=True)
-class Sites:
+class Sites(NamedTuple):
     """Where things may be placed.  All values are node labels."""
 
     extraction: dict[str, str]
@@ -61,8 +59,7 @@ class Sites:
     stores: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ProductionParams:
+class ProductionParams(NamedTuple):
     """Cobb-Douglas factors/exponents, per-plant capacities, output splits.
 
     ``splits`` optionally pins, per unordered plant pair, exactly how many
@@ -73,7 +70,7 @@ class ProductionParams:
     factors: dict[str, dict[str, float]]
     exponents: dict[str, dict[str, float]]
     capacity: dict[str, dict[str, float]]
-    splits: dict[frozenset[str], dict[str, dict[str, int]]] = field(default_factory=dict)
+    splits: dict[frozenset[str], dict[str, dict[str, int]]]
 
     def capacity_for(self, plant: str, product: str) -> float:
         return self.capacity.get(plant, {}).get(product, DEFAULT_PLANT_CAPACITY)
@@ -176,9 +173,9 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def _expect(value: Any, kind: type, what: str) -> Any:
     """``value`` if it is a ``kind`` (dict for a JSON object, list for a JSON
-    list), else a ScenarioError naming the field."""
+    list, str for a JSON string), else a ScenarioError naming the field."""
     if not isinstance(value, kind):
-        noun = "an object" if kind is dict else "a list"
+        noun = {dict: "an object", list: "a list", str: "a string"}[kind]
         raise ScenarioError(f"{what} must be {noun}, got {value!r}")
     return value
 
@@ -241,7 +238,7 @@ def _unenforced(what: str) -> ScenarioError:
 def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    name = str(data.get("name", "scenario"))
+    name = _expect(data.get("name", "scenario"), str, "name")
 
     node_specs = _items(_require(data, "nodes", "scenario"), "nodes")
     if not node_specs:
@@ -249,7 +246,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
     index: dict[str, int] = {}
     coords: list[tuple[float, float]] = []
     for i, spec in enumerate(node_specs):
-        label = str(_require(spec, "id", f"nodes[{i}]"))
+        label = _expect(_require(spec, "id", f"nodes[{i}]"), str, f"nodes[{i}].id")
         if label in index:
             raise ScenarioError(f"nodes: duplicate id {label!r}")
         index[label] = i
@@ -257,8 +254,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
     node_labels = list(index)
 
     def node_ref(label: Any, context: str, group=None, role: str = "a plant candidate") -> str:
-        label = str(label)
-        if label not in index:
+        if _expect(label, str, context) not in index:
             raise ScenarioError(f"{context}: unknown node id {label!r}")
         if group is not None and label not in group:
             raise ScenarioError(f"{context}: {label!r} is not {role}")
@@ -266,7 +262,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
 
     commodities: dict[str, Commodity] = {}
     for i, spec in enumerate(_items(_require(data, "commodities", "scenario"), "commodities")):
-        cid = str(_require(spec, "id", f"commodities[{i}]"))
+        cid = _expect(_require(spec, "id", f"commodities[{i}]"), str, f"commodities[{i}].id")
         kind = str(_require(spec, "kind", f"commodity {cid}"))
         if kind not in (RAW, PRODUCT):
             raise ScenarioError(f"commodity {cid}: kind must be 'raw' or 'product'")
@@ -281,8 +277,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
     product_ids = [c.id for c in commodities.values() if c.kind == PRODUCT]
 
     def commodity_ref(cid: Any, context: str, kind: str | None = None) -> str:
-        cid = str(cid)
-        if cid not in commodities:
+        if cid not in commodities:  # cid is an object key, so a string
             raise ScenarioError(f"{context}: unknown commodity {cid!r}")
         if kind and commodities[cid].kind != kind:
             raise ScenarioError(f"{context}: commodity {cid!r} is not a {kind}")
@@ -364,7 +359,8 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
 
     def site_list(key: str) -> tuple[str, ...]:
         what = f"sites.{key}"
-        labels = tuple(node_ref(x, what) for x in _items(_require(sites_spec, key, "sites"), what))
+        entries = enumerate(_items(_require(sites_spec, key, "sites"), what))
+        labels = tuple(node_ref(_expect(x, str, f"{what}[{k}]"), what) for k, x in entries)
         if not labels:
             raise ScenarioError(f"sites.{key}: list must be nonempty")
         if len(set(labels)) != len(labels):
@@ -448,9 +444,8 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
     splits: dict[frozenset[str], dict[str, dict[str, int]]] = {}
     for i, spec in enumerate(_items(production_spec.get("splits", []), "production.splits")):
         what = f"production.splits[{i}]"
-        pair = tuple(
-            node_ref(p, what) for p in _items(_require(spec, "plants", what), f"{what}.plants")
-        )
+        plants = enumerate(_items(_require(spec, "plants", what), f"{what}.plants"))
+        pair = tuple(node_ref(_expect(p, str, f"{what}.plants[{k}]"), what) for k, p in plants)
         if len(pair) != 2 or pair[0] == pair[1]:
             raise ScenarioError(f"{what}: plants must be two distinct nodes")
         for plant in pair:
@@ -482,7 +477,8 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         raise _unenforced(f"limits.{next(iter(limits))}")
 
     handling_rate = _nonneg(data.get("handling_rate", DEFAULT_HANDLING_RATE), "handling_rate")
-    notes = tuple(str(n) for n in _items(data.get("notes", []), "notes"))
+    notes = _items(data.get("notes", []), "notes")
+    notes = tuple(_expect(note, str, f"notes[{k}]") for k, note in enumerate(notes))
 
     for cid in sorted(edges):  # only a grid cost can fail here, so i is also the edge index
         tails, heads, costs = edges[cid]

@@ -1,11 +1,13 @@
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import importlib.util
 import io
 import json
 import math
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -684,6 +686,19 @@ LOADER_REFUSED = [
         {},
         "production.splits[0]: output must cover exactly both plants",
     ),
+    # ids, the name and notes are strings, not values that str() turns into one
+    (("name",), None, "name must be a string, got None"),
+    (("nodes", 13, "id"), 14, "nodes[13].id must be a string, got 14"),
+    (("commodities", 0, "id"), 1, "commodities[0].id must be a string, got 1"),
+    (("edges", 0, "from"), None, "edges[0].from must be a string, got None"),
+    (("sites", "extraction", "a1"), ["x1"], "sites.extraction[a1] must be a string, got ['x1']"),
+    (("sites", "plants", 1), 12, "sites.plants[1] must be a string, got 12"),
+    (
+        ("production", "splits", 0, "plants", 1),
+        None,
+        "production.splits[0].plants[1] must be a string, got None",
+    ),
+    (("notes", 0), {"a": 1}, "notes[0] must be a string, got {'a': 1}"),
 ]
 REFUSED = NO_EFFECT + LOADER_REFUSED
 
@@ -919,6 +934,7 @@ REJECTED = [
         "2e-1",
         "handling_rate must be a number, got '2e-1'",
     ),
+    ("load", "loading_small", ("items", 0, "name"), 5, "items[0].name must be a string, got 5"),
 ]
 
 
@@ -1270,6 +1286,48 @@ def test_table_output_matches_pin(tmp_path, command, name, extra, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def _overflowed(what: str) -> str:
+    return f"error: the {what} overflowed; the input numbers are too large\n"
+
+
+PLAN_OVERFLOW = json.loads((FIXTURES / "plan_small.json").read_text()) | {"profit": [1e308, 1e308]}
+# (command and case, instance, flags, exit code, stderr) of instances whose
+# numbers pass the float range inside a solver: the message alone, no warning.
+OVERFLOWS = [
+    ("plan", PLAN_OVERFLOW, (), 2, _overflowed("plan objective")),
+    ("plan-integer", PLAN_OVERFLOW, ("--integer",), 2, _overflowed("plan objective")),
+    (
+        "load-dp",
+        {"capacity": 5, "items": [{"weight": 1, "profit": 1e308}, {"weight": 1, "profit": 1e308}]},
+        (),
+        2,
+        _overflowed("loading objective"),
+    ),
+    (
+        "transport-reduced-cost",
+        {"supply": [2, 3], "demand": [3, 1e308, 3], "costs": [[0, 0, 1e308], [1e308, 1.7e308, 0]]},
+        (),
+        2,
+        _overflowed("transport objective"),
+    ),
+    (
+        "transport-solved",
+        {
+            "supply": [2, 3, 1],
+            "demand": [3, 2, 1e308, 1],
+            "costs": [
+                [1.5e308, 1e308, 0, 1.5e308],
+                [1e308, 1e307, 1.5e308, 0],
+                [1e307, 1, 1e307, 0],
+            ],
+        },
+        (),
+        0,
+        "",
+    ),
+]
+
+
 class TestSolvers:
     def test_transport_fixture_objective(self):
         proc = run_cli("transport", FIXTURES / "transport_2x2.json")
@@ -1425,17 +1483,16 @@ class TestSolvers:
         assert proc.returncode == 3
         assert proc.stderr == "infeasible: no integer plan satisfies the resource limits\n"
 
-    @pytest.mark.parametrize("extra", [(), ("--integer",)])
-    def test_plan_overflow_prints_only_the_error(self, tmp_path, extra):
-        doc = json.loads((FIXTURES / "plan_small.json").read_text())
-        doc["profit"] = [1e308, 1e308]
-        path = tmp_path / "plan.json"
+    @pytest.mark.parametrize(
+        "command, doc, extra, code, stderr", OVERFLOWS, ids=[c[0] for c in OVERFLOWS]
+    )
+    def test_solver_overflow_prints_only_the_error(
+        self, tmp_path, command, doc, extra, code, stderr
+    ):
+        path = tmp_path / "instance.json"
         path.write_text(json.dumps(doc))
-        proc = run_cli("plan", path, *extra)
-        assert proc.returncode == 2
-        assert proc.stderr == (
-            "error: the plan objective overflowed; the input numbers are too large\n"
-        )
+        proc = run_cli(command.split("-")[0], path, *extra)
+        assert (proc.returncode, proc.stderr) == (code, stderr)
 
 
 # Each subcommand's own flags; every subcommand also takes --format, --out and --no-header.
@@ -1458,3 +1515,17 @@ def test_subcommand_help_lists_its_flags(capsys, command):
     out = capsys.readouterr().out
     for flag in ("--format", "--out", "--no-header", *OWN_FLAGS[command]):
         assert re.search(rf"^  {flag}\b", out, re.MULTILINE), flag
+
+
+def test_only_a_checking_or_deriving_constructor_makes_a_dataclass():
+    """A record whose constructor only stores its fields is a NamedTuple."""
+    import placenet
+
+    plain = []
+    for info in pkgutil.iter_modules(placenet.__path__):
+        module = importlib.import_module(f"placenet.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                if dataclasses.is_dataclass(cls) and "__post_init__" not in vars(cls):
+                    plain.append(cls.__qualname__)
+    assert plain == []

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import json
@@ -107,7 +106,7 @@ def product_unit_total_cost(scenario, plant_unit_price, product):
     situation = enumerate_situations(scenario)[0]
     plant = situation.plants[0]
     release = PlantEconomics(plant, product, 1, 0.0, plant_unit_price)
-    situation = dataclasses.replace(situation, economics={(plant, product): release})
+    situation = situation._replace(economics={(plant, product): release})
     return agent3_revenue(scenario) - evaluate_all(scenario, [situation]).values[2, 0]
 
 
@@ -635,10 +634,10 @@ def outcome(call, *args):
         result = call(*args)
     except (InfeasibleError, ValueError) as exc:
         return type(exc), str(exc)
-    if isinstance(result, tuple):  # (pair, flow): keep the shipment order too
-        return result[0], list(result[1].shipments.items()), result[1].total_cost
     if isinstance(result, FlowAssignment):
         return list(result.shipments.items()), result.total_cost
+    if isinstance(result, tuple):  # (pair, flow): keep the shipment order too
+        return result[0], list(result[1].shipments.items()), result[1].total_cost
     return result
 
 
