@@ -29,18 +29,6 @@ from .costflow import (
 )
 from .errors import InfeasibleError, ScenarioError
 from .network import shortest_paths
-from .optimizers import (
-    LoadingInstance,
-    LoadingItem,
-    LoadingSolution,
-    PlanInstance,
-    TransportInstance,
-    TransportPlan,
-    balance,
-    solve_loading,
-    solve_production_plan,
-    solve_transportation,
-)
 from .production import (
     PlantEconomics,
     allocate_output,
@@ -50,3 +38,21 @@ from .production import (
 from .scenario import Scenario, load_scenario
 
 __version__ = "0.1.0"
+
+# The solver names load `optimizers` on first use: `solve` and `paths` never need it.
+_OPTIMIZERS = {
+    "LoadingInstance", "LoadingItem", "LoadingSolution", "PlanInstance", "TransportInstance",
+    "TransportPlan", "balance", "solve_loading", "solve_production_plan", "solve_transportation",
+}
+
+
+def __getattr__(name: str):
+    if name in _OPTIMIZERS:
+        from . import optimizers
+
+        return getattr(optimizers, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return [*globals(), *_OPTIMIZERS]

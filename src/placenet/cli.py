@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import agents, compromise, costflow, optimizers, report
+from . import agents, compromise, costflow, report
 from .errors import InfeasibleError, ScenarioError
 from .network import shortest_paths
 from .scenario import _expect, load_scenario, read_document
@@ -83,6 +83,7 @@ def _paths_table(payload: dict) -> list[str]:
 
 
 def cmd_transport(args: argparse.Namespace) -> dict:
+    from . import optimizers  # loaded here only: solve and paths never need it
     data, digest = read_document(args.instance)
     plan = optimizers.solve_transportation(optimizers.TransportInstance.from_dict(data))
     return {
@@ -105,6 +106,7 @@ def _transport_table(payload: dict) -> list[str]:
 
 
 def cmd_load(args: argparse.Namespace) -> dict:
+    from . import optimizers
     data, digest = read_document(args.instance)
     if args.capacity is not None:
         data = dict(_expect(data, dict, "loading instance"), capacity=args.capacity)
@@ -119,6 +121,7 @@ def _load_table(payload: dict) -> list[str]:
 
 
 def cmd_plan(args: argparse.Namespace) -> dict:
+    from . import optimizers
     data, digest = read_document(args.instance)
     instance = optimizers.PlanInstance.from_dict(data)
     x, objective = optimizers.solve_production_plan(instance, integer=args.integer)

@@ -43,6 +43,14 @@ def _matrix(rows: Any, what: str) -> tuple[tuple[float, ...], ...]:
     return tuple(_numbers(row, f"{what}[{i}]") for i, row in enumerate(_expect(rows, list, what)))
 
 
+def _nonnegative(values: Any, what: str) -> None:
+    """A ScenarioError naming the first negative entry, row-major, of a list or matrix."""
+    array = np.asarray(values, dtype=float)
+    for index in np.argwhere(array < 0)[:1].tolist():
+        cell = "".join(f"[{k}]" for k in index)
+        raise ScenarioError(f"{what}{cell} must be >= 0, got {float(array[tuple(index)])!r}")
+
+
 def _finite(values: Any, what: str) -> Any:
     """``values`` (a number or a sequence), or a ScenarioError when the solve
     overflowed the float range."""
@@ -65,14 +73,12 @@ class TransportInstance:
     def __post_init__(self):
         if not self.supply or not self.demand:
             raise ScenarioError("transport instance needs at least one source and destination")
-        if any(a < 0 for a in self.supply) or any(b < 0 for b in self.demand):
-            raise ScenarioError("supply and demand must be >= 0")
         if len(self.costs) != len(self.supply) or any(
             len(row) != len(self.demand) for row in self.costs
         ):
             raise ScenarioError("cost matrix shape must be len(supply) x len(demand)")
-        if any(c < 0 for row in self.costs for c in row):
-            raise ScenarioError("transport costs must be >= 0")
+        for field in ("supply", "demand", "costs"):
+            _nonnegative(getattr(self, field), field)
         for side in ("supply", "demand"):  # balance cannot compare an inf total
             if math.isinf(sum(getattr(self, side))):
                 raise ScenarioError(f"{side} total is past the float range")
@@ -369,15 +375,11 @@ class PlanInstance:
             raise ScenarioError("plan instance: lower/upper/resource_use must match profit length")
         if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
             raise ScenarioError("plan instance: lower bound above upper bound")
-        if any(lo < 0 for lo in self.lower):
-            raise ScenarioError("plan instance: lower bounds must be >= 0")
         m = len(self.resource_limits)
         if any(len(row) != m for row in self.resource_use):
             raise ScenarioError("plan instance: resource_use rows must match resource_limits")
-        if any(a < 0 for row in self.resource_use for a in row):
-            raise ScenarioError("plan instance: resource use must be >= 0")
-        if any(g < 0 for g in self.resource_limits):
-            raise ScenarioError("plan instance: resource limits must be >= 0")
+        for field in ("lower", "resource_use", "resource_limits"):
+            _nonnegative(getattr(self, field), f"plan instance: {field}")
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "PlanInstance":
@@ -454,8 +456,9 @@ def solve_production_plan(
     if integer:
         ranges = [range(math.ceil(lo), int(hi) + 1) for lo, hi in zip(instance.lower, instance.upper)]
         size = math.prod(r.stop - r.start for r in ranges)  # len() overflows on huge boxes
-        if size > 10**6:
-            raise ScenarioError(f"integer mode refused: {size} candidate plans > 10^6")
+        if size > 10**6:  # a huge count as its power of ten: str() stops at 4,300 digits
+            count = size if size < 10**15 else f"about 10^{math.log10(size):.0f}"
+            raise ScenarioError(f"integer mode refused: {count} candidate plans > 10^6")
         best_x: tuple[int, ...] | None = None
         best_value = -math.inf
         for x in itertools.product(*ranges):

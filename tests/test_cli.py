@@ -1,17 +1,20 @@
 import contextlib
 import copy
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import io
 import json
 import math
+import operator
 import os
 import pkgutil
 import random
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,16 +22,22 @@ import pytest
 from conftest import FIXTURES, REPO_ROOT, bench_scenario
 
 
-def run_cli(*args, cwd=REPO_ROOT, text=True, **env):
-    """``placenet`` in a child process, with ``env`` added to its environment."""
+def run_python(*args, cwd=REPO_ROOT, text=True, **env):
+    """``python *args`` in a child process that imports placenet from ``src``,
+    with ``env`` added to its environment."""
     path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
-        [sys.executable, "-m", "placenet.cli", *map(str, args)],
+        [sys.executable, *map(str, args)],
         cwd=cwd,
         capture_output=True,
         text=text,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **env},
     )
+
+
+def run_cli(*args, **kwargs):
+    """``placenet`` in a child process."""
+    return run_python("-m", "placenet.cli", *args, **kwargs)
 
 
 class TestSolve:
@@ -915,8 +924,23 @@ REJECTED = [
     ),
     ("load", "loading_small", ("capacity",), -1, "capacity must be >= 0"),
     ("load", "loading_small", ("items", 0, "profit"), -1, "item crate: profit must be >= 0"),
-    ("plan", "plan_small", ("lower", 0), -1, "plan instance: lower bounds must be >= 0"),
-    ("plan", "plan_small", ("resource_use", 0, 0), -1, "plan instance: resource use must be >= 0"),
+    ("plan", "plan_small", ("lower", 0), -1, "lower[0] must be >= 0, got -1.0"),
+    (
+        "plan",
+        "plan_small",
+        ("resource_use", 0, 0),
+        -1,
+        "plan instance: resource_use[0][0] must be >= 0, got -1.0",
+    ),
+    (
+        "plan",
+        "plan_small",
+        ("resource_limits", 0),
+        -0.5,
+        "plan instance: resource_limits[0] must be >= 0, got -0.5",
+    ),
+    ("transport", "transport_2x2", ("costs", 1, 0), -2, "costs[1][0] must be >= 0, got -2.0"),
+    ("transport", "transport_2x2", ("demand", 1), -1, "demand[1] must be >= 0, got -1.0"),
     # float() reads these strings as 10, 15, 5 and 0.2
     ("transport", "transport_2x2", ("supply", 0), "10", "supply[0] must be a number, got '10'"),
     ("transport", "transport_2x2", ("demand", 1), "1_5", "demand[1] must be a number, got '1_5'"),
@@ -954,6 +978,26 @@ def test_malformed_input_exits_2_naming_the_field(
     assert main([command, *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("products, count", [(2, "about 10^309"), (15, "about 10^4620")])
+def test_huge_integer_box_refusal_stays_short(tmp_path, capsys, products, count):
+    """plan_small with upper[0] = 1e308, alone or repeated as 15 products: a
+    count of 310 digits, or of more than the 4,300 that str() converts, is
+    refused with its power of ten."""
+    from placenet.cli import main
+
+    doc = json.loads((FIXTURES / "plan_small.json").read_text())
+    doc["upper"][0] = 1e308
+    if products > 2:
+        doc.update({key: doc[key][:1] * products for key in ("lower", "upper", "profit")})
+        doc["resource_use"] = doc["resource_use"][:1] * products
+    instance = tmp_path / "plan.json"
+    instance.write_text(json.dumps(doc))
+    assert main(["plan", "--integer", str(instance)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: integer mode refused: {count} candidate plans > 10^6\n"
+    assert len(err) < 100
 
 
 # Per subcommand: its fixture, the arguments before and after the file, and
@@ -1178,6 +1222,100 @@ def test_mutated_solver_fixtures_exit_cleanly(tmp_path, capsys, name):
         assert codes[0] in (0, 2, 3) and codes[0] == codes[1], (what, extra, codes)
         seen.add(codes[0])
     assert {0, 2} <= seen
+
+
+# Per fixture: the runs of each mutated copy, "{}" standing for its path.
+SWEEP_RUNS = {
+    "example_s8": [("solve", "-s", "{}"), ("paths", "-s", "{}", "--commodity", "b1")],
+    "transport_2x2": [("transport", "{}")],
+    "transport_unbalanced": [("transport", "{}")],
+    "loading_small": [("load", "{}")],
+    "plan_small": [("plan", "{}"), ("plan", "{}", "--integer")],
+}
+DELETE = object()
+SWEEP_VALUES = [DELETE, None, True, False, 0, -1, 0.5, 1e308, -1e308, 10**400, "", "x", " 5 "]
+SWEEP_VALUES += [[], [1], {}, {"a": 1}, math.nan, math.inf]
+SWEEP_SAMPLE = 200  # mutations per fixture, of 133 to 11,913
+
+
+@pytest.mark.parametrize("name", list(SWEEP_RUNS))
+def test_mutation_sweep_exits_cleanly(tmp_path, capsys, name):
+    """Each node of the fixture deleted or set to an odd value: every run exits 0,
+    2 or 3 with no warning, and a refusal is one line that says which kind."""
+    from placenet.cli import main
+
+    base = json.loads((FIXTURES / f"{name}.json").read_text())
+    mutations = [(path, value) for path in list(_key_paths(base))[1:] for value in SWEEP_VALUES]
+    rng = random.Random(f"mutation-sweep-{name}")
+    instance = tmp_path / "input.json"
+    seen = set()
+    for path, value in rng.sample(mutations, min(len(mutations), SWEEP_SAMPLE)):
+        doc = copy.deepcopy(base)
+        if value is DELETE:
+            *keys, last = path
+            del functools.reduce(operator.getitem, keys, doc)[last]
+        else:
+            _set(doc, path, copy.deepcopy(value))
+        instance.write_text(json.dumps(doc))
+        for run in SWEEP_RUNS[name]:
+            argv = [arg.format(instance) for arg in run]
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main(argv)
+            except Exception as exc:  # noqa: BLE001 - any exception is the failure being tested
+                pytest.fail(f"{argv[0]} with {path} = {value!r}: {exc!r}")
+            err = capsys.readouterr().err.splitlines()
+            refused = len(err) == 1 and err[0].startswith(("error:", "infeasible:"))
+            assert (code in (2, 3) and refused) or (code == 0 and err == []), (argv, path, value, err)
+            seen.add(code)
+    assert {0, 2} <= seen
+
+
+OPTIMIZER_NAMES = (
+    "LoadingInstance LoadingItem LoadingSolution PlanInstance TransportInstance TransportPlan "
+    "balance solve_loading solve_production_plan solve_transportation"
+).split()
+# Whether the solver module is loaded after `import placenet`, after importing
+# the CLI, and after each of the CLI runs listed in the JSON of argv[1].
+LAZY_PROBE = """
+import json, os, sys
+import placenet
+loaded = ["placenet.optimizers" in sys.modules]
+from placenet import cli
+loaded.append("placenet.optimizers" in sys.modules)
+for argv in json.loads(sys.argv[1]):
+    assert cli.main([*argv, "--out", os.devnull]) == 0, argv
+    loaded.append("placenet.optimizers" in sys.modules)
+print(loaded)
+"""
+
+
+def test_solvers_load_on_first_use():
+    """`import placenet`, `solve` and `paths` never load the solver module; `transport` does."""
+    s8 = str(FIXTURES / "example_s8.json")
+    runs = [
+        ["solve", "-s", s8],
+        ["paths", "-s", s8, "--commodity", "a1"],
+        ["transport", str(FIXTURES / "transport_2x2.json")],
+    ]
+    proc = run_python("-c", LAZY_PROBE, json.dumps(runs))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False, False, False, True]\n"
+
+
+def test_solver_names_resolve_from_the_package():
+    import placenet
+    from placenet import optimizers
+
+    namespace = {}
+    exec(f"from placenet import {', '.join(OPTIMIZER_NAMES)}", namespace)
+    for name in OPTIMIZER_NAMES:
+        assert namespace[name] is getattr(optimizers, name), name
+        assert name in dir(placenet), name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        placenet.no_such_name
+
 
 # sha256 of `paths -s example_s8.json --commodity C --format F`, recorded from
 # the Floyd kernel that the single shortest-path kernel replaced.
