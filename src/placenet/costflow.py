@@ -9,9 +9,10 @@ search scores all plant pairs as one chunked numpy batch, every element
 adding its terms in the order of a one-pair run, so results are
 bit-reproducible.  The product-warehouse search sweeps only the flows whose
 lower bound (each store's demand times its cheapest cell) is within
-``_BOUND_SLACK`` of a first swept total, as no other flow can win.  The
-searches only add up costs; ``greedy_flows`` builds shipments, for the flows
-a report shows.  Public functions are pure.
+``_BOUND_SLACK`` of a first swept total, as no other flow can win.  A
+candidate that cannot serve a plant pair costs inf and the minimum decides.
+The searches only add up costs; ``greedy_flows`` builds shipments, for the
+flows a report shows.  Public functions are pure.
 """
 
 from __future__ import annotations
@@ -75,13 +76,14 @@ def _demand(scenario, product) -> list[int]:
     return [scenario.demand[store].get(product, 0) for store in scenario.sites.stores]
 
 
-@np.errstate(over="ignore")  # a total past the float range is inf, as in Python
+@np.errstate(over="ignore", invalid="ignore")  # a total past the float range is inf
 def _sweep(cost, supply, demand, total):
     """Serves each batch element's (store, plant) ``cost`` cells cheapest
     first, in stable argsort order of the store-major cells; a cell ships
     min(unsent ``demand``, unshipped ``supply``), nothing from a negative
-    supply.  Adds each element's flow cost to ``total`` in that order and
-    returns it with each rank's cell (store-major index), cost and units."""
+    supply.  Adds each element's flow cost to ``total`` in that order, an
+    unreachable cell costing nothing unless it ships, and returns it with
+    each rank's cell (store-major index), cost and units."""
     batch, n_stores, n_plants = cost.shape
     flat = cost.reshape(batch, n_stores * n_plants)
     order = np.argsort(flat, axis=1, kind="stable")
@@ -96,16 +98,18 @@ def _sweep(cost, supply, demand, total):
         w, h = want[store], have[plant]
         units[k] = sent = np.minimum(w, h)
         want[store], have[plant] = w - sent, h - sent
-        total = total + sent * unit_cost  # + 0.0 where nothing is sent
+        total = np.fmax(total, total + sent * unit_cost)  # fmax drops 0 units * inf = NaN
     return total, order, costs, units.T
 
 
 def _elements(scenario, cases):
-    """The (plants, outputs) cases' plant rows (case, plant position) and,
-    per product, their supplies (case, plant position)."""
+    """The (plants, outputs) cases' plant rows (case, plant position), per
+    product their supplies (case, plant position), and whether some
+    product's supply falls short of its demand."""
     rows = np.array([[scenario.sites.plants.index(p) for p in plants] for plants, _ in cases], int)
-    products = scenario.product_ids
-    return rows, [np.array([_supply(*case, product) for case in cases]) for product in products]
+    supplies = [np.array([_supply(*case, p) for case in cases]) for p in scenario.product_ids]
+    need = [sum(_demand(scenario, p)) for p in scenario.product_ids]
+    return rows, supplies, np.any([s.sum(axis=1) < n for s, n in zip(supplies, need)], axis=0)
 
 
 def _sweeps(scenario, rows, cols, supplies):
@@ -114,7 +118,7 @@ def _sweeps(scenario, rows, cols, supplies):
     (element, warehouse position).  Yields per chunk of about
     ``_CHUNK_CELLS`` sweep cells its first element, totals and, per product,
     legs (element, plant, warehouse, store) with the sweep's order, costs
-    and units.  No cell may be unreachable."""
+    and units."""
     step = max(1, _CHUNK_CELLS // max(1, len(scenario.sites.stores) * rows.shape[1]))
     for start in range(0, len(rows), step):
         chunk = slice(start, start + step)
@@ -160,16 +164,15 @@ def greedy_flows(
     warehouses of its two legs and ships, cheapest first, then by store, then
     plant position, what its plant and store have left, via the string-smallest
     of its cheapest warehouses.  Cases share their plant and warehouse counts;
-    the first with short supply, an unreachable cell or an overflowing route
-    raises its ``_check_flow`` error, and the others fill every store."""
+    each whose supply falls short or whose total is inf goes through
+    ``_check_flow``, the first error raising, so a flow returned fills every
+    store."""
     if not cases:
         return []
-    for case in cases:
-        _check_flow(scenario, *case)
     stores, warehouses = scenario.sites.stores, scenario.sites.product_warehouses
     vias = [sorted(via) for *_, via in cases]  # argmin keeps the first: string order
     cols = np.array([[warehouses.index(w) for w in via] for via in vias], int)
-    rows, supplies = _elements(scenario, [case[:2] for case in cases])
+    rows, supplies, short = _elements(scenario, [case[:2] for case in cases])
     shipments: list[dict[tuple[str, str], list[Shipment]]] = [{} for _ in cases]
     totals: list[float] = []
     for start, total, sweeps in _sweeps(scenario, rows, cols, supplies):
@@ -183,6 +186,8 @@ def greedy_flows(
                     Shipment(cases[c][0][p], sent, vias[c][w], unit_cost)
                 )
         totals += total.tolist()
+    for case in itertools.compress(cases, short | np.isinf(totals)):
+        _check_flow(scenario, *case)
     return [
         FlowAssignment({key: tuple(v) for key, v in shipped.items()}, cost)
         for shipped, cost in zip(shipments, totals)
@@ -191,7 +196,8 @@ def greedy_flows(
 
 def _check_flow(scenario, plants, outputs, warehouses) -> None:
     """Raise a flow's first error, product by product: short supply, or an
-    unreachable (plant, store) cell (an overflow if its route exists)."""
+    unreachable (plant, store) cell, shipping or not (an overflow if its
+    route exists).  Only a flow that falls short or totals inf is checked."""
     stores = scenario.sites.stores
     rows = [scenario.sites.plants.index(plant) for plant in plants]
     cols = [scenario.sites.product_warehouses.index(w) for w in warehouses]
@@ -225,10 +231,11 @@ def select_raw_warehouses(
     requirement; ``unit`` ignores the requirement weights.  Ties resolve to
     the lexicographically smallest warehouse tuple in plant order.  Cases
     share their plant count; their (case, assignment) scores are summed in
-    chunks of about ``_CHUNK_CELLS``, terms by plant, then raw.  A case's
-    error is its first infinite term, assignments in generation order: a
-    missing route, or a finite route cost whose weighted term overflows.  A
-    winning total past the float range is an overflow of its largest term.
+    chunks of about ``_CHUNK_CELLS``, terms by plant, then raw.  A missing
+    route or a total past the float range scores inf.  A case errs only when
+    every total is inf: at its first infinite term, assignments in generation
+    order (a missing route, or a finite route cost whose weighted term
+    overflows), else as an overflow of the winner's largest term.
     """
     candidates, n = scenario.sites.raw_warehouses, len(cases[0][0]) if cases else 0
     if len(candidates) < n:
@@ -256,16 +263,14 @@ def select_raw_warehouses(
         with np.errstate(over="ignore"):  # a product or sum past the float range is inf
             scores = np.multiply(cost, weights, out=np.zeros(cost.shape), where=weights != 0)
             total = sum(scores, np.zeros(cost.shape[1:]))
-        bad = np.isinf(scores).any(axis=(0, 2)).tolist()
         for c, ((plants, _), j) in enumerate(zip(chunk, total[:, ranked].argmin(axis=1).tolist())):
             k = ranked[j]
-            if bad[c]:
-                k, t = np.argwhere(np.isinf(scores[:, c].T))[0]
-            elif math.isfinite(total[c, k]):
+            if math.isfinite(total[c, k]):
                 found.append(dict(zip(plants, labels[k])))
                 continue
-            else:  # every total overflows: blame the winner's largest term
-                t = scores[:, c, k].argmax()
+            # every total is inf: blame the first inf term, else the winner's largest
+            infinite = np.argwhere(np.isinf(scores[:, c].T))
+            k, t = infinite[0] if len(infinite) else (k, scores[:, c, k].argmax())
             i, rid = terms[t]
             if math.isfinite(cost[t, c, k]):
                 route = f"the {rid} route cost to plant {plants[i]}"
@@ -292,9 +297,10 @@ def select_product_warehouses(
     first smallest-bound pair; pass 2 every other pair whose bound is within
     ``_BOUND_SLACK`` of that total.  A pair left out costs more than that
     total, so winners, ties and totals are those of sweeping every pair.  A
-    case with short supply or an unreachable cell instead checks each pair
-    in turn as ``greedy_flows`` does, so its error is the first one that loop
-    meets.
+    pair that ships through an unreachable cell costs inf.  A case whose
+    supply falls short or whose least total is inf checks each pair in turn
+    with ``_check_flow``, in candidate order: the first error that loop meets
+    is the case's, and with none (every flow overflows) the winner stands.
     """
     candidates = scenario.sites.product_warehouses
     if len(candidates) < 2:
@@ -302,26 +308,10 @@ def select_product_warehouses(
     if not cases:
         return []
     pairs = sorted(itertools.combinations(candidates, 2))  # so the first minimum wins ties
-    rows, supplies = _elements(scenario, cases)
-    # A plant's cell is unreachable through some pair iff two warehouses miss it.
-    blocked = np.zeros(len(scenario.sites.plants), bool)
-    for costs in scenario.ship_costs.values():
-        blocked |= (np.isinf(costs).sum(axis=1) >= 2).any(axis=1)
-    checked = blocked[rows].any(axis=1)
-    for product, supply in zip(scenario.product_ids, supplies):
-        checked |= supply.sum(axis=1) < sum(_demand(scenario, product))
-    found: list = [None] * len(cases)
-    for c in np.flatnonzero(checked).tolist():
-        try:
-            for pair in itertools.combinations(candidates, 2):
-                _check_flow(scenario, *cases[c], pair)
-        except (InfeasibleError, ScenarioError) as exc:
-            found[c] = exc
-    live = np.array([c for c, result in enumerate(found) if result is None], int)
-    rows, supplies = rows[live], [supply[live] for supply in supplies]
+    rows, supplies, short = _elements(scenario, cases)
     cols = np.array([[candidates.index(w) for w in pair] for pair in pairs])
     bound = _bounds(scenario, rows, cols)
-    index, first = np.arange(len(live)), bound.argmin(axis=1)  # the first smallest bound
+    index, first = np.arange(len(cases)), bound.argmin(axis=1)  # the first smallest bound
     first_total = _totals(scenario, rows, cols[first], supplies)
     keep = bound / (1 + _BOUND_SLACK) <= first_total[:, None]  # all of them if that is inf
     keep[index, first] = False
@@ -329,7 +319,12 @@ def select_product_warehouses(
     totals = np.full(bound.shape, math.inf)  # a pair not swept cannot win
     totals[index, first] = first_total
     totals[case, pair] = _totals(scenario, rows[case], cols[pair], [s[case] for s in supplies])
-    best = totals.argmin(axis=1).tolist()  # argmin keeps the first minimum
-    for c, j, cost in zip(live.tolist(), best, totals.min(axis=1).tolist()):
-        found[c] = pairs[j], cost
+    best, least = totals.argmin(axis=1), totals.min(axis=1)  # argmin keeps the first minimum
+    found: list = [(pairs[j], cost) for j, cost in zip(best.tolist(), least.tolist())]
+    for c in np.flatnonzero(short | np.isinf(least)).tolist():
+        try:
+            for pair in itertools.combinations(candidates, 2):
+                _check_flow(scenario, *cases[c], pair)
+        except (InfeasibleError, ScenarioError) as exc:
+            found[c] = exc
     return found

@@ -51,6 +51,11 @@ def _nonnegative(values: Any, what: str) -> None:
         raise ScenarioError(f"{what}{cell} must be >= 0, got {float(array[tuple(index)])!r}")
 
 
+def _count(n: int) -> int | str:
+    """``n``, or from 16 digits on its power of ten: str() stops at 4,300 digits."""
+    return n if n < 10**15 else f"about 10^{math.log10(n):.0f}"
+
+
 def _finite(values: Any, what: str) -> Any:
     """``values`` (a number or a sequence), or a ScenarioError when the solve
     overflowed the float range."""
@@ -283,8 +288,8 @@ class LoadingInstance:
         cells = (len(self.items) + 2) * (self.capacity + 1)
         if cells > _MAX_TABLE_CELLS:
             raise ScenarioError(
-                f"capacity {self.capacity} (in units of --quantum) needs a table of {cells} "
-                f"cells, above {_MAX_TABLE_CELLS}; pass a larger --quantum"
+                f"capacity {_count(self.capacity)} (in units of --quantum) needs a table of "
+                f"{_count(cells)} cells, above {_MAX_TABLE_CELLS}; pass a larger --quantum"
             )
 
     @staticmethod
@@ -456,9 +461,8 @@ def solve_production_plan(
     if integer:
         ranges = [range(math.ceil(lo), int(hi) + 1) for lo, hi in zip(instance.lower, instance.upper)]
         size = math.prod(r.stop - r.start for r in ranges)  # len() overflows on huge boxes
-        if size > 10**6:  # a huge count as its power of ten: str() stops at 4,300 digits
-            count = size if size < 10**15 else f"about 10^{math.log10(size):.0f}"
-            raise ScenarioError(f"integer mode refused: {count} candidate plans > 10^6")
+        if size > 10**6:
+            raise ScenarioError(f"integer mode refused: {_count(size)} candidate plans > 10^6")
         best_x: tuple[int, ...] | None = None
         best_value = -math.inf
         for x in itertools.product(*ranges):

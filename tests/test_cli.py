@@ -882,6 +882,13 @@ REJECTED = [
     ("load", "loading_small", ("items", 1, "profit"), math.nan, "items[1].profit must be a finite"),
     ("plan", "plan_small", ("profit", 1), math.nan, "profit[1] must be a finite number"),
     ("load", "loading_small", ("capacity",), 1e12, "needs a table of 4000000000004 cells"),
+    (
+        "load",
+        "loading_small",
+        ("capacity",),
+        1e308,
+        "capacity about 10^308 (in units of --quantum) needs a table of about 10^309 cells",
+    ),
     ("load", "loading_small", ("items", 0, "profit"), 1e308, "the loading objective overflowed"),
     (
         "transport",

@@ -370,8 +370,9 @@ class TestWarehouseSelection:
 
 # ---------------------------------------------------------------------------
 # Scalar oracle: the per-cell route-cost code the array-backed costflow
-# replaced, kept verbatim in behaviour (one Dijkstra route cost per leg, the
-# same loops, tie rules and error messages).
+# replaced (one Dijkstra route cost per leg, the same loops, tie rules and
+# error messages), with its failure rule: a candidate that cannot serve a
+# plant pair costs inf, and the pair errs only when no candidate is finite.
 
 
 def oracle_raw_route_cost(scenario, raw_id, warehouse, plant):
@@ -391,12 +392,28 @@ def oracle_ship_unit_cost(scenario, plant, warehouses, store, product):
         )
         if best is None or cost < best[0] or (cost == best[0] and warehouse < best[1]):
             best = (cost, warehouse)
-    if math.isinf(best[0]):
-        raise InfeasibleError(f"no {product} route from {plant} to {store} via {warehouses}")
     return best
 
 
+def oracle_check_flow(scenario, plants, outputs, warehouses):
+    """A flow's first error, product by product: short supply, or an
+    unreachable (plant, store) cell, even one that ships nothing."""
+    for product in scenario.product_ids:
+        supply = sum(outputs.get(plant, {}).get(product, 0) for plant in plants)
+        demand = sum(scenario.demand[store].get(product, 0) for store in scenario.sites.stores)
+        if supply < demand:
+            raise InfeasibleError(f"outputs of {product} ({supply}) cannot cover demand ({demand})")
+        for plant in plants:
+            for store in scenario.sites.stores:
+                if math.isinf(oracle_ship_unit_cost(scenario, plant, warehouses, store, product)[0]):
+                    raise InfeasibleError(
+                        f"no {product} route from {plant} to {store} via {warehouses}"
+                    )
+
+
 def oracle_greedy_flow(scenario, plants, outputs, warehouses):
+    """The cheapest-first flow; checked only when its supply falls short or
+    it ships through an unreachable cell."""
     store_order = {store: i for i, store in enumerate(scenario.sites.stores)}
     plant_order = {plant: i for i, plant in enumerate(plants)}
     shipments = {}
@@ -405,10 +422,7 @@ def oracle_greedy_flow(scenario, plants, outputs, warehouses):
         supply = {plant: outputs.get(plant, {}).get(product, 0) for plant in plants}
         demand = {store: scenario.demand[store].get(product, 0) for store in scenario.sites.stores}
         if sum(supply.values()) < sum(demand.values()):
-            raise InfeasibleError(
-                f"outputs of {product} ({sum(supply.values())}) cannot cover "
-                f"demand ({sum(demand.values())})"
-            )
+            oracle_check_flow(scenario, plants, outputs, warehouses)
         cells = []
         for plant in plants:
             for store in scenario.sites.stores:
@@ -425,6 +439,8 @@ def oracle_greedy_flow(scenario, plants, outputs, warehouses):
             total_cost += units * cost
         if any(v > 0 for v in demand.values()):
             raise InfeasibleError(f"demand for {product} left unfilled after greedy pass")
+    if math.isinf(total_cost):
+        oracle_check_flow(scenario, plants, outputs, warehouses)
     return FlowAssignment({key: tuple(v) for key, v in shipments.items()}, total_cost)
 
 
@@ -432,17 +448,23 @@ def oracle_select_raw_warehouses(scenario, plants, requirements, mode="weighted"
     candidates = scenario.sites.raw_warehouses
     if len(candidates) < len(plants):
         raise InfeasibleError(f"{len(candidates)} raw warehouse candidates for {len(plants)} plants")
-    best_choice, best_cost = None, math.inf
+    best_choice, best_cost, errors = None, math.inf, []
     for choice in itertools.permutations(candidates, len(plants)):
         cost = 0.0
-        for plant, warehouse in zip(plants, choice):
-            for rid in scenario.raw_ids:
-                weight = requirements[plant].get(rid, 0.0) if mode == "weighted" else 1.0
-                if weight == 0.0:
-                    continue
-                cost += oracle_raw_route_cost(scenario, rid, warehouse, plant) * weight
+        try:
+            for plant, warehouse in zip(plants, choice):
+                for rid in scenario.raw_ids:
+                    weight = requirements[plant].get(rid, 0.0) if mode == "weighted" else 1.0
+                    if weight == 0.0:
+                        continue
+                    cost += oracle_raw_route_cost(scenario, rid, warehouse, plant) * weight
+        except InfeasibleError as exc:  # a missing route: this assignment costs inf
+            errors.append(exc)
+            continue
         if cost < best_cost or (cost == best_cost and choice < best_choice):
             best_choice, best_cost = choice, cost
+    if best_choice is None:
+        raise errors[0]
     return dict(zip(plants, best_choice))
 
 
@@ -450,15 +472,21 @@ def oracle_select_product_warehouses(scenario, plants, outputs):
     candidates = scenario.sites.product_warehouses
     if len(candidates) < 2:
         raise InfeasibleError("need at least 2 product warehouse candidates")
-    best = None
+    best, errors = None, []
     for pair in itertools.combinations(candidates, 2):
-        flow = oracle_greedy_flow(scenario, plants, outputs, pair)
+        try:
+            flow = oracle_greedy_flow(scenario, plants, outputs, pair)
+        except InfeasibleError as exc:  # this pair costs inf
+            errors.append(exc)
+            continue
         if (
             best is None
             or flow.total_cost < best[1].total_cost
             or (flow.total_cost == best[1].total_cost and pair < best[0])
         ):
             best = (pair, flow)
+    if errors and (best is None or math.isinf(best[1].total_cost)):
+        raise errors[0]
     return best
 
 
@@ -877,7 +905,10 @@ class TestTransportationBound:
     @given(leg_cases())
     def test_greedy_flow_costs_at_least_the_transportation_optimum(self, case):
         """Cheapest-first is one feasible plan of the plant x store transportation
-        problem that the warehouse minimum prices, so it never beats its optimum."""
+        problem that the warehouse minimum prices, so it never beats its optimum.
+        A cell is priced at most 1 above the flow's total: the flow ships
+        nothing through an unreachable cell, and no optimal plan does, so the
+        optimum is that of the reachable cells."""
         scenario, plants, outputs, _, warehouses, _ = case
         try:
             flow = one_flow(scenario, plants, outputs, warehouses)
@@ -891,7 +922,10 @@ class TestTransportationBound:
                 demand=tuple(scenario.demand[store].get(product, 0) for store in stores),
                 costs=tuple(
                     tuple(
-                        oracle_ship_unit_cost(scenario, plant, warehouses, store, product)[0]
+                        min(
+                            oracle_ship_unit_cost(scenario, plant, warehouses, store, product)[0],
+                            flow.total_cost + 1,
+                        )
                         for store in stores
                     )
                     for plant in plants
@@ -909,34 +943,71 @@ def only(commodity, tail, heads):
 class TestErrorPaths:
     """Skip reasons are part of the report; these strings are pinned."""
 
-    def solve_skipped(self, tmp_path, doc):
+    def solve(self, tmp_path, doc, *options):
+        """``solve --format json`` on ``doc``, which exits 0: its payload."""
         scenario, report = tmp_path / "scenario.json", tmp_path / "report.json"
         scenario.write_text(json.dumps(doc))
-        args = ["solve", "-s", str(scenario), "--format", "json", "--out", str(report)]
+        args = ["solve", "-s", str(scenario), "--format", "json", "--out", str(report), *options]
         assert placenet_main(args) == 0
-        payload = json.loads(report.read_text())
+        return json.loads(report.read_text())
+
+    def solve_skipped(self, tmp_path, doc):
+        payload = self.solve(tmp_path, doc)
         assert payload["selection"]["situations"] == ["P1,P2"]
         return {s["plants"]: s["reason"] for s in payload["skipped"]}
 
+    def solve_chosen(self, tmp_path, doc, field):
+        """Each situation's ``field`` from ``solve --detail``, which skips no pair."""
+        payload = self.solve(tmp_path, doc, "--detail")
+        assert payload["skipped"] == []
+        return {d["situation"]: d[field] for d in payload["details"]}
+
     def test_unreachable_product_route(self, tmp_path):
-        doc = network_doc(only("p1", "P3", ("W10",)), plants=("P1", "P2", "P3"))
-        assert self.solve_skipped(tmp_path, doc) == {
-            "P1,P3": "no p1 route from P3 to S8 via ('W8', 'W9')",
-            "P2,P3": "no p1 route from P3 to S8 via ('W8', 'W9')",
+        # P3 reaches the stores only through W10; a p1 leg to or from W8 costs
+        # 3, W9 1, W10 2.  P1 makes at most 1 unit, so P1,P3 ships 3 units from
+        # P3 and takes (W9, W10); P2 makes all 4 beside P3, whose unreachable
+        # cells ship nothing, so P2,P3 takes the cheap (W8, W9) as P1,P2 does.
+        per_leg = {"W8": 3, "W9": 1, "W10": 2}
+        doc = network_doc(
+            lambda c, t, h: None
+            if (c == "p1" and t == "P3" and h != "W10")
+            else per_leg.get(h, per_leg.get(t, 1)),
+            plants=("P1", "P2", "P3"),
+            capacity={"P1": {"p1": 1}},
+        )
+        assert self.solve_chosen(tmp_path, doc, "product_warehouses") == {
+            "P1,P2": ["W8", "W9"],
+            "P1,P3": ["W9", "W10"],
+            "P2,P3": ["W8", "W9"],
+        }
+        assert self.solve_chosen(tmp_path, doc, "flow_cost") == {
+            "P1,P2": 8.0,
+            "P1,P3": 14.0,
+            "P2,P3": 8.0,
         }
 
     def test_unreachable_raw_route(self, tmp_path):
-        # r1 reaches P3 only through R9, so the first assignment in candidate
-        # order that fails sends P3 through R10 (string order would say R8).
+        # r1 reaches P3 only through R9, so P3's pairs send P3 through R9.
         doc = network_doc(
             lambda c, t, h: None if (c == "r1" and h == "P3" and t != "R9") else 1,
             plants=("P1", "P2", "P3"),
             demand={"S8": {"p1": 8}, "S10": {"p1": 8}},
         )
-        assert self.solve_skipped(tmp_path, doc) == {
-            "P1,P3": "no r1 route Xr1 -> R10 -> P3",
-            "P2,P3": "no r1 route Xr1 -> R10 -> P3",
+        assert self.solve_chosen(tmp_path, doc, "raw_warehouses") == {
+            "P1,P2": {"P1": "R10", "P2": "R8"},
+            "P1,P3": {"P1": "R10", "P3": "R9"},
+            "P2,P3": {"P2": "R10", "P3": "R9"},
         }
+
+    def test_unreachable_store_without_demand(self, tmp_path):
+        # No p1 edge reaches S10, which wants none: its cells ship nothing.
+        doc = network_doc(
+            lambda c, t, h: None if (c == "p1" and h == "S10") else 1,
+            plants=("P1", "P2", "P3"),
+            demand={"S8": {"p1": 2}, "S10": {"p1": 0}},
+        )
+        assert self.solve(tmp_path, doc)["situations"] == ["P1,P2", "P1,P3", "P2,P3"]
+        assert len(self.solve_chosen(tmp_path, doc, "flow_cost")) == 3
 
     def test_shortfall_in_product_after_unreachable_one(self, tmp_path):
         doc = network_doc(
@@ -952,23 +1023,23 @@ class TestErrorPaths:
         }
 
     def test_skipped_pairs_keep_pair_order_and_stage_order(self):
-        # P3 reaches stores only through W10 and would overflow its output
-        # value; P4 may make no p1; P1 makes at most 1.  Pinned from the
-        # per-pair loop: each pair fails at its first failing stage, in order.
+        # P3 reaches no product warehouse and would overflow the value of any
+        # output; P4 may make no p1; P1 makes at most 1, and P2 makes all
+        # beside P3, which then ships nothing.  Pinned from the per-pair loop:
+        # each pair fails at its first failing stage, in order.
         doc = network_doc(
-            only("p1", "P3", ("W10",)),
+            only("p1", "P3", ()),
             plants=("P1", "P2", "P3", "P4"),
             capacity={"P1": {"p1": 1}, "P4": {"p1": 0}},
         )
         doc["production"]["factors"]["P3"]["p1"] = 1e308
         skipped = []
         situations = enumerate_situations(Scenario.from_dict(doc), skipped=skipped)
-        assert [s.label for s in situations] == ["P1,P2", "P2,P4"]
+        assert [s.label for s in situations] == ["P1,P2", "P2,P3", "P2,P4"]
         unreachable = "no p1 route from P3 to S8 via ('W8', 'W9')"
         assert skipped == [
             (("P1", "P3"), unreachable),
             (("P1", "P4"), "allocation of p1 exceeds capacity at P4"),
-            (("P2", "P3"), unreachable),
             (("P3", "P4"), unreachable),
         ]
 
@@ -995,7 +1066,7 @@ class TestErrorPaths:
             (0.5, 0.5, ScenarioError, f"the r1 route cost to plant P1 {OVERFLOWS}"),
             # P2's finite route cost of 2 times its requirement of 1e308 overflows
             (0.5, 1.5, ScenarioError, f"the r1 route cost to plant P2 {OVERFLOWS}"),
-            # a missing route met first keeps its error
+            # no assignment is finite: the first missing route keeps its error
             (None, 1.5, InfeasibleError, "no r1 route Xr1 -> R8 -> P1"),
         ],
         ids=["total", "term", "missing-route"],
@@ -1006,6 +1077,17 @@ class TestErrorPaths:
         requirements = {"P1": {"r1": 1e308}, "P2": {"r1": 1e308}}
         (caught,) = select_raw_warehouses(Scenario.from_dict(doc), [(("P1", "P2"), requirements)])
         assert type(caught) is error and str(caught) == message
+
+    def test_raw_score_overflow_loses_to_a_finite_assignment(self):
+        # Only R8 -> P2 costs 1.5: P2's 1e308 units overflow there and score
+        # 1e308 through R9 or R10, and (R10, R9) is the first of the ties.
+        doc = network_doc(
+            lambda c, t, h: (1.5 if (t, h) == ("R8", "P2") else 0.5) if c == "r1" else 1,
+            plants=("P1", "P2"),
+        )
+        requirements = {"P1": {"r1": 1.0}, "P2": {"r1": 1e308}}
+        scenario = Scenario.from_dict(doc)
+        assert chosen_raw(scenario, ("P1", "P2"), requirements) == {"P1": "R10", "P2": "R9"}
 
     @pytest.mark.parametrize("commodity", ["r2", "p2"])
     def test_commodity_no_edge_carries_is_invalid_input(self, tmp_path, capsys, commodity):
@@ -1027,7 +1109,8 @@ class TestErrorPaths:
             ("W10", 1, InfeasibleError, "no p1 route from P3 to S8 via ('W8', 'W9')"),
             # p1 is unreachable in a later pair only: the first pair meets the shortfall
             ("W8", 1, InfeasibleError, "outputs of p2 (3) cannot cover demand (4)"),
-            ("W8", 2, InfeasibleError, "no p1 route from P3 to S8 via ('W9', 'W10')"),
+            # p1 is unreachable in a later pair only, and no shortfall: the minimum wins
+            ("W8", 2, tuple, "(('W8', 'W10'), 16.0)"),
         ],
         ids=["W10-1-Unreachable", "W8-1-Infeasible", "W8-2-Unreachable"],
     )
