@@ -196,8 +196,9 @@ def greedy_flows(
 
 def _check_flow(scenario, plants, outputs, warehouses) -> None:
     """Raise a flow's first error, product by product: short supply, or an
-    unreachable (plant, store) cell, shipping or not (an overflow if its
-    route exists).  Only a flow that falls short or totals inf is checked."""
+    unreachable (plant, store) cell whose plant makes the product and whose
+    store wants it, shipping or not (an overflow if its route exists).  Only
+    a flow that falls short or totals inf is checked."""
     stores = scenario.sites.stores
     rows = [scenario.sites.plants.index(plant) for plant in plants]
     cols = [scenario.sites.product_warehouses.index(w) for w in warehouses]
@@ -208,8 +209,9 @@ def _check_flow(scenario, plants, outputs, warehouses) -> None:
                 f"outputs of {product} ({sum(supply)}) cannot cover demand ({sum(demand)})"
             )
         cost = scenario.ship_costs[product][rows][:, cols].min(axis=1)
-        if np.isinf(cost).any():
-            plant, store = np.argwhere(np.isinf(cost))[0]
+        stuck = np.isinf(cost) & np.outer(np.greater(supply, 0), np.greater(demand, 0))
+        if stuck.any():
+            plant, store = np.argwhere(stuck)[0]
             for warehouse in warehouses:
                 error = scenario.route_error(product, plants[plant], warehouse, stores[store])
                 if isinstance(error, ScenarioError):

@@ -6,8 +6,8 @@ All three are pure solvers over small dense instances:
   with the potentials method (reduced costs on nonbasic cells, stepping-stone
   cycle pivots).  The basis is one ordered dict of cell -> units whose order
   is the reported ``basis``.  Its cells form a spanning tree over the rows and
-  columns, so one walk over it per pivot gives the potentials and the parent
-  map that the pivot cycle climbs;
+  columns, kept across pivots with each node's parent and potential: a pivot
+  re-walks only the subtree that its leaving cell cuts off;
 * loading -- unbounded integer knapsack (no per-item count limit) by the stage
   recurrence f_i(x) = max over m_i of (r_i m_i + f_{i+1}(x - w_i m_i));
 * production planning -- dense simplex on the standard-form augmentation with
@@ -153,45 +153,24 @@ def _northwest_corner(supply: tuple[float, ...], demand: tuple[float, ...]):
             j += 1
 
 
-def _tree(basis, costs, m, n):
-    """One walk over the basic cells from row 0 (row i is node i, column j is
-    node m + j).  Returns each node's (parent, joining cell), None for row 0,
-    and the potentials: u_i + v_j = c_ij on every basic cell with u_0 = 0, each
-    set from its parent's as the walk reaches it."""
-    adjacent: list[list[int]] = [[] for _ in range(m + n)]
-    for i, j in basis:
-        adjacent[i].append(m + j)
-        adjacent[m + j].append(i)
-    parent: dict[int, Any] = {0: None}
-    potential = [0.0] * (m + n)
-    queue = [0]
+def _walk(node, parent, potential, adjacent, costs, m) -> None:
+    """Hang the basis tree below ``node`` away from its parent (row i is node
+    i, column j is node m + j): each node reached gets its (parent, joining
+    cell) and its potential, u_i + v_j = c_ij on every basic cell.  From row 0
+    with u_0 = 0 this builds the whole tree: the northwest corner adds m + n - 1
+    cells, each sharing a row or a column with the one before, so they span
+    every row and column, and a pivot swaps one cell of the cycle it closes for
+    another, which keeps them a spanning tree.  A node's potential is the chain
+    of c - p along its one path from row 0, so any walk order gives the same
+    floats."""
+    queue = [node]
     for node in queue:
-        for other in adjacent[node]:
-            if other not in parent:
-                i, j = (node, other - m) if node < m else (other, node - m)
-                parent[other] = node, (i, j)
-                potential[other] = costs[i][j] - potential[node]
-                queue.append(other)
-    if len(parent) < m + n:
-        raise RuntimeError("degenerate basis is disconnected")
-    return parent, potential
-
-
-def _cycle(parent, entering, m):
-    """The entering cell, then the tree path from its row to its column: the
-    unique alternating row/column cycle it closes.  Both ends climb the walk's
-    parent map to their lowest common ancestor."""
-    rising, depth = [], {entering[0]: 0}  # cells up from the row; node -> cells below it
-    node = entering[0]
-    while parent[node] is not None:
-        node, cell = parent[node]
-        rising.append(cell)
-        depth[node] = len(rising)
-    falling, node = [], m + entering[1]
-    while node not in depth:
-        node, cell = parent[node]
-        falling.append(cell)
-    return [entering, *rising[: depth[node]], *reversed(falling)]
+        up = parent[node] and parent[node][0]
+        for other in adjacent[node] - {up}:
+            i, j = (node, other - m) if node < m else (other, node - m)
+            parent[other] = node, (i, j)
+            potential[other] = costs[i][j] - potential[node]
+            queue.append(other)
 
 
 @np.errstate(over="ignore")  # an overflowed reduced cost is +-inf; _finite checks the rest
@@ -214,18 +193,35 @@ def solve_transportation(instance: TransportInstance) -> TransportPlan:
     costs = instance.costs
     cost_matrix = np.array(costs, dtype=float)
     basis = _northwest_corner(instance.supply, instance.demand)
+    basic, adjacent = np.zeros((m, n), bool), [set() for _ in range(m + n)]
+    for i, j in basis:
+        basic[i, j] = True
+        adjacent[i].add(m + j)
+        adjacent[m + j].add(i)
+    parent, potential = [None] * (m + n), [0.0] * (m + n)
+    _walk(0, parent, potential, adjacent, costs, m)
 
     for _ in range(_MAX_PIVOTS):
-        parent, potential = _tree(basis, costs, m, n)
-        _finite(potential, "transport potentials")
-        u, v = potential[:m], potential[m:]
-        reduced = cost_matrix - np.array(u)[:, None] - np.array(v)
-        reduced[tuple(zip(*basis))] = 0.0
-        # nanargmin: the first minimum in row-major order, as a strict < scan finds it
-        entering = divmod(int(np.nanargmin(reduced)), n)
+        p = _finite(np.array(potential), "transport potentials")
+        reduced = cost_matrix - p[:m, None] - p[m:]
+        reduced[basic] = 0.0
+        # argmin, the first minimum in row-major order as a strict < scan finds it, meets no
+        # NaN: finite c - u - v can overflow to +-inf, but never to inf - inf
+        x, y = entering = divmod(int(np.argmin(reduced)), n)
         if not reduced[entering] < -_EPS:
             break
-        cycle = _cycle(parent, entering, m)
+        # its cycle: up from its row to the lowest common ancestor of both ends, down to its column
+        rising, depth, node = [], {x: 0}, x  # cells up from the row; node -> cells below it
+        while parent[node] is not None:
+            node, cell = parent[node]
+            rising.append(cell)
+            depth[node] = len(rising)
+        falling, node = [], m + y
+        while node not in depth:
+            node, cell = parent[node]
+            falling.append(cell)
+        rising = rising[: depth[node]]
+        cycle = [entering, *rising, *reversed(falling)]
         losing = cycle[1::2]
         theta = min(basis[c] for c in losing)
         leaving = min(c for c in losing if basis[c] <= theta + _EPS)
@@ -235,6 +231,15 @@ def solve_transportation(instance: TransportInstance) -> TransportPlan:
             basis[c] -= theta
         del basis[leaving]
         basis[entering] = theta
+        for i, j in (leaving, entering):  # the leaving cell goes, the entering cell comes
+            basic[i, j] ^= True
+            adjacent[i] ^= {m + j}
+            adjacent[m + j] ^= {i}
+        # the end whose climb passed the leaving cell is cut off: hang it from the other
+        end, other = (x, m + y) if leaving in rising else (m + y, x)
+        parent[end] = other, entering
+        potential[end] = costs[x][y] - potential[other]
+        _walk(end, parent, potential, adjacent, costs, m)
     else:
         raise InfeasibleError(
             f"the transportation solver hit its pivot limit ({_MAX_PIVOTS}) before an optimum"
@@ -252,7 +257,7 @@ def solve_transportation(instance: TransportInstance) -> TransportPlan:
         objective=objective,
         basis=tuple(basis),
         fictitious=fictitious,
-        potentials=(tuple(u), tuple(v)),
+        potentials=(tuple(potential[:m]), tuple(potential[m:])),
     )
 
 

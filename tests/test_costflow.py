@@ -397,7 +397,8 @@ def oracle_ship_unit_cost(scenario, plant, warehouses, store, product):
 
 def oracle_check_flow(scenario, plants, outputs, warehouses):
     """A flow's first error, product by product: short supply, or an
-    unreachable (plant, store) cell, even one that ships nothing."""
+    unreachable (plant, store) cell whose plant makes the product and whose
+    store wants it, even one that ships nothing."""
     for product in scenario.product_ids:
         supply = sum(outputs.get(plant, {}).get(product, 0) for plant in plants)
         demand = sum(scenario.demand[store].get(product, 0) for store in scenario.sites.stores)
@@ -405,6 +406,10 @@ def oracle_check_flow(scenario, plants, outputs, warehouses):
             raise InfeasibleError(f"outputs of {product} ({supply}) cannot cover demand ({demand})")
         for plant in plants:
             for store in scenario.sites.stores:
+                if outputs.get(plant, {}).get(product, 0) <= 0:
+                    continue
+                if scenario.demand[store].get(product, 0) <= 0:
+                    continue
                 if math.isinf(oracle_ship_unit_cost(scenario, plant, warehouses, store, product)[0]):
                     raise InfeasibleError(
                         f"no {product} route from {plant} to {store} via {warehouses}"
@@ -1008,6 +1013,21 @@ class TestErrorPaths:
         )
         assert self.solve(tmp_path, doc)["situations"] == ["P1,P2", "P1,P3", "P2,P3"]
         assert len(self.solve_chosen(tmp_path, doc, "flow_cost")) == 3
+
+    def test_unreachable_reason_names_a_cell_with_supply_and_demand(self):
+        # No p1 edge reaches S10, which wants none, or leaves P3.  P1 makes 1
+        # unit, so (P1, P3) has 3 units at P3 that cannot reach S8; P1 -> S10
+        # is unreachable too, but P1 has no unit left for it and S10 wants none.
+        doc = network_doc(
+            lambda c, t, h: None if c == "p1" and (h == "S10" or t == "P3") else 1,
+            plants=("P1", "P2", "P3"),
+            demand={"S8": {"p1": 4}, "S10": {"p1": 0}},
+            capacity={"P1": {"p1": 1}},
+        )
+        skipped = []
+        situations = enumerate_situations(Scenario.from_dict(doc), skipped=skipped)
+        assert [s.label for s in situations] == ["P1,P2", "P2,P3"]
+        assert skipped == [(("P1", "P3"), "no p1 route from P3 to S8 via ('W8', 'W9')")]
 
     def test_shortfall_in_product_after_unreachable_one(self, tmp_path):
         doc = network_doc(

@@ -18,6 +18,7 @@ from placenet import (
     solve_production_plan,
     solve_transportation,
 )
+from placenet import optimizers
 from placenet.optimizers import _simplex_max
 
 
@@ -83,6 +84,23 @@ def random_transport(rng: random.Random) -> TransportInstance:
     return TransportInstance(supply=supply, demand=demand, costs=costs)
 
 
+def large_transport(rng: random.Random) -> TransportInstance:
+    """An instance from 8x8 to 40x40, where a pivot can cut off a deep subtree:
+    costs in steps of 0.1, amounts in steps of 1 or 1/10, zero rows and
+    columns, and balanced or unbalanced either way."""
+    m, n = rng.randint(8, 40), rng.randint(8, 40)
+    step = rng.choice((1.0, 0.1))
+
+    def amounts(count: int) -> list[float]:
+        return [0.0 if rng.random() < 0.1 else step * rng.randint(1, 60) for _ in range(count)]
+
+    supply, demand = amounts(m), amounts(n)
+    if rng.random() < 0.3:  # balanced: the first column takes the difference
+        demand[0] = max(0.0, sum(supply) - sum(demand[1:]))
+    costs = tuple(tuple(rng.randint(0, 200) / 10 for _ in range(n)) for _ in range(m))
+    return TransportInstance(supply=tuple(supply), demand=tuple(demand), costs=costs)
+
+
 def brute_force_loading(instance: LoadingInstance) -> float:
     best = 0.0
     ranges = [range(instance.capacity // item.weight + 1) for item in instance.items]
@@ -122,6 +140,7 @@ def plan_vertices(instance: PlanInstance):
 
 
 RANDOM_TRANSPORT_PIN = "9ce6377b677260f992b6c506ff7d1e99e31943e163b3e6f8f60396090724eaf0"
+LARGE_TRANSPORT_PIN = "54eb9375a587aaaf566a7e8a09b50d87a11a06cb8bd0e9c6c8f00bc44c396621"
 
 
 class TestBalance:
@@ -281,10 +300,47 @@ class TestTransportation:
             try:
                 p = solve_transportation(random_transport(rng))
                 state = (p.allocation, p.objective, p.basis, p.potentials, p.fictitious)
-            except (InfeasibleError, RuntimeError) as exc:
+            except InfeasibleError as exc:
                 state = (type(exc).__name__, str(exc))
             digest.update(repr(state).encode())
         assert digest.hexdigest() == RANDOM_TRANSPORT_PIN
+
+    def test_large_random_instances_match_pin_and_certify_optimality(self):
+        """The same five fields stay bit-identical on 60 instances from 8x8 to
+        40x40, and each plan's potentials certify it: u_i + v_j = c_ij on the
+        basic cells and u_i + v_j <= c_ij elsewhere, within 1e-9."""
+        rng = random.Random(20261020)
+        digest, sides = hashlib.sha256(), set()
+        for _ in range(60):
+            instance = large_transport(rng)
+            p = solve_transportation(instance)
+            digest.update(repr((p.allocation, p.objective, p.basis, p.potentials, p.fictitious)).encode())
+            sides.add(p.fictitious and p.fictitious[0])
+            u, v = map(np.array, p.potentials)
+            slack = np.array(balance(instance).costs) - u[:, None] - v
+            assert slack.min() >= -1e-9
+            assert np.abs(slack[tuple(zip(*p.basis))]).max() <= 1e-9
+        assert sides == {None, "source", "destination"}
+        assert digest.hexdigest() == LARGE_TRANSPORT_PIN
+
+    def test_potentials_overflow_on_the_first_walk(self):
+        instance = TransportInstance(
+            supply=(1, 1), demand=(1, 1), costs=((1.7e308, 0), (0, 1.7e308))
+        )
+        with pytest.raises(ScenarioError, match="^the transport potentials overflowed;"):
+            solve_transportation(instance)
+
+    def test_potentials_overflow_after_a_pivot(self, monkeypatch):
+        # found by a seeded search over 2x2 to 3x3 instances with costs in {0, 1, 1e308, 1.7e308}
+        instance = TransportInstance(
+            supply=(2, 3), demand=(1, 1, 3), costs=((1.7e308, 0, 1e308), (0, 1.7e308, 1e308))
+        )
+        with pytest.raises(ScenarioError, match="^the transport potentials overflowed;"):
+            solve_transportation(instance)
+        # with one pivot allowed, the first walk passes its check and the pivot runs
+        monkeypatch.setattr(optimizers, "_MAX_PIVOTS", 1)
+        with pytest.raises(InfeasibleError, match=r"pivot limit \(1\)"):
+            solve_transportation(instance)
 
 
 class TestLoading:
