@@ -101,6 +101,70 @@ def large_transport(rng: random.Random) -> TransportInstance:
     return TransportInstance(supply=tuple(supply), demand=tuple(demand), costs=costs)
 
 
+def random_plan(rng: random.Random) -> PlanInstance:
+    """A plan LP of up to 30 products and 12 resources mixing what the pivot
+    rules have to handle: integer, 2-decimal or few-valued data (tied ratios,
+    degenerate pivots), negative profits, all-zero resource rows, and now and
+    then lower bounds that violate a limit."""
+    n, m = rng.randint(1, 30), rng.randint(0, 12)
+    kind = rng.choice(("integer", "decimal", "few"))
+
+    def value(top: int) -> float:
+        if kind == "integer":
+            return float(rng.randint(0, top))
+        if kind == "decimal":
+            return round(rng.uniform(0, top), 2)
+        return float(rng.choice((0, 1, 2)))
+
+    lower = [value(2) if rng.random() < 0.25 else 0.0 for _ in range(n)]
+    upper = [lo + value(20) for lo in lower]
+    zero = [rng.random() < 0.15 for _ in range(m)]
+    use = [[0.0 if zero[j] else value(3) for j in range(m)] for _ in range(n)]
+    limits = []
+    for j in range(m):
+        floor = sum(lo * row[j] for lo, row in zip(lower, use))
+        span = sum(hi * row[j] for hi, row in zip(upper, use))
+        share = -0.1 if rng.random() < 0.03 else rng.choice((0.0, 0.3, 0.7))  # 0.0: degenerate
+        limits.append(max(0.0, round(floor + share * span, 2)))
+    profit = [value(50) * (-1 if rng.random() < 0.15 else 1) for _ in range(n)]
+    return PlanInstance(
+        lower=tuple(lower), upper=tuple(upper), resource_use=tuple(map(tuple, use)),
+        resource_limits=tuple(limits), profit=tuple(profit),
+    )
+
+
+def large_plan(rng: random.Random) -> PlanInstance:
+    """A plan LP of the benchmark's shape, 60 products by 20 resources: upper
+    bounds 5-20, 2-decimal uses in [0, 3], a quarter of the lower bounds at 1
+    or 2, each limit its lower-bound use plus 0.3 of its upper-bound use, and
+    2-decimal profits."""
+    upper = [rng.randint(5, 20) for _ in range(60)]
+    use = [[round(rng.uniform(0, 3), 2) for _ in range(20)] for _ in range(60)]
+    lower = [rng.randint(0, 2) if rng.random() < 0.25 else 0 for _ in range(60)]
+    limits = [
+        round(sum(lo * row[j] for lo, row in zip(lower, use))
+              + 0.3 * sum(hi * row[j] for hi, row in zip(upper, use)), 2)
+        for j in range(20)
+    ]
+    profit = [round(rng.uniform(0.5, 2.0) * rng.randint(1, 50), 2) for _ in range(60)]
+    return PlanInstance(
+        lower=tuple(lower), upper=tuple(upper), resource_use=tuple(map(tuple, use)),
+        resource_limits=tuple(limits), profit=tuple(profit),
+    )
+
+
+def plan_digest(instances) -> str:
+    """sha256 over each plan's repr((x, objective)), or its error's type and message."""
+    digest = hashlib.sha256()
+    for instance in instances:
+        try:
+            state = solve_production_plan(instance)
+        except InfeasibleError as exc:
+            state = (type(exc).__name__, str(exc))
+        digest.update(repr(state).encode())
+    return digest.hexdigest()
+
+
 def brute_force_loading(instance: LoadingInstance) -> float:
     best = 0.0
     ranges = [range(instance.capacity // item.weight + 1) for item in instance.items]
@@ -141,6 +205,8 @@ def plan_vertices(instance: PlanInstance):
 
 RANDOM_TRANSPORT_PIN = "9ce6377b677260f992b6c506ff7d1e99e31943e163b3e6f8f60396090724eaf0"
 LARGE_TRANSPORT_PIN = "54eb9375a587aaaf566a7e8a09b50d87a11a06cb8bd0e9c6c8f00bc44c396621"
+RANDOM_PLAN_PIN = "b3a4938889ec9d87f1abd7b9b48c585e1c97b947038e7471cbdfb462544252a7"
+LARGE_PLAN_PIN = "1f66817f1f3a5dffc88a8a4423876bbff92c48c650444ebec6a8cfe5a0bcb809"
 
 
 class TestBalance:
@@ -508,9 +574,13 @@ class TestProductionPlan:
         assert x == pytest.approx((6, 1))
         assert objective == pytest.approx(23)
 
-    @pytest.mark.parametrize("integer", [False, True])
-    def test_no_products_plan_nothing(self, integer):
-        instance = PlanInstance(lower=(), upper=(), resource_use=(), resource_limits=(), profit=())
+    @pytest.mark.parametrize(
+        "integer, limits",
+        [(False, ()), (True, ()), (False, (5.0,)), (True, (5.0,))],
+        ids=["False", "True", "False-5.0", "True-5.0"],
+    )
+    def test_no_products_plan_nothing(self, integer, limits):
+        instance = PlanInstance(lower=(), upper=(), resource_use=(), resource_limits=limits, profit=())
         assert solve_production_plan(instance, integer=integer) == ((), 0.0)
 
     def test_infeasible_lower_bounds(self):
@@ -551,6 +621,16 @@ class TestProductionPlan:
                 lo - 1e-9 <= xi <= hi + 1e-9 for xi, lo, hi in zip(x, lower, upper)
             )
             assert np.all(np.array(x) @ np.array(use) <= np.array(limits) + 1e-9)
+
+    def test_random_instances_match_pin(self):
+        """x and the objective stay bit-identical on 400 random LPs."""
+        rng = random.Random(20261021)
+        assert plan_digest(random_plan(rng) for _ in range(400)) == RANDOM_PLAN_PIN
+
+    def test_large_instances_match_pin(self):
+        """x and the objective stay bit-identical on 20 LPs of 60 products by 20 resources."""
+        rng = random.Random(20261022)
+        assert plan_digest(large_plan(rng) for _ in range(20)) == LARGE_PLAN_PIN
 
     def test_objective_dominates_random_feasible_points(self):
         instance = PlanInstance(
@@ -607,3 +687,18 @@ class TestProductionPlan:
             )
             with pytest.raises(ScenarioError, match="10\\^6"):
                 solve_production_plan(instance, integer=True)
+
+
+class TestSimplex:
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    def test_no_variables(self, n_rows):
+        y = _simplex_max(np.zeros(0), np.zeros((n_rows, 0)), np.ones(n_rows))
+        assert y.shape == (0,)
+
+    def test_no_rows(self):
+        y = _simplex_max(np.array([-1.0, 0.0]), np.zeros((0, 2)), np.zeros(0))
+        assert y.tolist() == [0.0, 0.0]
+
+    def test_unbounded_column(self):
+        with pytest.raises(InfeasibleError, match="^linear program is unbounded$"):
+            _simplex_max(np.array([1.0]), np.array([[0.0]]), np.array([1.0]))
