@@ -10,8 +10,8 @@ All three are pure solvers over small dense instances:
   re-walks only the subtree that its leaving cell cuts off;
 * loading -- unbounded integer knapsack (no per-item count limit) by the stage
   recurrence f_i(x) = max over m_i of (r_i m_i + f_{i+1}(x - w_i m_i));
-* production planning -- dense simplex on the standard-form augmentation with
-  Bland's anti-cycling rule, plus an optional exhaustive integer mode.
+* production planning -- simplex on the standard-form augmentation with a
+  nonbasic-column tableau, Bland's rule, plus an optional exhaustive integer mode.
 
 Instances read from JSON accept finite numbers only.
 """
@@ -407,37 +407,50 @@ class PlanInstance:
 
 
 def _simplex_max(c: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Maximize c.y over rows.y <= rhs, y >= 0 (rhs >= 0), Bland's rule.
+    """Maximize c.y over rows.y <= rhs, y >= 0 (rhs >= 0) on a nonbasic-column
+    tableau, Bland's rule: the entering variable is the smallest index with a
+    positive reduced cost; the leaving row has the minimum ratio, ties to the
+    smallest basis variable index.  Returns y once no reduced cost is positive.
 
-    Entering variable: the smallest-index column with a positive reduced
-    cost; leaving: minimum ratio, ties to the smallest basis variable index.
-    Returns the optimal y; optimality holds when no reduced cost is positive.
+    Pivots and y equal the full tableau's bit for bit while no product
+    overflows: each nonbasic and rhs entry takes the same operations in the
+    same order, and the leaving column, 1/p at the pivot row and 0 elsewhere
+    before the row update, is what the full tableau derives from its unit
+    column.  Only a zero's sign can differ, and no rule reads one (``> 1e-9``,
+    ``!= 0``; ratios and y read the rhs).  The reduced costs, summed over the
+    same rows, may round apart in the last bit, and only gate ``> 1e-9``.
     """
     n_rows, n_vars = rows.shape
-    tableau = np.hstack([rows, np.eye(n_rows), rhs[:, None]])
-    objective = np.concatenate([c, np.zeros(n_rows)])
-    basis = list(range(n_vars, n_vars + n_rows))
+    if not n_vars:
+        return np.zeros(0)
+    tableau = np.hstack([rows, rhs[:, None]])
+    body, values, outer = tableau[:, :-1], tableau[:, -1], np.empty_like(tableau)
+    free, basis, last = np.arange(n_vars), np.arange(n_vars, n_vars + n_rows), n_vars + n_rows
+    c_free, c_basis = np.array(c, dtype=float), np.zeros(n_rows)
 
     while True:
-        reduced = objective - objective[basis] @ tableau[:, :-1]
-        positive = np.flatnonzero(reduced > _EPS)
-        if not positive.size:
+        reduced = c_free - c_basis @ body
+        slot = np.where(reduced > _EPS, free, last).argmin()
+        if not reduced[slot] > _EPS:
             break
-        entering = int(positive[0])
-        eligible = np.flatnonzero(tableau[:, entering] > _EPS)
-        if not eligible.size:
+        column = body[:, slot]
+        eligible = column > _EPS
+        if not eligible.any():
             raise InfeasibleError("linear program is unbounded")
-        ratios = tableau[eligible, -1] / tableau[eligible, entering]
-        pivot_row = eligible[np.lexsort((np.array(basis)[eligible], ratios))[0]]
-        tableau[pivot_row] /= tableau[pivot_row, entering]
-        factor = tableau[:, entering].copy()
-        factor[pivot_row] = 0.0
-        touched = factor != 0.0  # rows left alone keep their values, signed zeros included
-        tableau[touched] -= factor[touched, None] * tableau[pivot_row]
-        basis[pivot_row] = entering
+        ratios = np.divide(values, column, out=np.full(n_rows, np.nan), where=eligible)
+        row = np.where(ratios == np.fmin.reduce(ratios), basis, last).argmin()
+        pivot = tableau[row, slot]
+        tableau[row] /= pivot
+        factor = column.copy()
+        factor[row] = 0.0
+        column[:], column[row] = 0.0, 1.0 / pivot  # the slot takes the leaving column
+        np.multiply.outer(factor, tableau[row], out=outer)
+        np.subtract(tableau, outer, out=tableau, where=(factor != 0.0)[:, None])
+        free[slot], basis[row] = basis[row], free[slot]
+        c_free[slot], c_basis[row] = c_basis[row], c_free[slot]
 
-    y = np.zeros(n_vars + n_rows)
-    y[basis] = tableau[:, -1]
+    y = np.zeros(last)
+    y[basis] = values
     return y[:n_vars]
 
 
@@ -447,10 +460,10 @@ def solve_production_plan(
 ) -> tuple[tuple[float, ...], float]:
     """Optimal production quantities and their profit.
 
-    The continuous solve shifts x by its lower bounds and runs the dense
-    simplex with the box rows written out explicitly.  ``integer=True``
-    searches the integers in [ceil(lower), floor(upper)] exhaustively instead
-    and refuses boxes larger than 10**6 points.
+    The continuous solve shifts x by its lower bounds and runs the simplex
+    (nonbasic-column tableau, Bland's rule) with the box rows written out
+    explicitly.  ``integer=True`` searches the integers in [ceil(lower),
+    floor(upper)] exhaustively instead, refusing boxes above 10**6 points.
     """
     lower = np.asarray(instance.lower, dtype=float)
     upper = np.asarray(instance.upper, dtype=float)

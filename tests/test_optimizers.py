@@ -699,6 +699,8 @@ class TestSimplex:
         y = _simplex_max(np.array([-1.0, 0.0]), np.zeros((0, 2)), np.zeros(0))
         assert y.tolist() == [0.0, 0.0]
 
-    def test_unbounded_column(self):
+    @pytest.mark.parametrize("rows", [[[0.0]], np.zeros((0, 1))], ids=["zero-column", "no-rows"])
+    def test_unbounded_column(self, rows):
+        rows = np.array(rows)
         with pytest.raises(InfeasibleError, match="^linear program is unbounded$"):
-            _simplex_max(np.array([1.0]), np.array([[0.0]]), np.array([1.0]))
+            _simplex_max(np.array([1.0]), rows, np.ones(len(rows)))
