@@ -30,7 +30,7 @@ from .scenario import _expect, _number, _require
 
 _EPS = 1e-9
 _MAX_TABLE_CELLS = 10**7  # the loading DP table, about 80 MB of floats
-_MAX_PIVOTS = 10_000  # transportation pivots before the solver gives up
+_MAX_PIVOTS = 10_000  # transportation or plan simplex pivots before the solver gives up
 
 
 def _numbers(values: Any, what: str) -> tuple[float, ...]:
@@ -428,7 +428,7 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray
     free, basis, last = np.arange(n_vars), np.arange(n_vars, n_vars + n_rows), n_vars + n_rows
     c_free, c_basis = np.array(c, dtype=float), np.zeros(n_rows)
 
-    while True:
+    for _ in range(_MAX_PIVOTS):
         reduced = c_free - c_basis @ body
         slot = np.where(reduced > _EPS, free, last).argmin()
         if not reduced[slot] > _EPS:
@@ -448,6 +448,10 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray
         np.subtract(tableau, outer, out=tableau, where=(factor != 0.0)[:, None])
         free[slot], basis[row] = basis[row], free[slot]
         c_free[slot], c_basis[row] = c_basis[row], c_free[slot]
+    else:  # Bland's rule cannot cycle, but its rounded tableau can near the float range
+        raise InfeasibleError(
+            f"the plan simplex hit its pivot limit ({_MAX_PIVOTS}) before an optimum"
+        )
 
     y = np.zeros(last)
     y[basis] = values

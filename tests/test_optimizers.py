@@ -699,6 +699,26 @@ class TestSimplex:
         y = _simplex_max(np.array([-1.0, 0.0]), np.zeros((0, 2)), np.zeros(0))
         assert y.tolist() == [0.0, 0.0]
 
+    def test_the_row_update_keeps_signed_zeros(self):
+        # x = y + lower = -0.0 + -0.0 only if the pivot row's rhs keeps its -0.0
+        instance = PlanInstance(
+            lower=(-0.0,), upper=(1,), resource_use=((1,),), resource_limits=(-0.0,), profit=(1,)
+        )
+        x, objective = solve_production_plan(instance)
+        assert math.copysign(1.0, x[0]) == -1.0 and objective == 0.0
+
+    def test_a_cycling_tableau_stops_at_the_pivot_limit(self):
+        # rounding near the float range makes Bland's pivots repeat their bases
+        instance = PlanInstance(
+            lower=(0, 0, 0, 0, 0),
+            upper=(0.5, 1e15, 0, 1, 2),
+            resource_use=((2, 2**53, 5), (3, 1e15, 3), (5, 4, 0), (1e300, 0, 0.5), (2, 2e-9, 4)),
+            resource_limits=(1e-9, 1, 4),
+            profit=(0.5, 1.7e308, -3, -(2**53), 1e308),
+        )
+        with pytest.raises(InfeasibleError, match=r"^the plan simplex hit its pivot limit \(10000\)"):
+            solve_production_plan(instance)
+
     @pytest.mark.parametrize("rows", [[[0.0]], np.zeros((0, 1))], ids=["zero-column", "no-rows"])
     def test_unbounded_column(self, rows):
         rows = np.array(rows)
