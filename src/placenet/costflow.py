@@ -50,7 +50,7 @@ class FlowAssignment(NamedTuple):
 
 def total_demand(scenario: Scenario) -> dict[str, int]:
     """Componentwise sum of store demands."""
-    return {product: sum(_demand(scenario, product)) for product in scenario.product_ids}
+    return {product: sum(units) for product, units in scenario.demand_rows.items()}
 
 
 def raw_requirements(
@@ -70,10 +70,6 @@ def raw_requirements(
 
 def _supply(plants, outputs, product) -> list[int]:
     return [outputs.get(plant, {}).get(product, 0) for plant in plants]
-
-
-def _demand(scenario, product) -> list[int]:
-    return [scenario.demand[store].get(product, 0) for store in scenario.sites.stores]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a total past the float range is inf
@@ -108,7 +104,7 @@ def _elements(scenario, cases):
     product's supply falls short of its demand."""
     rows = np.array([[scenario.sites.plants.index(p) for p in plants] for plants, _ in cases], int)
     supplies = [np.array([_supply(*case, p) for case in cases]) for p in scenario.product_ids]
-    need = [sum(_demand(scenario, p)) for p in scenario.product_ids]
+    need = [sum(scenario.demand_rows[p]) for p in scenario.product_ids]
     return rows, supplies, np.any([s.sum(axis=1) < n for s, n in zip(supplies, need)], axis=0)
 
 
@@ -126,7 +122,7 @@ def _sweeps(scenario, rows, cols, supplies):
         for product, supply in zip(scenario.product_ids, supplies):
             legs = scenario.ship_costs[product][rows[chunk, :, None], cols[chunk, None]]
             cost = legs.min(axis=2).transpose(0, 2, 1)  # (element, store, plant)
-            total, *swept = _sweep(cost, supply[chunk], _demand(scenario, product), total)
+            total, *swept = _sweep(cost, supply[chunk], scenario.demand_rows[product], total)
             sweeps.append((product, legs, *swept))
         yield start, total, sweeps
 
@@ -146,7 +142,7 @@ def _bounds(scenario, rows, cols):
     bound = np.zeros((len(rows), len(cols)))
     step = max(1, _CHUNK_CELLS // max(1, rows.shape[1] * len(cols) * len(scenario.sites.stores)))
     for product in scenario.product_ids:
-        demand = np.array(_demand(scenario, product), float)
+        demand = np.array(scenario.demand_rows[product], float)
         need = np.flatnonzero(demand)  # a store without demand adds nothing
         table = scenario.ship_costs[product][:, cols][..., need].min(axis=2)  # (plant, pair, store)
         for start in range(0, len(rows), step):
@@ -203,7 +199,7 @@ def _check_flow(scenario, plants, outputs, warehouses) -> None:
     rows = [scenario.sites.plants.index(plant) for plant in plants]
     cols = [scenario.sites.product_warehouses.index(w) for w in warehouses]
     for product in scenario.product_ids:
-        supply, demand = _supply(plants, outputs, product), _demand(scenario, product)
+        supply, demand = _supply(plants, outputs, product), scenario.demand_rows[product]
         if sum(supply) < sum(demand):
             raise InfeasibleError(
                 f"outputs of {product} ({sum(supply)}) cannot cover demand ({sum(demand)})"

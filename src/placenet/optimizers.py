@@ -108,28 +108,29 @@ class TransportPlan(NamedTuple):
     potentials: tuple[tuple[float, ...], tuple[float, ...]]
 
 
-def balance(instance: TransportInstance) -> TransportInstance:
+def balance(instance: TransportInstance) -> tuple[TransportInstance, tuple[str, int] | None]:
     """Append a zero-cost fictitious source or destination to even the totals,
     unless they differ by no more than the rounding of their n-term sums,
-    n * 2**-52 of the larger.  Idempotent: a balanced instance is returned unchanged."""
+    n * 2**-52 of the larger.  Returns the instance and the side it padded, as
+    (side, index), or None.  Idempotent: a balanced instance is returned unchanged."""
     total_supply = sum(instance.supply)
     total_demand = sum(instance.demand)
     rounding = (len(instance.supply) + len(instance.demand)) * 2**-52
     if abs(total_supply - total_demand) <= rounding * max(total_supply, total_demand):
-        return instance
+        return instance, None
     if total_supply > total_demand:
         extra = total_supply - total_demand
         return TransportInstance(
             supply=instance.supply,
             demand=instance.demand + (extra,),
             costs=tuple(row + (0.0,) for row in instance.costs),
-        )
+        ), ("destination", len(instance.demand))
     extra = total_demand - total_supply
     return TransportInstance(
         supply=instance.supply + (extra,),
         demand=instance.demand,
         costs=instance.costs + (tuple(0.0 for _ in instance.demand),),
-    )
+    ), ("source", len(instance.supply))
 
 
 def _northwest_corner(supply: tuple[float, ...], demand: tuple[float, ...]):
@@ -181,14 +182,7 @@ def solve_transportation(instance: TransportInstance) -> TransportPlan:
     degenerate zero-valued basic cells are kept rather than perturbed.  At the
     optimum every nonbasic cell satisfies u_i + v_j <= c_ij.
     """
-    original = instance
-    instance = balance(instance)
-    fictitious = None
-    if len(instance.demand) > len(original.demand):
-        fictitious = ("destination", len(instance.demand) - 1)
-    elif len(instance.supply) > len(original.supply):
-        fictitious = ("source", len(instance.supply) - 1)
-
+    instance, fictitious = balance(instance)
     m, n = len(instance.supply), len(instance.demand)
     costs = instance.costs
     cost_matrix = np.array(costs, dtype=float)
@@ -248,13 +242,10 @@ def solve_transportation(instance: TransportInstance) -> TransportPlan:
     allocation = [[0.0] * n for _ in range(m)]
     for (i, j), units in basis.items():
         allocation[i][j] = units
-    objective = _finite(
-        sum(costs[i][j] * allocation[i][j] for i in range(m) for j in range(n)),
-        "transport objective",
-    )
+    objective = sum(costs[i][j] * basis[i, j] for i, j in sorted(basis))  # row-major
     return TransportPlan(
         allocation=tuple(tuple(row) for row in allocation),
-        objective=objective,
+        objective=_finite(objective, "transport objective"),
         basis=tuple(basis),
         fictitious=fictitious,
         potentials=(tuple(potential[:m]), tuple(potential[m:])),
@@ -353,14 +344,13 @@ def solve_loading(instance: LoadingInstance) -> LoadingSolution:
 
     counts: dict[str, int] = {}
     x = capacity
-    for i in range(1, n + 1):
-        item = instance.items[i - 1]
+    for i, item in enumerate(instance.items, 1):
         for m_i in range(x // item.weight + 1):
             if table[i][x] == item.profit * m_i + table[i + 1][x - item.weight * m_i]:
                 counts[item.name] = m_i
                 x -= item.weight * m_i
                 break
-    objective = _finite(float(table[1][capacity]) if n else 0.0, "loading objective")
+    objective = _finite(float(table[1][capacity]), "loading objective")
     return LoadingSolution(counts=counts, objective=objective, table=table[1:])
 
 
@@ -406,11 +396,14 @@ class PlanInstance:
         )
 
 
-def _simplex_max(c: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _simplex_max(
+    c: np.ndarray, rows: np.ndarray, rhs: np.ndarray, unbounded: Exception | None = None
+) -> np.ndarray:
     """Maximize c.y over rows.y <= rhs, y >= 0 (rhs >= 0) on a nonbasic-column
     tableau, Bland's rule: the entering variable is the smallest index with a
     positive reduced cost; the leaving row has the minimum ratio, ties to the
-    smallest basis variable index.  Returns y once no reduced cost is positive.
+    smallest basis variable index.  Returns y once no reduced cost is positive;
+    a column with no eligible row raises ``unbounded``, an InfeasibleError by default.
 
     Pivots and y equal the full tableau's bit for bit while no product
     overflows: each nonbasic and rhs entry takes the same operations in the
@@ -436,7 +429,7 @@ def _simplex_max(c: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray
         column = body[:, slot]
         eligible = column > _EPS
         if not eligible.any():
-            raise InfeasibleError("linear program is unbounded")
+            raise unbounded or InfeasibleError("linear program is unbounded")
         ratios = np.divide(values, column, out=np.full(n_rows, np.nan), where=eligible)
         row = np.where(ratios == np.fmin.reduce(ratios), basis, last).argmin()
         pivot = tableau[row, slot]
@@ -499,6 +492,8 @@ def solve_production_plan(
 
     rows = np.vstack([np.eye(n), use.T])
     rhs = np.concatenate([upper - lower, slack])
-    y = _simplex_max(profit, rows, rhs)
+    # every variable has a box row, so an unbounded column means the tableau lost its scale
+    lost = ScenarioError("the plan tableau lost its scale; the input numbers are too large")
+    y = _simplex_max(profit, rows, rhs, lost)
     x = y + lower
     return tuple(float(v) for v in x), _finite(float(profit @ x), "plan objective")

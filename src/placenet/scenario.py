@@ -100,6 +100,9 @@ class Scenario:
         self.node_index = {label: i for i, label in enumerate(self.node_labels)}
         self.raw_ids = [c.id for c in self.commodities.values() if c.kind == RAW]
         self.product_ids = [c.id for c in self.commodities.values() if c.kind == PRODUCT]
+        self.demand_rows = {  # each product's units (Python ints) by store position
+            p: [self.demand[s].get(p, 0) for s in self.sites.stores] for p in self.product_ids
+        }
         # Route costs by site position; inf where there is no route.
         # raw_costs[raw][rw, plant] = D[extraction, rw] + D[rw, plant]
         # ship_costs[product][plant, pw, store] = D[plant, pw] + D[pw, store]

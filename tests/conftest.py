@@ -45,17 +45,14 @@ def route_cost(scenario: Scenario, commodity: str, from_label: str, to_label: st
     return dijkstra_distances(len(index), edges, index[from_label])[index[to_label]]
 
 
-def bench_scenario(workload: str, seed: int, out: Path) -> Path:
-    """The scenario file that ``bench/gen.py`` writes into ``out``."""
+def bench_scenario(workload: str, seed: int, out: Path, toy: bool = False) -> Path:
+    """The scenario file that ``bench/gen.py`` writes into ``out``, at the
+    workload's preset sizes or, with ``toy``, its toy sizes."""
     spec = importlib.util.spec_from_file_location("gen", REPO_ROOT / "bench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    return gen.write_inputs(workload, seed, out)["scenario"]
-
-
-@pytest.fixture(scope="session")
-def fixtures_dir() -> Path:
-    return FIXTURES
+    sizes = gen.TOY_PRESETS[workload] if toy else None
+    return gen.write_inputs(workload, seed, out, sizes)["scenario"]
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import operator
@@ -1279,6 +1280,123 @@ def test_mutation_sweep_exits_cleanly(tmp_path, capsys, name):
     assert {0, 2} <= seen
 
 
+def _effects(tmp_path, argv, doc):
+    """The payload of ``argv`` ("{}" standing for the path of ``doc``) in
+    ``--format json`` less its digest, and per numeric leaf of ``doc``, in
+    document order: its path, the document with that leaf changed (an int v
+    to 2v + 1, a float to 1.5v + 0.5), and whether that changes the exit code
+    or the payload."""
+    from placenet.cli import main
+
+    instance, out = tmp_path / "input.json", tmp_path / "payload.json"
+
+    def outcome(doc):
+        instance.write_text(json.dumps(doc))
+        out.unlink(missing_ok=True)
+        code = main([*(arg.format(instance) for arg in argv), "--format", "json", "--out", str(out)])
+        payload = json.loads(out.read_text()) if code == 0 else {}
+        payload.pop("digest", None)
+        return code, payload
+
+    base, effects = outcome(doc), []
+    for path in list(_key_paths(doc))[1:]:
+        value = functools.reduce(operator.getitem, path, doc)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            mutated = copy.deepcopy(doc)
+            _set(mutated, path, 2 * value + 1 if isinstance(value, int) else 1.5 * value + 0.5)
+            effects.append((path, mutated, outcome(mutated) != base))
+    return base[1], effects
+
+
+def _used_legs(scenario, payload):
+    """Per commodity, the cells of its route cost array that the situations of
+    a ``solve --detail`` payload use: each plant's raw legs from its raw
+    warehouse, and each shipment's leg through its product warehouse."""
+    sites, used = scenario.sites, {}
+    for detail in payload["details"]:
+        for plant, warehouse in detail["raw_warehouses"].items():
+            for raw in scenario.raw_ids:
+                cell = sites.raw_warehouses.index(warehouse), sites.plants.index(plant)
+                used.setdefault(raw, set()).add(cell)
+        for s in detail["shipments"]:
+            cell = (
+                sites.plants.index(s["plant"]),
+                sites.product_warehouses.index(s["warehouse"]),
+                sites.stores.index(s["store"]),
+            )
+            used.setdefault(s["product"], set()).add(cell)
+    return used
+
+
+@pytest.mark.parametrize("name, leaves", [("example_s8", 257), ("synth-transit-toy", 128)])
+def test_every_scenario_number_has_an_effect(tmp_path, capsys, name, leaves):
+    """Each numeric leaf of the scenario, changed on its own, changes the
+    ``solve --detail`` payload or the exit code, unless it is inert by one of
+    two rules, checked here:
+    (a) a node coordinate or an edge cost whose change leaves the cost of
+        every leg that a situation uses as it was: without ``grid_costs``
+        nothing reads a coordinate (example_s8's 36), and a dearer leg that
+        no situation chose stays unchosen;
+    (b) a plant capacity that no plant pair's allocation reaches (the toy's
+        p4 is the second plant of every pair it is in, taking the remainder).
+    """
+    from placenet import Scenario, costflow, production
+
+    if name == "example_s8":
+        source = FIXTURES / "example_s8.json"
+    else:
+        source = bench_scenario("synth-transit", 11, tmp_path / "toy", toy=True)
+    doc = json.loads(source.read_text())
+    base = Scenario.from_dict(doc)
+    payload, effects = _effects(tmp_path, ["solve", "--detail", "-s", "{}"], doc)
+    assert len(effects) == leaves
+    legs = _used_legs(base, payload)
+    costs = base.raw_costs | base.ship_costs
+    totals = costflow.total_demand(base)
+    for path, mutated, changed in effects:
+        if changed:
+            continue
+        if path[0] == "nodes" or path[0] == "edges" and path[2] == "cost":
+            scenario = Scenario.from_dict(mutated)
+            now = scenario.raw_costs | scenario.ship_costs
+            for commodity, cells in legs.items():
+                assert all(now[commodity][c] == costs[commodity][c] for c in cells), path
+            continue
+        assert path[:2] == ("production", "capacity"), f"{path} has no effect"
+        plant, product = path[2:]
+        capacity = base.production.capacity_for(plant, product)
+        for pair in itertools.combinations(base.sites.plants, 2):
+            if plant in pair:
+                split = base.production.splits.get(frozenset(pair))
+                outputs = production.allocate_output(
+                    totals, pair, base.production.capacity_for, split
+                )
+                assert outputs[plant][product] < capacity, (path, pair)
+
+
+# Solver-fixture leaves whose change leaves the payload as it is, and why.
+INERT_SOLVER_LEAVES = {
+    ("transport_2x2", ("costs", 0, 1)): "cell (0, 1) is off the optimal basis",
+    ("plan_small", ("lower", 0)): "x0 = 8 stays above a lower bound of 1",
+    ("plan_small", ("upper", 0)): "x0 = 8 stays below an upper bound of 21",
+    ("plan_small", ("upper", 1)): "x1 = 0 stays below an upper bound of 21",
+    ("plan_small", ("resource_use", 1, 0)): "x1 = 0 uses none of the resource at any rate",
+}
+
+
+def test_every_solver_number_has_an_effect(tmp_path, capsys):
+    """Each numeric leaf of the four solver fixtures, changed on its own,
+    changes the payload or the exit code, unless ``INERT_SOLVER_LEAVES`` lists
+    it; each listed leaf is inert, so the list stays true."""
+    effects = {}
+    for name, command in SOLVER_FIXTURES.items():
+        doc = json.loads((FIXTURES / f"{name}.json").read_text())
+        _, leaves = _effects(tmp_path, [command, "{}"], doc)
+        effects.update(((name, path), changed) for path, _, changed in leaves)
+    assert {leaf for leaf, changed in effects.items() if not changed} == set(INERT_SOLVER_LEAVES)
+    assert len(effects) == 25
+
+
 OPTIMIZER_NAMES = (
     "LoadingInstance LoadingItem LoadingSolution PlanInstance TransportInstance TransportPlan "
     "balance solve_loading solve_production_plan solve_transportation"
@@ -1441,6 +1559,21 @@ PLAN_OVERFLOW = json.loads((FIXTURES / "plan_small.json").read_text()) | {"profi
 OVERFLOWS = [
     ("plan", PLAN_OVERFLOW, (), 2, _overflowed("plan objective")),
     ("plan-integer", PLAN_OVERFLOW, ("--integer",), 2, _overflowed("plan objective")),
+    (
+        # after the 1.7e308 pivot the entering column's positive entries are
+        # about 6e-309, below the eligibility threshold: no row leaves
+        "plan-lost-scale",
+        {
+            "lower": [0.0, 0.5],
+            "upper": [2e-09, 3.0],
+            "resource_use": [[1.7e308, 3.0], [1.0, 0.5]],
+            "resource_limits": [1e15, 0.5],
+            "profit": [0.5, 1.7e308],
+        },
+        (),
+        2,
+        "error: the plan tableau lost its scale; the input numbers are too large\n",
+    ),
     (
         "load-dp",
         {"capacity": 5, "items": [{"weight": 1, "profit": 1e308}, {"weight": 1, "profit": 1e308}]},

@@ -24,7 +24,7 @@ from placenet.optimizers import _simplex_max
 
 def brute_force_transport(instance: TransportInstance) -> float:
     """Exhaustive integer enumeration over all feasible carriage matrices."""
-    instance = balance(instance)
+    instance, _ = balance(instance)
     supply = [int(a) for a in instance.supply]
     demand = [int(b) for b in instance.demand]
     costs = instance.costs
@@ -212,24 +212,28 @@ LARGE_PLAN_PIN = "1f66817f1f3a5dffc88a8a4423876bbff92c48c650444ebec6a8cfe5a0bcb8
 class TestBalance:
     def test_excess_supply_adds_destination(self):
         instance = TransportInstance(supply=(10,), demand=(6,), costs=((3,),))
-        balanced = balance(instance)
+        balanced, side = balance(instance)
+        assert side == ("destination", 1)
         assert balanced.demand == (6, 4)
         assert balanced.costs == ((3, 0),)
 
     def test_balanced_unchanged(self):
         instance = TransportInstance(supply=(5, 5), demand=(4, 6), costs=((1, 2), (3, 4)))
-        assert balance(instance) is instance
+        balanced, side = balance(instance)
+        assert balanced is instance and side is None
 
     def test_excess_demand_adds_source(self):
         instance = TransportInstance(supply=(3,), demand=(5, 4), costs=((2, 7),))
-        balanced = balance(instance)
+        balanced, side = balance(instance)
+        assert side == ("source", 1)
         assert balanced.supply == (3, 6)
         assert balanced.costs[1] == (0, 0)
 
     def test_idempotent(self):
         instance = TransportInstance(supply=(10,), demand=(6,), costs=((3,),))
-        once = balance(instance)
-        assert balance(once) is once
+        once, _ = balance(instance)
+        balanced, side = balance(once)
+        assert balanced is once and side is None
 
     def test_totals_one_unit_apart_at_1e10_are_unbalanced(self):
         # within math.isclose's 1e-9, yet balancing them as equal leaves a unit unserved
@@ -242,7 +246,8 @@ class TestBalance:
     def test_totals_equal_up_to_the_rounding_of_their_sums_are_balanced(self):
         instance = TransportInstance(supply=(0.1, 0.2), demand=(0.3,), costs=((1,), (2,)))
         assert sum(instance.supply) != sum(instance.demand)  # 0.30000000000000004
-        assert balance(instance) is instance
+        balanced, side = balance(instance)
+        assert balanced is instance and side is None
 
 
 class TestTransportation:
@@ -383,7 +388,7 @@ class TestTransportation:
             digest.update(repr((p.allocation, p.objective, p.basis, p.potentials, p.fictitious)).encode())
             sides.add(p.fictitious and p.fictitious[0])
             u, v = map(np.array, p.potentials)
-            slack = np.array(balance(instance).costs) - u[:, None] - v
+            slack = np.array(balance(instance)[0].costs) - u[:, None] - v
             assert slack.min() >= -1e-9
             assert np.abs(slack[tuple(zip(*p.basis))]).max() <= 1e-9
         assert sides == {None, "source", "destination"}
