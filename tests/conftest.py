@@ -65,69 +65,81 @@ def s8_dict() -> dict:
     return json.loads((FIXTURES / "example_s8.json").read_text())
 
 
-def leg_document(
+def network_doc(
+    cost,
     *,
-    plants: dict[str, dict[str, dict[str, float]]],
-    warehouses: dict[str, dict[str, dict[str, float]]],
-    demand: dict[str, dict[str, int]],
-    products: tuple[str, ...] = ("p1",),
-    retail: dict[str, float] | None = None,
-    splits: list[dict] | None = None,
-    capacity: dict[str, dict[str, float]] | None = None,
-) -> dict:
-    """A small scenario document from explicit leg-cost tables.
-
-    ``plants[plant][wh]`` and ``warehouses[wh][store]`` map to per-product
-    transport costs; the raw side is a fixed single-raw stub with unit costs
-    so the whole pipeline stays runnable.
-    """
-    plant_ids = list(plants)
-    wh_ids = list(warehouses)
-    store_ids = sorted({store for whs in warehouses.values() for store in whs})
-    node_ids = ["RX", "RW0", "RW1"] + plant_ids + wh_ids + store_ids
-
-    edges = [
-        {"from": "RX", "to": "RW0", "cost": {"r0": 1}},
-        {"from": "RX", "to": "RW1", "cost": {"r0": 2}},
-    ]
-    for wh in ("RW0", "RW1"):
-        for plant in plant_ids:
-            edges.append({"from": wh, "to": plant, "cost": {"r0": 1}})
-    for plant, whs in plants.items():
-        for wh, costs in whs.items():
-            edges.append({"from": plant, "to": wh, "cost": dict(costs)})
-    for wh, stores in warehouses.items():
-        for store, costs in stores.items():
-            edges.append({"from": wh, "to": store, "cost": dict(costs)})
-
-    doc = {
-        "name": "leg-scenario",
-        "nodes": [{"id": n, "x": i, "y": 0} for i, n in enumerate(node_ids)],
+    plants,
+    raws=("r1",),
+    products=("p1",),
+    raw_warehouses=("R8", "R9", "R10"),
+    warehouses=("W8", "W9", "W10"),
+    stores=("S8", "S10"),
+    demand=None,
+    capacity=None,
+    retail=None,
+    splits=None,
+):
+    """A scenario whose only edges are the site legs; ``cost(commodity, tail,
+    head)`` prices each leg, None leaving the commodity off that leg."""
+    legs = [(f"X{rid}", rw) for rid in raws for rw in raw_warehouses]
+    legs += [(rw, plant) for rw in raw_warehouses for plant in plants]
+    legs += [(plant, w) for plant in plants for w in warehouses]
+    legs += [(w, store) for w in warehouses for store in stores]
+    edges = []
+    for tail, head in legs:
+        costs = {c: cost(c, tail, head) for c in raws + products}
+        costs = {c: v for c, v in costs.items() if v is not None}
+        if costs:
+            edges.append({"from": tail, "to": head, "cost": costs})
+    nodes = [f"X{rid}" for rid in raws] + [*raw_warehouses, *plants, *warehouses, *stores]
+    production = {
+        "factors": {plant: {p: 1.0 for p in products} for plant in plants},
+        "exponents": {p: {rid: 1.0 for rid in raws} for p in products},
+    }
+    if capacity:
+        production["capacity"] = capacity
+    if splits:
+        production["splits"] = splits
+    return {
+        "name": "routes",
+        "nodes": [{"id": n, "x": i, "y": 0} for i, n in enumerate(nodes)],
         "edges": edges,
         "commodities": [
-            {"id": "r0", "kind": "raw", "unit_cost": 1, "purchase_price": 1, "storage_fee": 1},
+            {"id": rid, "kind": "raw", "unit_cost": 1, "purchase_price": 1, "storage_fee": 1}
+            for rid in raws
         ]
         + [{"id": p, "kind": "product", "storage_fee": 1} for p in products],
-        "recipes": {p: {"r0": 1} for p in products},
+        "recipes": {p: {rid: 1 for rid in raws} for p in products},
         "sites": {
-            "extraction": {"r0": "RX"},
-            "raw_warehouses": ["RW0", "RW1"],
-            "plants": plant_ids,
-            "product_warehouses": wh_ids,
-            "stores": store_ids,
+            "extraction": {rid: f"X{rid}" for rid in raws},
+            "raw_warehouses": list(raw_warehouses),
+            "plants": list(plants),
+            "product_warehouses": list(warehouses),
+            "stores": list(stores),
         },
         "demand": {
-            "stores": demand,
-            "retail_prices": retail or {p: 10.0 for p in products},
+            "stores": demand or {s: {p: 2 for p in products} for s in stores},
+            "retail_prices": retail or {p: 10 for p in products},
         },
-        "production": {
-            "factors": {plant: {p: 1.0 for p in products} for plant in plant_ids},
-            "exponents": {p: {"r0": 1.0} for p in products},
-            **({"capacity": capacity} if capacity else {}),
-            **({"splits": splits} if splits else {}),
-        },
+        "production": production,
     }
-    return doc
+
+
+def leg_document(*, plants, warehouses, demand, products=("p1",), **extra) -> dict:
+    """``network_doc`` from leg tables ``plants[plant][wh]`` and ``warehouses[wh][store]`` of
+    product costs. Raw ``r0`` costs 1 from Xr0 to RW0, 2 to RW1, then 1 to each plant."""
+    tables = {**plants, **warehouses}
+
+    def cost(commodity, tail, head):
+        if tail in tables:
+            return tables[tail].get(head, {}).get(commodity)
+        return (2 if head == "RW1" else 1) if commodity == "r0" else None
+
+    stores = sorted({store for heads in warehouses.values() for store in heads})
+    return network_doc(
+        cost, plants=list(plants), raws=("r0",), products=products, raw_warehouses=("RW0", "RW1"),
+        warehouses=list(warehouses), stores=stores, demand=demand, **extra
+    )
 
 
 def leg_scenario(**tables) -> Scenario:

@@ -20,6 +20,7 @@ import warnings
 import numpy as np
 import pytest
 
+from placenet.cli import main
 from conftest import FIXTURES, REPO_ROOT, bench_scenario
 
 
@@ -126,8 +127,6 @@ class TestSolve:
         assert len(payload["situations"]) == 5
 
     def test_skipped_situation_prints_in_table(self, tmp_path, capsys, s8_dict):
-        from placenet.cli import main
-
         doc = copy.deepcopy(s8_dict)
         doc["production"]["splits"][0]["output"]["x7"]["b1"] = 9  # breaks conservation
         path = tmp_path / "skewed.json"
@@ -164,8 +163,6 @@ class TestSolve:
 
     def test_residuals_above_int64_quanta_still_order(self, tmp_path, capsys, s8_dict):
         # Top residuals of ~3.6e15 and 4.4e15 are ~1e24 quanta of 1e-9, past int64.
-        from placenet.cli import main
-
         doc = copy.deepcopy(s8_dict)
         doc["demand"]["stores"]["x14"]["b1"] = 10**15
         doc["production"]["capacity"] = {
@@ -203,8 +200,6 @@ class TestSolve:
         ],
     )
     def test_fixture_report_is_byte_identical_to_pin(self, tmp_path, extra, digest):
-        from placenet.cli import main
-
         out = tmp_path / "report.json"
         args = ["solve", "-s", str(FIXTURES / "example_s8.json"), "--format", "json"]
         assert main([*args, "--out", str(out), *extra]) == 0
@@ -213,8 +208,6 @@ class TestSolve:
 
     def test_solve_never_builds_a_full_matrix(self, tmp_path, monkeypatch, s8):
         import placenet.scenario
-        from placenet.cli import main
-
         kernel = placenet.scenario.shortest_paths
         calls = []
 
@@ -241,8 +234,6 @@ class TestSolve:
     def test_bench_scenarios_match_pins(self, tmp_path, workload, seed):
         """The benchmark's generated scenarios, plain and with --detail, give
         the reports pinned in bench/pins.json."""
-        from placenet.cli import main
-
         pins = json.loads((REPO_ROOT / "bench" / "pins.json").read_text())
         scenario = bench_scenario(workload, seed, tmp_path)
         out = tmp_path / "report.json"
@@ -275,8 +266,6 @@ class TestSolve:
         """The pair search adds up flow costs only; shipments are built for
         --detail, the one output that shows them."""
         from placenet import costflow
-        from placenet.cli import main
-
         made = []
         shipment = costflow.Shipment
 
@@ -322,8 +311,6 @@ class TestSolve:
 
 def _report_without_digest(doc, tmp_path, capsys) -> str:
     """`solve --detail --format json` on ``doc``, its digest blanked."""
-    from placenet.cli import main
-
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     assert main(["solve", "-s", str(path), "--detail", "--format", "json"]) == 0
@@ -470,8 +457,6 @@ SOLVER_PINS = {
 
 def _solver_digest(tmp_path, name: str) -> str:
     from placenet import optimizers
-    from placenet.cli import main
-
     command, doc = SOLVER_INSTANCES[name]
     instance, out = tmp_path / f"{name}.json", tmp_path / "out.json"
     instance.write_text(json.dumps(doc))
@@ -561,8 +546,6 @@ class TestMalformedInput:
         "path, value, message", EXITS_2, ids=[c[2] for c in MALFORMED + UNENFORCED]
     )
     def test_exits_2_naming_the_field(self, s8_dict, tmp_path, capsys, path, value, message):
-        from placenet.cli import main
-
         doc = copy.deepcopy(s8_dict)
         _set(doc, path, value)
         scenario = tmp_path / "scenario.json"
@@ -573,8 +556,6 @@ class TestMalformedInput:
 
     def test_first_bad_commodity_is_reported(self, s8_dict, tmp_path, capsys):
         # Both a1 and b1 overflow to an inf cost on edges[0], x1 -> x2; a1 sorts first.
-        from placenet.cli import main
-
         doc = copy.deepcopy(s8_dict)
         for edge in doc["edges"]:
             del edge["cost"]  # grid_costs price every edge
@@ -715,8 +696,6 @@ REFUSED = NO_EFFECT + LOADER_REFUSED
 
 @pytest.mark.parametrize("path, value, message", REFUSED, ids=[c[2] for c in REFUSED])
 def test_field_without_effect_exits_2_naming_it(s8_dict, tmp_path, capsys, path, value, message):
-    from placenet.cli import main
-
     doc = copy.deepcopy(s8_dict)
     _set(doc, path, value)
     scenario = tmp_path / "scenario.json"
@@ -726,8 +705,6 @@ def test_field_without_effect_exits_2_naming_it(s8_dict, tmp_path, capsys, path,
 
 
 def test_non_object_document_exits_2(tmp_path, capsys):
-    from placenet.cli import main
-
     scenario = tmp_path / "scenario.json"
     scenario.write_text("[]")
     assert main(["solve", "-s", str(scenario)]) == 2
@@ -740,8 +717,6 @@ def test_overflowing_raw_requirement_exits_2(s8_dict, tmp_path, capsys, raw_rout
     """Recipes of 1e308 make a raw requirement overflow to inf.  It used to
     end in a false "no a1 route" (exit 3), or, with free raw routes, in a
     traceback from inf * 0 = NaN scores."""
-    from placenet.cli import main
-
     doc = copy.deepcopy(s8_dict)
     for recipe in doc["recipes"].values():
         recipe.update(dict.fromkeys(recipe, 1e308))
@@ -760,8 +735,6 @@ def test_overflowing_raw_score_exits_2(s8_dict, tmp_path, capsys):
     """Recipes of 1e306 keep every raw requirement finite, but a requirement
     times a finite route cost overflows.  That used to end in a false "no a2
     route" (exit 3) after numpy overflow warnings."""
-    from placenet.cli import main
-
     doc = copy.deepcopy(s8_dict)
     for recipe in doc["recipes"].values():
         recipe.update(dict.fromkeys(recipe, 1e306))
@@ -788,8 +761,6 @@ def test_overflowing_payoff_names_the_agent_and_situation(
 ):
     """Each field at 1e308 is finite, but a payoff it enters is not.  That
     used to end in "payoff matrix entries must be finite", naming nothing."""
-    from placenet.cli import main
-
     doc = copy.deepcopy(s8_dict)
     _set(doc, path, 1e308)
     scenario = tmp_path / "scenario.json"
@@ -808,8 +779,6 @@ def test_overflowing_route_cost_exits_2(s8_dict, tmp_path, capsys, commodity, le
     route over two edges costs more than a float holds.  That used to read as
     no route: `solve` ended in a false "no a1 route" (exit 3) after a numpy
     overflow warning, and `paths` printed null."""
-    from placenet.cli import main
-
     doc = copy.deepcopy(s8_dict)
     for edge in doc["edges"]:
         if commodity in edge["cost"]:
@@ -829,8 +798,6 @@ def test_overflowing_costlier_route_changes_nothing(s8_dict, tmp_path, capsys):
     """A detour x1 -> z -> x2 of two 1e308 edges costs more than a float
     holds, but the direct edge is cheaper: every route cost, and so the
     report, stays as it was."""
-    from placenet.cli import main
-
     doc = copy.deepcopy(s8_dict)
     doc["nodes"].append({"id": "z", "x": 0, "y": 0})
     doc["edges"] += [
@@ -861,8 +828,6 @@ def test_overflowing_costlier_route_changes_nothing(s8_dict, tmp_path, capsys):
     ids=["self-loop", "edge-error-first", "recipe-error-after"],
 )
 def test_self_loop_exits_2_naming_the_edge(s8_dict, tmp_path, capsys, also, message):
-    from placenet.cli import main
-
     doc = copy.deepcopy(s8_dict)
     doc["edges"][1]["to"] = "x1"
     if also:
@@ -976,8 +941,6 @@ REJECTED = [
 def test_malformed_input_exits_2_naming_the_field(
     tmp_path, capsys, command, name, path, value, message
 ):
-    from placenet.cli import main
-
     doc = json.loads((FIXTURES / f"{name}.json").read_text())
     _set(doc, path, value)
     instance = tmp_path / "input.json"
@@ -993,8 +956,6 @@ def test_huge_integer_box_refusal_stays_short(tmp_path, capsys, products, count)
     """plan_small with upper[0] = 1e308, alone or repeated as 15 products: a
     count of 310 digits, or of more than the 4,300 that str() converts, is
     refused with its power of ten."""
-    from placenet.cli import main
-
     doc = json.loads((FIXTURES / "plan_small.json").read_text())
     doc["upper"][0] = 1e308
     if products > 2:
@@ -1046,8 +1007,6 @@ TEXT = {
 def _run_on_text(tmp_path, command, write, fmt) -> tuple[int, str]:
     """Exit code of ``command`` on its fixture with the odd string written by
     ``write``, and the file's path."""
-    from placenet.cli import main
-
     name, before, after, (old, new) = TEXT_CASES[command]
     text = (FIXTURES / f"{name}.json").read_text().replace(old, new, 1)
     path = tmp_path / "input.json"
@@ -1085,8 +1044,6 @@ FIXTURE_RUNS = {
 @pytest.mark.parametrize("fmt", ["table", "json"])
 @pytest.mark.parametrize("command", list(FIXTURE_RUNS))
 def test_out_file_holds_the_stdout_bytes(tmp_path, command, fmt):
-    from placenet.cli import main
-
     path, before, after = FIXTURE_RUNS[command]
     args = [command, *before, str(path), *after, "--format", fmt]
     proc = run_cli(*args, text=False, PYTHONUTF8="1")
@@ -1129,8 +1086,6 @@ def test_stdout_is_utf8_whatever_the_locale(tmp_path, env):
 
 def test_text_only_stdout_gets_the_text(capsys):
     """A caller may swap in a stream without a byte buffer."""
-    from placenet.cli import main
-
     args = ["solve", "-s", str(FIXTURES / "example_s8.json")]
     assert main(args) == 0
     expected = capsys.readouterr().out
@@ -1151,8 +1106,6 @@ DOC_EXAMPLES = [
 
 @pytest.mark.parametrize("command, text", DOC_EXAMPLES, ids=[c for c, _ in DOC_EXAMPLES])
 def test_documented_example_runs(tmp_path, capsys, command, text):
-    from placenet.cli import main
-
     path = tmp_path / "example.json"
     path.write_text(text)
     args = ["-s", str(path)] if command == "solve" else [str(path)]
@@ -1209,8 +1162,6 @@ def _mutate(rng: random.Random, doc: dict) -> tuple[dict, str]:
 @pytest.mark.parametrize("name", list(SOLVER_FIXTURES))
 def test_mutated_solver_fixtures_exit_cleanly(tmp_path, capsys, name):
     """Every mutated solver input ends in exit 0, 2 or 3, the same in both formats."""
-    from placenet.cli import main
-
     command = SOLVER_FIXTURES[name]
     base = json.loads((FIXTURES / f"{name}.json").read_text())
     rng = random.Random(f"solver-fuzz-{name}")
@@ -1250,8 +1201,6 @@ SWEEP_SAMPLE = 200  # mutations per fixture, of 133 to 11,913
 def test_mutation_sweep_exits_cleanly(tmp_path, capsys, name):
     """Each node of the fixture deleted or set to an odd value: every run exits 0,
     2 or 3 with no warning, and a refusal is one line that says which kind."""
-    from placenet.cli import main
-
     base = json.loads((FIXTURES / f"{name}.json").read_text())
     mutations = [(path, value) for path in list(_key_paths(base))[1:] for value in SWEEP_VALUES]
     rng = random.Random(f"mutation-sweep-{name}")
@@ -1280,14 +1229,13 @@ def test_mutation_sweep_exits_cleanly(tmp_path, capsys, name):
     assert {0, 2} <= seen
 
 
-def _effects(tmp_path, argv, doc):
+def _effects(tmp_path, argv, doc, strings=False):
     """The payload of ``argv`` ("{}" standing for the path of ``doc``) in
-    ``--format json`` less its digest, and per numeric leaf of ``doc``, in
-    document order: its path, the document with that leaf changed (an int v
-    to 2v + 1, a float to 1.5v + 0.5), and whether that changes the exit code
-    or the payload."""
-    from placenet.cli import main
-
+    ``--format json`` less its digest, and per numeric leaf of ``doc`` (per
+    string leaf, with ``strings``), in document order: its path, the document
+    with that leaf changed (an int v to 2v + 1, a float to 1.5v + 0.5, a
+    string v to v + "_x"), and whether that changes the exit code or the
+    payload."""
     instance, out = tmp_path / "input.json", tmp_path / "payload.json"
 
     def outcome(doc):
@@ -1301,10 +1249,15 @@ def _effects(tmp_path, argv, doc):
     base, effects = outcome(doc), []
     for path in list(_key_paths(doc))[1:]:
         value = functools.reduce(operator.getitem, path, doc)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            mutated = copy.deepcopy(doc)
-            _set(mutated, path, 2 * value + 1 if isinstance(value, int) else 1.5 * value + 0.5)
-            effects.append((path, mutated, outcome(mutated) != base))
+        if strings and isinstance(value, str):
+            changed = value + "_x"
+        elif not strings and isinstance(value, (int, float)) and not isinstance(value, bool):
+            changed = 2 * value + 1 if isinstance(value, int) else 1.5 * value + 0.5
+        else:
+            continue
+        mutated = copy.deepcopy(doc)
+        _set(mutated, path, changed)
+        effects.append((path, mutated, outcome(mutated) != base))
     return base[1], effects
 
 
@@ -1372,6 +1325,22 @@ def test_every_scenario_number_has_an_effect(tmp_path, capsys, name, leaves):
                     totals, pair, base.production.capacity_for, split
                 )
                 assert outputs[plant][product] < capacity, (path, pair)
+
+
+@pytest.mark.parametrize(
+    "name, leaves", [("example_s8", 172), ("synth-transit-toy", 207), ("loading_small", 2)]
+)
+def test_every_string_has_an_effect(tmp_path, capsys, name, leaves):
+    """Each string leaf, ids, kinds, ``name`` and ``notes`` alike, changed on
+    its own changes the payload or the exit code: none is inert."""
+    if name == "synth-transit-toy":
+        source = bench_scenario("synth-transit", 11, tmp_path / "toy", toy=True)
+    else:
+        source = FIXTURES / f"{name}.json"
+    argv = ["load", "{}"] if name == "loading_small" else ["solve", "--detail", "-s", "{}"]
+    _, effects = _effects(tmp_path, argv, json.loads(source.read_text()), strings=True)
+    assert len(effects) == leaves
+    assert [path for path, _, changed in effects if not changed] == []
 
 
 # Solver-fixture leaves whose change leaves the payload as it is, and why.
@@ -1498,8 +1467,6 @@ class TestPaths:
 
     @pytest.mark.parametrize("commodity, fmt, digest", PATHS_PINS)
     def test_output_matches_pin(self, tmp_path, commodity, fmt, digest):
-        from placenet.cli import main
-
         out = tmp_path / "paths.txt"
         args = ["paths", "-s", str(FIXTURES / "example_s8.json"), "--commodity", commodity]
         assert main([*args, "--format", fmt, "--out", str(out)]) == 0
@@ -1508,8 +1475,6 @@ class TestPaths:
     @pytest.mark.parametrize("commodity, digest", GRID_PATHS_PINS)
     def test_grid_costs_output_matches_pin(self, tmp_path, commodity, digest):
         """A grid_costs scenario: every edge cost derived from coordinates."""
-        from placenet.cli import main
-
         out = tmp_path / "paths.json"
         args = ["paths", "-s", str(bench_scenario("synth-transit", 0, tmp_path))]
         assert main([*args, "--commodity", commodity, "--format", "json", "--out", str(out)]) == 0
@@ -1540,8 +1505,6 @@ TABLE_PINS = [
 
 @pytest.mark.parametrize("command, name, extra, digest", TABLE_PINS)
 def test_table_output_matches_pin(tmp_path, command, name, extra, digest):
-    from placenet.cli import main
-
     out = tmp_path / "table.txt"
     source = str(FIXTURES / f"{name}.json")
     args = [command, "-s", source] if command in ("solve", "paths") else [command, source]
@@ -1625,8 +1588,6 @@ class TestSolvers:
         assert payload["balanced_input"] is True
 
     def test_transport_pivot_limit_exits_3(self, tmp_path, monkeypatch, capsys):
-        from placenet.cli import main
-
         # The northwest corner is the diagonal; the optimum, the anti-diagonal,
         # takes two pivots.
         path = tmp_path / "transport.json"
@@ -1658,8 +1619,6 @@ class TestSolvers:
     ):
         # An inf total passes balance's rounding test (inf - 1e308 is within
         # n * 2**-52 * inf), so half of a 2e308 supply would ship with exit 0.
-        from placenet.cli import main
-
         path = tmp_path / "transport.json"
         costs = [[1] * len(demand) for _ in supply]
         path.write_text(json.dumps({"supply": supply, "demand": demand, "costs": costs}))
@@ -1680,8 +1639,6 @@ class TestSolvers:
     @pytest.mark.parametrize("document", [[1, 2], "x", [[1, 2]]], ids=["list", "string", "pairs"])
     def test_load_capacity_on_a_non_object_exits_2(self, tmp_path, capsys, document):
         # --capacity used to merge into the document before it was checked
-        from placenet.cli import main
-
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(document))
         for extra in ([], ["--capacity", "5"]):
@@ -1694,8 +1651,6 @@ class TestSolvers:
 
     @pytest.mark.parametrize("quantum", ["0", "-1"])
     def test_load_nonpositive_quantum_exits_2(self, capsys, quantum):
-        from placenet.cli import main
-
         assert main(["load", str(FIXTURES / "loading_small.json"), f"--quantum={quantum}"]) == 2
         assert capsys.readouterr().err == "error: quantum must be > 0\n"
 
@@ -1785,8 +1740,6 @@ OWN_FLAGS = {
 
 @pytest.mark.parametrize("command", list(OWN_FLAGS))
 def test_subcommand_help_lists_its_flags(capsys, command):
-    from placenet.cli import main
-
     with pytest.raises(SystemExit) as exited:
         main([command, "--help"])
     assert exited.value.code == 0

@@ -8,10 +8,12 @@ from placenet import (
     PayoffMatrix,
     cobb_douglas,
     compromise_select,
+    evaluate_all,
+    plant_economics,
     select_from_residuals,
     select_raw_warehouses,
 )
-from placenet.errors import ScenarioError
+from placenet.errors import InfeasibleError, ScenarioError
 
 SITUATIONS = ("x7,x12", "x7,x13", "x7,x18", "x12,x13", "x12,x18", "x13,x18")
 
@@ -209,43 +211,78 @@ def _first_error(results):
     raise results[0]
 
 
-# (call on the example_s8 scenario, what the error says)
+# (call on the example_s8 scenario, the error's type, what the error says)
 LIBRARY_REFUSED = {
     "empty payoff matrix": (
         lambda s8: matrix_of(np.empty((1, 0))),
+        ScenarioError,
         "payoff matrix must be 2-D and nonempty",
     ),
     "payoff shape": (
         lambda s8: PayoffMatrix(np.zeros((2, 2)), ("s0",), ("a0", "a1")),
+        ScenarioError,
         "payoff matrix shape does not match its labels",
     ),
-    "non-finite payoff": (lambda s8: matrix_of([[np.inf]]), "payoff matrix entries must be finite"),
+    "non-finite payoff": (
+        lambda s8: matrix_of([[np.inf]]),
+        ScenarioError,
+        "payoff matrix entries must be finite",
+    ),
     "empty residuals": (
         lambda s8: select_from_residuals(np.empty((0, 0)), ()),
+        ScenarioError,
         "residual matrix must be 2-D and nonempty",
     ),
     "residual width": (
         lambda s8: select_from_residuals(np.zeros((1, 2)), ("s0",)),
+        ScenarioError,
         "residual matrix width does not match situation labels",
     ),
     "normalize mode": (
         lambda s8: compromise_select(matrix_of([[1.0]]), normalize="x"),
+        ScenarioError,
         "unknown normalize mode 'x'",
     ),
     "raw-warehouse mode": (
         lambda s8: _first_error(select_raw_warehouses(s8, [(("x7", "x12"), {})], mode="x")),
+        ScenarioError,
         "unknown raw-warehouse selection mode 'x'",
     ),
-    "factor": (lambda s8: cobb_douglas(0.0, 1.0, 1.0, 0.5, 0.5), "production factor must be > 0"),
-    "spend": (lambda s8: cobb_douglas(1.0, -1.0, 1.0, 0.5, 0.5), "input spends must be >= 0"),
-    "exponent": (lambda s8: cobb_douglas(1.0, 1.0, 1.0, 0.5, 0.0), "exponents must be > 0"),
+    "factor": (
+        lambda s8: cobb_douglas(0.0, 1.0, 1.0, 0.5, 0.5),
+        ScenarioError,
+        "production factor must be > 0",
+    ),
+    "spend": (
+        lambda s8: cobb_douglas(1.0, -1.0, 1.0, 0.5, 0.5),
+        ScenarioError,
+        "input spends must be >= 0",
+    ),
+    "exponent": (
+        lambda s8: cobb_douglas(1.0, 1.0, 1.0, 0.5, 0.0),
+        ScenarioError,
+        "exponents must be > 0",
+    ),
+    "no situation": (
+        lambda s8: evaluate_all(s8, []),
+        InfeasibleError,
+        "no feasible situation to evaluate",
+    ),
+    "plant capacity": (
+        lambda s8: plant_economics(s8, "x7", "b1", 11),
+        InfeasibleError,
+        "plant x7 asked to make 11 of b1, capacity 10",
+    ),
 }
 
 
-@pytest.mark.parametrize("call, message", LIBRARY_REFUSED.values(), ids=list(LIBRARY_REFUSED))
-def test_library_call_refuses_bad_input(s8, call, message):
-    with pytest.raises(ScenarioError) as caught:
+@pytest.mark.parametrize(
+    "call, error, message", LIBRARY_REFUSED.values(), ids=list(LIBRARY_REFUSED)
+)
+def test_library_call_refuses_bad_input(s8, call, error, message):
+    with pytest.raises(error) as caught:
         call(s8)
+    assert type(caught.value) is error
     assert str(caught.value) == message
 
 

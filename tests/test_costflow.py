@@ -36,6 +36,7 @@ from conftest import (
     edge_triples,
     leg_document,
     leg_scenario,
+    network_doc,
     route_cost,
 )
 
@@ -82,7 +83,7 @@ class TestRawRequirements:
         assert raw_requirements({"p": 4}, {"p": {"r1": 2, "r2": 3}}) == {"r1": 8, "r2": 12}
 
     def test_missing_recipe(self):
-        with pytest.raises(Exception, match="no recipe"):
+        with pytest.raises(ScenarioError, match="^no recipe for product 'p'$"):
             raw_requirements({"p": 1}, {})
 
     def test_linearity(self, s8):
@@ -603,62 +604,6 @@ def chosen_raw(scenario, plants, requirements, mode="weighted"):
     """``select_raw_warehouses`` on one case: its assignment, or its error raised."""
     (result,) = select_raw_warehouses(scenario, [(plants, requirements)], mode)
     return returned(result)
-
-
-def network_doc(
-    cost,
-    *,
-    plants,
-    raws=("r1",),
-    products=("p1",),
-    raw_warehouses=("R8", "R9", "R10"),
-    warehouses=("W8", "W9", "W10"),
-    stores=("S8", "S10"),
-    demand=None,
-    capacity=None,
-):
-    """A scenario whose only edges are the site legs; ``cost(commodity, tail,
-    head)`` prices each leg, None leaving the commodity off that leg."""
-    legs = [(f"X{rid}", rw) for rid in raws for rw in raw_warehouses]
-    legs += [(rw, plant) for rw in raw_warehouses for plant in plants]
-    legs += [(plant, w) for plant in plants for w in warehouses]
-    legs += [(w, store) for w in warehouses for store in stores]
-    edges = []
-    for tail, head in legs:
-        costs = {c: cost(c, tail, head) for c in raws + products}
-        costs = {c: v for c, v in costs.items() if v is not None}
-        if costs:
-            edges.append({"from": tail, "to": head, "cost": costs})
-    nodes = [f"X{rid}" for rid in raws] + [*raw_warehouses, *plants, *warehouses, *stores]
-    production = {
-        "factors": {plant: {p: 1.0 for p in products} for plant in plants},
-        "exponents": {p: {rid: 1.0 for rid in raws} for p in products},
-    }
-    if capacity:
-        production["capacity"] = capacity
-    return {
-        "name": "routes",
-        "nodes": [{"id": n, "x": i, "y": 0} for i, n in enumerate(nodes)],
-        "edges": edges,
-        "commodities": [
-            {"id": rid, "kind": "raw", "unit_cost": 1, "purchase_price": 1, "storage_fee": 1}
-            for rid in raws
-        ]
-        + [{"id": p, "kind": "product", "storage_fee": 1} for p in products],
-        "recipes": {p: {rid: 1 for rid in raws} for p in products},
-        "sites": {
-            "extraction": {rid: f"X{rid}" for rid in raws},
-            "raw_warehouses": list(raw_warehouses),
-            "plants": list(plants),
-            "product_warehouses": list(warehouses),
-            "stores": list(stores),
-        },
-        "demand": {
-            "stores": demand or {s: {p: 2 for p in products} for s in stores},
-            "retail_prices": {p: 10 for p in products},
-        },
-        "production": production,
-    }
 
 
 def outcome(call, *args):
