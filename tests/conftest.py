@@ -76,8 +76,6 @@ def network_doc(
     stores=("S8", "S10"),
     demand=None,
     capacity=None,
-    retail=None,
-    splits=None,
 ):
     """A scenario whose only edges are the site legs; ``cost(commodity, tail,
     head)`` prices each leg, None leaving the commodity off that leg."""
@@ -98,8 +96,6 @@ def network_doc(
     }
     if capacity:
         production["capacity"] = capacity
-    if splits:
-        production["splits"] = splits
     return {
         "name": "routes",
         "nodes": [{"id": n, "x": i, "y": 0} for i, n in enumerate(nodes)],
@@ -118,28 +114,27 @@ def network_doc(
             "stores": list(stores),
         },
         "demand": {
-            "stores": demand or {s: {p: 2 for p in products} for s in stores},
-            "retail_prices": retail or {p: 10 for p in products},
+            "stores": {s: {p: 2 for p in products} for s in stores} if demand is None else demand,
+            "retail_prices": {p: 10 for p in products},
         },
         "production": production,
     }
 
 
-def leg_document(*, plants, warehouses, demand, products=("p1",), **extra) -> dict:
+def leg_document(*, plants, warehouses, demand, products=("p1",), capacity=None) -> dict:
     """``network_doc`` from leg tables ``plants[plant][wh]`` and ``warehouses[wh][store]`` of
     product costs. Raw ``r0`` costs 1 from Xr0 to RW0, 2 to RW1, then 1 to each plant."""
-    tables = {**plants, **warehouses}
-
-    def cost(commodity, tail, head):
-        if tail in tables:
-            return tables[tail].get(head, {}).get(commodity)
-        return (2 if head == "RW1" else 1) if commodity == "r0" else None
-
-    stores = sorted({store for heads in warehouses.values() for store in heads})
-    return network_doc(
-        cost, plants=list(plants), raws=("r0",), products=products, raw_warehouses=("RW0", "RW1"),
-        warehouses=list(warehouses), stores=stores, demand=demand, **extra
+    legs = {("Xr0", "RW0"): {"r0": 1}, ("Xr0", "RW1"): {"r0": 2}}
+    legs |= {(rw, plant): {"r0": 1} for rw in ("RW0", "RW1") for plant in plants}
+    legs |= {(t, h): c for t, heads in {**plants, **warehouses}.items() for h, c in heads.items()}
+    doc = network_doc(
+        lambda c, tail, head: legs.get((tail, head), {}).get(c), plants=list(plants), demand=demand,
+        raws=("r0",), products=products, raw_warehouses=("RW0", "RW1"), capacity=capacity,
+        warehouses=list(warehouses), stores=sorted({s for hs in warehouses.values() for s in hs}),
     )
+    if sum(len(edge["cost"]) for edge in doc["edges"]) != sum(map(len, legs.values())):
+        raise ValueError("a leg table names a site or commodity outside the scenario")
+    return doc
 
 
 def leg_scenario(**tables) -> Scenario:

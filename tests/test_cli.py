@@ -1229,13 +1229,31 @@ def test_mutation_sweep_exits_cleanly(tmp_path, capsys, name):
     assert {0, 2} <= seen
 
 
-def _effects(tmp_path, argv, doc, strings=False):
+def _grow_number(value):
+    """An int v as 2v + 1 and a float v as 1.5v + 0.5; None for any other leaf."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return 2 * value + 1 if isinstance(value, int) else 1.5 * value + 0.5
+
+
+def _sweep_input(tmp_path, name):
+    """The document and argv that the sweeps run for a named input: a fixture,
+    or the toy ``synth-transit`` scenario, under ``solve --detail`` (under
+    ``load`` for ``loading_small``)."""
+    if name == "synth-transit-toy":
+        source = bench_scenario("synth-transit", 11, tmp_path / "toy", toy=True)
+    else:
+        source = FIXTURES / f"{name}.json"
+    argv = ["load", "{}"] if name == "loading_small" else ["solve", "--detail", "-s", "{}"]
+    return json.loads(source.read_text()), argv
+
+
+def _effects(tmp_path, argv, doc, mutate=_grow_number):
     """The payload of ``argv`` ("{}" standing for the path of ``doc``) in
-    ``--format json`` less its digest, and per numeric leaf of ``doc`` (per
-    string leaf, with ``strings``), in document order: its path, the document
-    with that leaf changed (an int v to 2v + 1, a float to 1.5v + 0.5, a
-    string v to v + "_x"), and whether that changes the exit code or the
-    payload."""
+    ``--format json`` less its digest, and, in document order, per leaf of
+    ``doc`` for which ``mutate`` returns a value other than None: its path, the
+    document with that leaf replaced by the value, and whether that changes the
+    exit code or the payload."""
     instance, out = tmp_path / "input.json", tmp_path / "payload.json"
 
     def outcome(doc):
@@ -1248,12 +1266,8 @@ def _effects(tmp_path, argv, doc, strings=False):
 
     base, effects = outcome(doc), []
     for path in list(_key_paths(doc))[1:]:
-        value = functools.reduce(operator.getitem, path, doc)
-        if strings and isinstance(value, str):
-            changed = value + "_x"
-        elif not strings and isinstance(value, (int, float)) and not isinstance(value, bool):
-            changed = 2 * value + 1 if isinstance(value, int) else 1.5 * value + 0.5
-        else:
+        changed = mutate(functools.reduce(operator.getitem, path, doc))
+        if changed is None:
             continue
         mutated = copy.deepcopy(doc)
         _set(mutated, path, changed)
@@ -1295,13 +1309,9 @@ def test_every_scenario_number_has_an_effect(tmp_path, capsys, name, leaves):
     """
     from placenet import Scenario, costflow, production
 
-    if name == "example_s8":
-        source = FIXTURES / "example_s8.json"
-    else:
-        source = bench_scenario("synth-transit", 11, tmp_path / "toy", toy=True)
-    doc = json.loads(source.read_text())
+    doc, argv = _sweep_input(tmp_path, name)
     base = Scenario.from_dict(doc)
-    payload, effects = _effects(tmp_path, ["solve", "--detail", "-s", "{}"], doc)
+    payload, effects = _effects(tmp_path, argv, doc)
     assert len(effects) == leaves
     legs = _used_legs(base, payload)
     costs = base.raw_costs | base.ship_costs
@@ -1333,12 +1343,8 @@ def test_every_scenario_number_has_an_effect(tmp_path, capsys, name, leaves):
 def test_every_string_has_an_effect(tmp_path, capsys, name, leaves):
     """Each string leaf, ids, kinds, ``name`` and ``notes`` alike, changed on
     its own changes the payload or the exit code: none is inert."""
-    if name == "synth-transit-toy":
-        source = bench_scenario("synth-transit", 11, tmp_path / "toy", toy=True)
-    else:
-        source = FIXTURES / f"{name}.json"
-    argv = ["load", "{}"] if name == "loading_small" else ["solve", "--detail", "-s", "{}"]
-    _, effects = _effects(tmp_path, argv, json.loads(source.read_text()), strings=True)
+    doc, argv = _sweep_input(tmp_path, name)
+    _, effects = _effects(tmp_path, argv, doc, lambda v: v + "_x" if isinstance(v, str) else None)
     assert len(effects) == leaves
     assert [path for path, _, changed in effects if not changed] == []
 
