@@ -21,7 +21,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .errors import InfeasibleError, ScenarioError
-from .network import shortest_paths
+from .network import Edges, shortest_paths, stacked_shortest_paths
 
 DEFAULT_PLANT_CAPACITY = 10.0
 DEFAULT_HANDLING_RATE = 0.2
@@ -30,7 +30,6 @@ RAW = "raw"
 PRODUCT = "product"
 _MONEY = ("unit_cost", "purchase_price", "storage_fee")  # a product may set only the last
 
-Edges = tuple[np.ndarray, np.ndarray, np.ndarray]  # (tails, heads, costs) in edge order
 _NO_EDGES: Edges = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
 
 
@@ -106,22 +105,30 @@ class Scenario:
         # Route costs by site position; inf where there is no route.
         # raw_costs[raw][rw, plant] = D[extraction, rw] + D[rw, plant]
         # ship_costs[product][plant, pw, store] = D[plant, pw] + D[pw, store]
-        # Only the rows of the legs' sources are computed.
-        sites = self.sites
-        self.raw_costs = {
-            rid: self._legs(rid, (sites.extraction[rid],), sites.raw_warehouses, sites.plants)[0]
-            for rid in self.raw_ids
-        }
-        ship_legs = (sites.plants, sites.product_warehouses, sites.stores)
-        self.ship_costs = {product: self._legs(product, *ship_legs) for product in self.product_ids}
-
-    @np.errstate(over="ignore")  # a leg cost past the float range is inf
-    def _legs(self, commodity: str, *groups: tuple[str, ...]) -> np.ndarray:
-        """D[a, b] + D[b, c] over three label groups, shape (a, b, c)."""
-        a, b, c = ([self.node_index[label] for label in group] for group in groups)
-        edges = self.edges.get(commodity, _NO_EDGES)
-        rows = shortest_paths(len(self.node_labels), edges, a + b)
-        return rows[: len(a), b][:, :, None] + rows[len(a) :, c][None, :, :]
+        # One kernel run computes only the rows of the legs' sources, in one
+        # block per distinct edge-cost vector: commodities that share one share rows.
+        index = self.node_index
+        rw, plants, pw, stores = ([index[label] for label in group] for group in self.sites[1:])
+        legs = {r: ([index[self.sites.extraction[r]]], rw, plants) for r in self.raw_ids}
+        legs.update((p, (plants, pw, stores)) for p in self.product_ids)
+        # Each distinct edge-cost vector (as bytes): its edges and {source node: row}.
+        blocks: dict[tuple[bytes, ...], tuple[Edges, dict[int, int]]] = {}
+        keys = {}
+        for cid, (a, b, _) in legs.items():
+            edges = self.edges.get(cid, _NO_EDGES)
+            keys[cid] = key = tuple(array.tobytes() for array in edges)
+            sources = blocks.setdefault(key, (edges, {}))[1]
+            for node in a + b:
+                sources.setdefault(node, len(sources))
+        rows = dict(zip(blocks, stacked_shortest_paths(len(self.node_labels), blocks.values())))
+        costs = {}
+        for cid, (a, b, c) in legs.items():
+            D, sources = rows[keys[cid]], blocks[keys[cid]][1]
+            with np.errstate(over="ignore"):  # a leg cost past the float range is inf
+                first = D[np.ix_([sources[node] for node in a], b)]
+                costs[cid] = first[:, :, None] + D[np.ix_([sources[node] for node in b], c)][None]
+        self.raw_costs = {rid: costs[rid][0] for rid in self.raw_ids}
+        self.ship_costs = {product: costs[product] for product in self.product_ids}
 
     def route_error(self, commodity: str, *labels: str) -> ScenarioError | InfeasibleError:
         """The error an infinite route cost through ``labels`` stands for: no edge carries
@@ -238,6 +245,32 @@ def _unenforced(what: str) -> ScenarioError:
     )
 
 
+def _read_edges(specs: list, index: dict[str, int], commodities: dict, needs_cost: bool):
+    """The (ends, carried) of an edge list read a column at a time: each edge's
+    (tail, head) indices, and each carried commodity's edge rows and costs in
+    edge order.  None where the per-edge loop in _scenario_from_dict may have
+    an error to name; that loop then reads the list again.  ``needs_cost``:
+    every edge holds a nonempty cost map, else none holds one."""
+    try:
+        ends = [(index[e["from"]], index[e["to"]]) for e in specs]
+        maps = [e.get("cost", {}) for e in specs]
+        if any(e.get("capacity") for e in specs):
+            return None
+        if any(type(m) is not dict or bool(m) != needs_cost for m in maps):
+            return None
+        cids = [cid for m in maps for cid in m]
+        values = [v for m in maps for v in m.values()]
+        if not commodities.keys() >= set(cids) or not {type(v) for v in values} <= {int, float}:
+            return None  # a boolean or string is not a number, though float() reads it
+        costs = np.array(values, dtype=float)
+    except (KeyError, TypeError, AttributeError, OverflowError):
+        return None
+    if not (np.isfinite(costs) & (costs >= 0)).all():
+        return None
+    rows, ids = np.repeat(np.arange(len(maps)), [len(m) for m in maps]), np.array(cids)
+    return ends, {cid: (rows[ids == cid], costs[ids == cid]) for cid in dict.fromkeys(cids)}
+
+
 def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario document must be a JSON object")
@@ -296,9 +329,10 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
                 for key in ("horizontal", "vertical")
             )
 
-    ends: list[tuple[int, int]] = []
-    carried: dict[str, tuple[list[int], list[float]]] = {}  # commodity -> edges[i], costs
-    for i, spec in enumerate(_items(_require(data, "edges", "scenario"), "edges")):
+    edge_specs = _items(_require(data, "edges", "scenario"), "edges")
+    read = _read_edges(edge_specs, index, commodities, needs_cost=grid_costs is None)
+    ends, carried = read or ([], {})  # carried: commodity -> edges[i], costs
+    for i, spec in enumerate(edge_specs if read is None else ()):  # names the first fault
         tail = node_ref(_require(spec, "from", f"edges[{i}]"), f"edges[{i}].from")
         head = node_ref(_require(spec, "to", f"edges[{i}]"), f"edges[{i}].to")
         cost = {
@@ -323,7 +357,7 @@ def _scenario_from_dict(data: dict[str, Any], *, digest: str | None = None) -> S
         raise ScenarioError(f"edges[{i}]: self-loop at node {node_labels[tails[i]]!r}")
     if grid_costs is None:
         edges = {
-            cid: (tails[rows], heads[rows], np.array(values))
+            cid: (tails[rows], heads[rows], np.asarray(values, dtype=float))
             for cid, (rows, values) in carried.items()
         }
     else:

@@ -208,24 +208,26 @@ class TestSolve:
 
     def test_solve_never_builds_a_full_matrix(self, tmp_path, monkeypatch, s8):
         import placenet.scenario
-        kernel = placenet.scenario.shortest_paths
-        calls = []
+        kernel = placenet.scenario.stacked_shortest_paths
+        runs = []
 
-        def rows_only(n, edges, sources):
-            sources = list(sources)
-            commodity = next(
-                c for c, arrays in s8.edges.items()
-                if all(np.array_equal(a, b) for a, b in zip(arrays, edges))
-            )
-            calls.append(commodity)
-            assert len(sources) < n, f"full matrix built for {commodity}"
-            return kernel(n, edges, sources)
+        def rows_only(n, blocks):
+            carried = []
+            for edges, sources in blocks:
+                commodity = next(
+                    c for c, arrays in s8.edges.items()
+                    if all(np.array_equal(a, b) for a, b in zip(arrays, edges))
+                )
+                carried.append(commodity)
+                assert len(sources) < n, f"full matrix built for {commodity}"
+            runs.append(carried)
+            return kernel(n, blocks)
 
-        monkeypatch.setattr(placenet.scenario, "shortest_paths", rows_only)
+        monkeypatch.setattr(placenet.scenario, "stacked_shortest_paths", rows_only)
         out = tmp_path / "report.json"
         args = ["solve", "-s", str(FIXTURES / "example_s8.json"), "--format", "json"]
         assert main([*args, "--out", str(out)]) == 0
-        assert sorted(calls) == ["a1", "a2", "b1", "b2", "b3"]
+        assert [sorted(carried) for carried in runs] == [["a1", "a2", "b1", "b2", "b3"]]
         pin = json.loads((REPO_ROOT / "bench" / "pins.json").read_text())["example_s8"]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == pin
 

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import random
 import warnings
@@ -7,8 +8,11 @@ import numpy as np
 import pytest
 
 import placenet.scenario
-from placenet import Scenario, ScenarioError, shortest_paths
-from conftest import dijkstra_distances
+from placenet import Scenario, ScenarioError, load_scenario, shortest_paths
+from placenet.cli import main
+from placenet.network import stacked_shortest_paths
+from placenet.scenario import _NO_EDGES
+from conftest import FIXTURES, bench_scenario, dijkstra_distances
 
 
 def edge_arrays(triples):
@@ -240,15 +244,207 @@ class TestSourceRows:
         net, _ = random_graph(random.Random(5), 5, 8)
         assert shortest_paths(5, net, []).shape == (0, 5)
 
-    @pytest.mark.parametrize("bad", [-2.0, math.inf, math.nan])
-    def test_rejects_bad_edge_cost(self, s8_dict, monkeypatch, bad):
-        """A bad cost is refused where it is parsed, before any row is computed."""
+    @pytest.fixture
+    def no_rows(self, monkeypatch):
+        """The loader's kernel run fails the test: no row may come from unchecked costs."""
 
         def never(*args):
             raise AssertionError("rows computed from unchecked costs")
 
-        monkeypatch.setattr(placenet.scenario, "shortest_paths", never)
+        monkeypatch.setattr(placenet.scenario, "stacked_shortest_paths", never)
+
+    def test_the_guard_sees_the_loaders_kernel_run(self, s8_dict, no_rows):
+        with pytest.raises(AssertionError, match="rows computed from unchecked costs"):
+            Scenario.from_dict(s8_dict)
+
+    @pytest.mark.parametrize("bad", [-2.0, math.inf, math.nan])
+    def test_rejects_bad_edge_cost(self, s8_dict, no_rows, bad):
+        """A bad cost is refused where it is parsed, before any row is computed."""
         doc = copy.deepcopy(s8_dict)
         doc["edges"][1]["cost"]["a1"] = bad
         with pytest.raises(ScenarioError, match=r"^edges\[1\] cost for a1 must be a finite number"):
             Scenario.from_dict(doc)
+
+    def test_rejects_overflowing_grid_cost(self, s8_dict, no_rows):
+        """A grid cost past the float range is refused before any row is computed."""
+        with pytest.raises(ScenarioError) as caught:
+            grid_scenario(s8_dict, {"a1": (1e308, 1)}, (0, 0), (2, 0))  # 2 * 1e308 is inf
+        assert str(caught.value) == "edges[0] (x1 -> x2) cost for a1 must be finite and >= 0"
+
+
+class TestStackedRows:
+    """One stacked run gives each block the rows of its own one-block run, bit for bit."""
+
+    @staticmethod
+    def random_edges(rng, n):
+        _, triples = random_graph(rng, n, rng.randint(1, min(3 * n, n * (n - 1))))
+        return edge_arrays([(i, j, w / 7 + rng.random()) for i, j, w in triples])
+
+    def test_stacked_rows_equal_one_run_per_block(self):
+        rng = random.Random(20261022)
+        for _ in range(120):
+            n = rng.randint(2, 12)
+            shared = rng.randrange(n)  # a source in every block that has sources
+            repeated = [shared, *(rng.randrange(n) for _ in range(rng.randint(0, n)))] * 2
+            blocks = [
+                (self.random_edges(rng, n), repeated),
+                (self.random_edges(rng, n), []),
+                (_NO_EDGES, [shared, rng.randrange(n)]),
+                *((self.random_edges(rng, n), [shared, rng.randrange(n)]) for _ in range(2)),
+            ]
+            rng.shuffle(blocks)
+            stacked = stacked_shortest_paths(n, blocks)
+            assert len(stacked) == len(blocks)
+            for rows, ((tails, heads, costs), sources) in zip(stacked, blocks):
+                alone = shortest_paths(n, (tails, heads, costs), sources)
+                assert rows.shape == alone.shape == (len(sources), n)
+                assert rows.tobytes() == alone.tobytes()
+                edges = list(zip(tails.tolist(), heads.tolist(), costs.tolist()))
+                for row, source in zip(rows.tolist(), sources):
+                    assert row == dijkstra_distances(n, edges, source)
+
+    def test_no_blocks(self, s8_dict):
+        """A scenario without commodities loads: its one run has no block."""
+        doc = copy.deepcopy(s8_dict)
+        doc.update(commodities=[], recipes={}, grid_costs={})
+        doc.update(demand={"stores": {}, "retail_prices": {}})
+        doc.update(production={"factors": {}, "exponents": {}})
+        doc["sites"]["extraction"] = {}
+        for edge in doc["edges"]:
+            del edge["cost"]
+        scenario = Scenario.from_dict(doc)
+        assert scenario.raw_costs == scenario.ship_costs == {}
+        assert stacked_shortest_paths(4, []) == []
+
+
+@pytest.mark.parametrize(
+    "source, rows",
+    [
+        ("example_s8", [5, 5, 8, 8, 8]),  # five cost vectors
+        ("synth-transit", [11, 38, 27]),  # a2, b2 and b3 share one: 76 rows, not 103
+    ],
+)
+def test_one_kernel_run_per_load(tmp_path, monkeypatch, source, rows):
+    """A load runs the kernel once, with one block per distinct edge-cost vector
+    and each block's sources once."""
+    kernel = placenet.scenario.stacked_shortest_paths
+    runs = []
+
+    def counted(n, blocks):
+        runs.append([len(sources) for _, sources in blocks])
+        return kernel(n, blocks)
+
+    monkeypatch.setattr(placenet.scenario, "stacked_shortest_paths", counted)
+    if source == "example_s8":
+        load_scenario(FIXTURES / "example_s8.json")
+    else:
+        load_scenario(bench_scenario(source, 11, tmp_path))
+    assert runs == [rows]
+
+
+def _loop_only(monkeypatch):
+    """Every edge list goes through the loader's per-edge loop, as before the
+    column reader."""
+    monkeypatch.setattr(placenet.scenario, "_read_edges", lambda *args, **kwargs: None)
+
+
+def _edge_bytes(scenario):
+    return [
+        (cid, [(column.dtype, column.shape, column.tobytes()) for column in arrays])
+        for cid, arrays in scenario.edges.items()
+    ]
+
+
+BIG = "1" + "0" * 399  # float() overflows on this 400-digit integer
+OBJECT = "edges[3].cost must be an object, got {}"
+NUMBER = "edges[3] cost for a1 must be a number, got {}"
+SHORT = '"from": "x1", "to": "x5", '  # left out of the test ids
+# (edges[3] as JSON text, priced by grid_costs, the exact error; None: it loads)
+EDGE_CASES = [
+    *((f'{{"from": "x1", "to": "x5", "cost": {text}}}', grid, OBJECT.format(shown))
+      for text, shown in (("[]", "[]"), ("0", "0"), ("null", "None"), ('""', "''"))
+      for grid in (False, True)),
+    ('{"from": "x1", "to": "x5", "cost": {"a1": true}}', False, NUMBER.format("True")),
+    ('{"from": "x1", "to": "x5", "cost": {"a1": "1"}}', False, NUMBER.format("'1'")),
+    ('{"from": "x1", "to": "x5", "cost": {"a1": null}}', False, NUMBER.format("None")),
+    ('{"from": "x1", "to": "x5", "cost": {"a1": %s}}' % BIG, False, NUMBER.format(BIG)),
+    (
+        '{"from": "x1", "to": "x5", "cost": {"a1": 1e400}}',
+        False,
+        "edges[3] cost for a1 must be a finite number, got inf",
+    ),
+    (
+        '{"from": "x1", "to": "x5", "cost": {"a1": -1}}',
+        False,
+        "edges[3] cost for a1 must be a finite number >= 0, got -1.0",
+    ),
+    ('{"from": "x1", "to": "x5", "cost": {"a1": -0.0}}', False, None),
+    (
+        '{"from": "x1", "to": "x5", "cost": {"a1": 4}, "capacity": {"a1": 5}}',
+        False,
+        "edges[3].capacity: placenet does not enforce this field; remove it or leave it empty",
+    ),
+    ('{"from": "x1", "to": "x5", "cost": {"a1": 4}, "capacity": 0}', False, None),
+    (
+        '{"from": "x1", "to": "x5", "cost": {}}',
+        False,
+        "edges[3]: needs a cost map (no grid_costs given)",
+    ),
+    ('{"from": "x1", "to": "x5", "cost": {}}', True, None),
+    (
+        '{"from": "x1", "to": "x5", "cost": {"a1": 4}}',
+        True,
+        "edges[3].cost has no effect when grid_costs is given",
+    ),
+    ("5", False, "edges[3] must be an object, got 5"),
+    ('{"from": "x1", "to": "x5", "cost": {"z": 4}}', False, "edges[3].cost: unknown commodity 'z'"),
+    ('{"from": "x1", "to": "no", "cost": {"a1": 4}}', False, "edges[3].to: unknown node id 'no'"),
+    ('{"to": "x5", "cost": {"a1": 4}}', False, "edges[3]: missing required key 'from'"),
+]
+
+
+class TestEdgeReader:
+    """The column-wise edge reader builds the per-edge loop's arrays, and an
+    edge list it does not accept goes through that loop, which names the
+    first fault as before."""
+
+    @pytest.mark.parametrize("source", ["example_s8", "synth-transit", "synth-wide"])
+    def test_same_arrays_as_the_loop(self, tmp_path, monkeypatch, source):
+        if source == "example_s8":
+            path = FIXTURES / "example_s8.json"
+        else:
+            path = bench_scenario(source, 11, tmp_path, toy=True)
+        reader, read = placenet.scenario._read_edges, []
+
+        def recorded(*args, **kwargs):
+            read.append(reader(*args, **kwargs))
+            return read[-1]
+
+        monkeypatch.setattr(placenet.scenario, "_read_edges", recorded)
+        columns = _edge_bytes(load_scenario(path))
+        assert read[0] is not None, "the column reader fell back on a valid edge list"
+        _loop_only(monkeypatch)
+        assert columns == _edge_bytes(load_scenario(path))
+
+    @pytest.mark.parametrize(
+        "text, grid, message",
+        EDGE_CASES,
+        ids=[f"{c[0].replace(SHORT, '')[:40]}{'-grid' * c[1]}" for c in EDGE_CASES],
+    )
+    def test_edge_at_index_3(self, s8_dict, tmp_path, capsys, monkeypatch, text, grid, message):
+        doc = copy.deepcopy(s8_dict)
+        if grid:
+            for edge in doc["edges"]:
+                del edge["cost"]
+            units = {"horizontal": 1, "vertical": 2}
+            doc["grid_costs"] = {commodity["id"]: units for commodity in doc["commodities"]}
+        doc["edges"][3] = "@"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc).replace('"@"', text))
+        if message is None:
+            columns = _edge_bytes(load_scenario(path))
+            _loop_only(monkeypatch)
+            assert columns == _edge_bytes(load_scenario(path))
+        else:
+            assert main(["solve", "-s", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {path}: {message}\n"
